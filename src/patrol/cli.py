@@ -192,6 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "k", 1) < 1:
+        print(f"invalid input: --k must be at least 1, got {args.k}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         return args.func(args)
     except IncompatibleAlgorithmError as exc:

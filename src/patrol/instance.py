@@ -5,15 +5,15 @@ Euclidean points, or 1D coordinates) and one positive weight per site.
 Weight normalization and dyadic rounding live here as well, since every
 weighted solver starts from the same rounded weight classes.
 
-All objects are immutable after construction and safe to share between
-threads or workers.
+All objects are immutable after construction (a Metric's private tree
+cover memo aside) and safe to share between threads or workers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -29,14 +29,17 @@ class Metric:
 
     variant: "line" (data = n coordinates), "matrix" (data = row-major
     n x n entries), or "euclidean" (data = n points in R^d).  Line and
-    matrix data are exact Fractions; Euclidean distances go through the
-    IEEE double square root and are exposed as exact binary fractions.
+    matrix data are exact Fractions; a Euclidean distance is the double
+    from math.dist read through its shortest decimal repr (not its exact
+    binary value).  _covers memoizes metric_core.tree_cover per (sorted
+    sites, t); it takes no part in equality, hashing or repr.
     """
 
     variant: str
     coords: tuple[Fraction, ...] | None = None
     matrix: tuple[tuple[Fraction, ...], ...] | None = None
     points: tuple[tuple[float, ...], ...] | None = None
+    _covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -57,6 +60,11 @@ class Metric:
         n = self.n
         if n < 1:
             raise InstanceError("metric must cover at least one site")
+        if self.variant == "euclidean":
+            if any(len(p) != len(self.points[0]) for p in self.points):
+                raise InstanceError("euclidean points must share one dimension")
+            if not all(math.isfinite(c) for p in self.points for c in p):
+                raise InstanceError("euclidean coordinates must be finite")
         if self.variant != "matrix":
             return
         if any(len(row) != n for row in self.matrix):
@@ -144,12 +152,6 @@ class WeightClasses:
                 return j
         raise KeyError(site)
 
-    def all_sites(self) -> list[int]:
-        out: list[int] = []
-        for _, members in self.classes:
-            out.extend(members)
-        return sorted(out)
-
 
 def round_weights_dyadic(instance: Instance) -> tuple[WeightClasses, list[Fraction]]:
     """Scale weights to max 1 and round each up to the next power of 1/2.
@@ -204,10 +206,7 @@ def load_instance(data: bytes | str) -> Instance:
                 matrix=tuple(tuple(to_fraction(x) for x in row) for row in payload),
             )
         elif mtype == "euclidean":
-            pts = tuple(tuple(float(c) for c in p) for p in payload)
-            if pts and any(len(p) != len(pts[0]) for p in pts):
-                raise InstanceError("euclidean points must share one dimension")
-            metric = Metric("euclidean", points=pts)
+            metric = Metric("euclidean", points=tuple(tuple(float(c) for c in p) for p in payload))
         else:
             raise InstanceError(f"unknown metric type: {mtype}")
         weights = tuple(to_fraction(w) for w in doc["weights"])
@@ -258,4 +257,5 @@ def matrix_instance(matrix: Sequence[Sequence], weights: Sequence) -> Instance:
 
 def euclidean_instance(points: Sequence[Sequence[float]], weights: Sequence) -> Instance:
     metric = Metric("euclidean", points=tuple(tuple(float(c) for c in p) for p in points))
+    metric.validate()
     return Instance(metric=metric, weights=tuple(to_fraction(w) for w in weights))

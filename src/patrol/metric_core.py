@@ -8,8 +8,10 @@ runs produce identical structures.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .instance import Metric
@@ -46,10 +48,6 @@ class Tour:
 
     vertices: tuple[int, ...]
     length: Fraction
-
-    @property
-    def start(self) -> int:
-        return self.vertices[0]
 
 
 @dataclass(frozen=True)
@@ -114,15 +112,8 @@ def mst(sites: Sequence[int], metric: Metric) -> Tree:
     return Tree.build(sites, edges)
 
 
-def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
-    """Open tour over the tree's vertices via a depth-first preorder walk.
-
-    Doubling every tree edge gives a closed walk of length 2|T|; taking
-    vertices in first-visit order and shortcutting only shrinks it, so
-    the open tour has length at most 2|T|.
-    """
-    if start not in tree.vertices:
-        raise ValueError(f"start {start} is not a vertex of the tree")
+def _preorder(tree: Tree, start: int) -> tuple[int, ...]:
+    """Depth-first preorder of start's component, lowest-index child first."""
     adj = tree.adjacency()
     order: list[int] = []
     seen = {start}
@@ -134,17 +125,40 @@ def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    length = sum(
-        (metric.distance(a, b) for a, b in zip(order, order[1:])), Fraction(0)
-    )
-    return Tour(tuple(order), length)
+    return tuple(order)
 
 
-def close_tour_length(tour: Tour, metric: Metric) -> Fraction:
-    """Length of the tour with the return leg back to its start appended."""
-    if len(tour.vertices) < 2:
-        return Fraction(0)
-    return tour.length + metric.distance(tour.vertices[-1], tour.vertices[0])
+def _walk_lengths(order: Sequence[int], metric: Metric) -> tuple[list[Fraction], list[Fraction]]:
+    """Step lengths of a vertex walk and their prefix sums (starting at 0)."""
+    steps = [metric.distance(a, b) for a, b in zip(order, order[1:])]
+    return steps, list(accumulate(steps, initial=Fraction(0)))
+
+
+def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
+    """Open tour over the tree's vertices via a depth-first preorder walk.
+
+    Doubling every tree edge gives a closed walk of length 2|T|; taking
+    vertices in first-visit order and shortcutting only shrinks it, so
+    the open tour has length at most 2|T|.
+    """
+    if start not in tree.vertices:
+        raise ValueError(f"start {start} is not a vertex of the tree")
+    order = _preorder(tree, start)
+    return Tour(order, _walk_lengths(order, metric)[1][-1])
+
+
+def _cut_walk(prefix: Sequence[Fraction], cap: Fraction, limit=None) -> list[tuple[int, int]]:
+    """The one cut rule, for a walk with prefix lengths `prefix` (steps are
+    non-negative): greedy pieces of length <= cap, dropping the step across
+    each cut.  cap may be 0, keeping only zero-length steps in a piece.
+    Returns each piece's (first, last) vertex index; stops at limit+1."""
+    pieces: list[tuple[int, int]] = []
+    first = 0
+    while first < len(prefix) and (limit is None or len(pieces) <= limit):
+        last = bisect_right(prefix, prefix[first] + cap, first) - 1
+        pieces.append((first, last))
+        first = last + 1
+    return pieces
 
 
 def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Path]:
@@ -157,72 +171,11 @@ def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Path]:
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    pieces: list[Path] = []
-    current = [tour.vertices[0]]
-    cur_len = Fraction(0)
-    for a, b in zip(tour.vertices, tour.vertices[1:]):
-        step = metric.distance(a, b)
-        if cur_len + step > delta:
-            pieces.append(Path(tuple(current), cur_len))
-            current = [b]
-            cur_len = Fraction(0)
-        else:
-            current.append(b)
-            cur_len += step
-    pieces.append(Path(tuple(current), cur_len))
-    return pieces
-
-
-def _components_under(tree: Tree, bound: Fraction) -> list[list[int]]:
-    """Connected components of the tree after deleting edges longer than bound."""
-    uf = _UnionFind(tree.vertices)
-    for i, j, d in tree.edges:
-        if d <= bound:
-            uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for v in sorted(tree.vertices):
-        groups.setdefault(uf.find(v), []).append(v)
-    return [groups[r] for r in sorted(groups)]
-
-
-def _chop_walk(order: list[int], bound: Fraction, metric: Metric) -> list[list[int]]:
-    """Cut a vertex walk into runs of consecutive vertices, each run's
-    internal length <= bound; edges between runs are dropped."""
-    runs: list[list[int]] = []
-    current = [order[0]]
-    cur_len = Fraction(0)
-    for a, b in zip(order, order[1:]):
-        step = metric.distance(a, b)
-        if cur_len + step > bound:
-            runs.append(current)
-            current = [b]
-            cur_len = Fraction(0)
-        else:
-            current.append(b)
-            cur_len += step
-    runs.append(current)
-    return runs
-
-
-def _cover_at(base: Tree, bound: Fraction, metric: Metric) -> list[Tree]:
-    """Candidate cover for deletion threshold `bound`: split the MST into
-    components of short edges, walk each component, and chop the walk
-    into vertex-disjoint pieces of length <= beta * bound."""
-    pieces: list[Tree] = []
-    for comp in _components_under(base, bound):
-        members = set(comp)
-        comp_edges = [
-            (i, j, d) for i, j, d in base.edges if i in members and j in members
-        ]
-        fragment = Tree.build(comp, comp_edges)
-        walk = tree_to_tour(fragment, comp[0], metric)
-        for run in _chop_walk(list(walk.vertices), TREE_COVER_BETA * bound, metric):
-            edges = [
-                (min(a, b), max(a, b), metric.distance(a, b))
-                for a, b in zip(run, run[1:])
-            ]
-            pieces.append(Tree.build(sorted(run), edges))
-    return pieces
+    _, prefix = _walk_lengths(tour.vertices, metric)
+    return [
+        Path(tour.vertices[first : last + 1], prefix[last] - prefix[first])
+        for first, last in _cut_walk(prefix, delta)
+    ]
 
 
 def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
@@ -233,28 +186,70 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     chop each remaining fragment's walk into pieces of length <= 4B.
     Every B at or above the optimum yields at most t pieces, and any
     accepted B bounds the pieces by 4B, so bisecting B to the smallest
-    accepted value gives pieces of length <= 4 * optimum.
+    accepted value gives pieces of length <= 4 * optimum.  Each distinct
+    (sorted sites, t) is computed once per Metric and kept in its private
+    memo, so repeated calls return the same TreeCover object.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
+    key = (tuple(sorted(set(sites))), t)
+    cover = metric._covers.get(key)
+    if cover is None:  # setdefault: threads racing here all get one object
+        cover = metric._covers.setdefault(key, _search_cover(key[0], metric, t))
+    return cover
+
+
+def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
+    """tree_cover without the memo: 120 halvings of B over [0, |MST|].
+
+    A probe only counts pieces.  Keeping the `kept` MST edges <= B leaves
+    n - kept components, so a probe with more than t is rejected at once;
+    the walks of every other kept count are built once, and trees only
+    for the final B."""
     base = mst(sites, metric)
     if t == 1 or len(base.vertices) == 1:
         return TreeCover((base,), base.total_length)
+    lengths = sorted(d for _, _, d in base.edges)
+    regimes: dict[int, list] = {}
 
-    def attempt(bound: Fraction):
-        pieces = _cover_at(base, bound, metric)
-        return pieces if len(pieces) <= t else None
+    def walks(bound: Fraction) -> list:
+        """(walk, steps, prefix) of each component, in order of its lowest site."""
+        kept = bisect_right(lengths, bound)
+        if kept not in regimes:
+            forest = Tree.build(base.vertices, [e for e in base.edges if e[2] <= bound])
+            seen: set[int] = set()
+            regimes[kept] = []
+            for v in base.vertices:
+                if v not in seen:
+                    order = _preorder(forest, v)
+                    seen.update(order)
+                    regimes[kept].append((order, *_walk_lengths(order, metric)))
+        return regimes[kept]
 
-    best = attempt(Fraction(0))
-    if best is None:
-        lo, hi = Fraction(0), base.total_length
-        best = attempt(hi)
+    def accepts(bound: Fraction) -> bool:
+        if len(base.vertices) - bisect_right(lengths, bound) > t:
+            return False
+        count = 0
+        for _, _, prefix in walks(bound):
+            count += len(_cut_walk(prefix, TREE_COVER_BETA * bound, t - count))
+            if count > t:
+                return False
+        return True
+
+    lo, hi = Fraction(0), base.total_length
+    if accepts(lo):
+        hi = lo
+    else:
         for _ in range(120):
             mid = (lo + hi) / 2
-            got = attempt(mid)
-            if got is None:
-                lo = mid
+            if accepts(mid):
+                hi = mid
             else:
-                hi, best = mid, got
-    max_len = max((p.total_length for p in best), default=Fraction(0))
-    return TreeCover(tuple(best), max_len)
+                lo = mid
+    pieces = []
+    for order, steps, prefix in walks(hi):
+        for first, last in _cut_walk(prefix, TREE_COVER_BETA * hi):
+            run = order[first : last + 1]
+            edges = [(min(a, b), max(a, b), d) for a, b, d in zip(run, run[1:], steps[first:])]
+            pieces.append(Tree.build(sorted(run), edges))
+    return TreeCover(tuple(pieces), max(p.total_length for p in pieces))

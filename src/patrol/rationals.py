@@ -2,9 +2,10 @@
 
 All times and 1D coordinates in this package are `fractions.Fraction`
 values so that visit times, periods and latencies come out exact on
-instances given with decimal data.  Euclidean distances are converted
-through their IEEE double value, which is itself an exact binary
-fraction.
+instances given with decimal data.  Euclidean distances are IEEE
+doubles converted like any float, through their shortest decimal repr:
+a distance computed as the double nearest 0.1 becomes exactly 1/10,
+not that double's exact binary value.
 """
 
 from __future__ import annotations

@@ -239,3 +239,27 @@ def test_compare_line_algorithms(tmp_path):
     exact = float(rows["line-uniform"]["measured"])
     approx = float(rows["line-weighted"]["measured"])
     assert exact <= approx <= 12 * exact + 1e-9
+
+
+def test_nonpositive_k_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    run("generate", "--kind", "euclidean", "--n", 5, "--seed", 1, "--out", inst_path)
+    capsys.readouterr()
+    for k in (0, -2):
+        assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", k) == EXIT_INVALID
+        assert run("compare", "--instance", inst_path, "--k", k, "--algos", "metric") == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines == [f"invalid input: --k must be at least 1, got {k}"] * 2
+
+
+def test_nonfinite_euclidean_coordinates_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    for bad in ("NaN", "Infinity", "-Infinity"):
+        inst_path.write_text(
+            '{"metric": {"type": "euclidean", "data": [[0, 0], [1, %s]]}, "weights": [1, 1]}' % bad
+        )
+        assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "invalid input: euclidean coordinates must be finite\n"

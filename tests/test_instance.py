@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from patrol.errors import InstanceError
 from patrol.instance import (
     dump_instance,
+    euclidean_instance,
     line_instance,
     load_instance,
     round_weights_dyadic,
@@ -138,3 +140,18 @@ def test_rounding_idempotent():
     again_inst = line_instance([0, 1, 2], rounded)
     _, rounded2 = round_weights_dyadic(again_inst)
     assert rounded2 == rounded
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"])
+def test_nonfinite_euclidean_coordinates_rejected(bad):
+    with pytest.raises(InstanceError, match="finite"):
+        load_instance(doc("euclidean", [[0, 0], [1, bad]], [1, 1]))
+    with pytest.raises(InstanceError, match="finite"):
+        euclidean_instance([(0, 0), (1, float(bad))], [1, 1])
+
+
+def test_euclidean_points_must_share_dimension():
+    with pytest.raises(InstanceError, match="dimension"):
+        load_instance(doc("euclidean", [[0, 0], [1, 2, 3]], [1, 1]))
+    with pytest.raises(InstanceError, match="dimension"):
+        euclidean_instance([(0, 0), (1,)], [1, 1])
