@@ -39,8 +39,15 @@ EXIT_INVALID = 3
 EXIT_RESOURCE = 4
 
 
+def _read(path: str, error: type[PatrolError]) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _read_instance(path: str) -> Instance:
-    return load_instance(Path(path).read_bytes())
+    return load_instance(_read(path, InstanceError))
 
 
 def run_solver(instance: Instance, algo: str, k: int, refine: bool = False) -> SolveReport:
@@ -90,7 +97,7 @@ def cmd_solve(args) -> int:
 
 def cmd_evaluate(args) -> int:
     instance = _read_instance(args.instance)
-    schedule = load_schedule(Path(args.schedule).read_bytes())
+    schedule = load_schedule(_read(args.schedule, ScheduleFormatError))
     violations = validate_speed(schedule, instance.metric)
     if violations:
         for v in violations:

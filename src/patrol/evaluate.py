@@ -6,14 +6,24 @@ robot rests at a site counts as continuous coverage.  On matrix and
 Euclidean metrics, edges are abstract segments, so visits happen only
 at waypoints that coincide with a site (within a 1e-9 tolerance that
 guards float drift; exact data never needs it).
+
+A leg costs O(log n + visits): line legs bisect the coordinates sorted
+once per evaluation, and a waypoint site's co-location group (the sites
+within the tolerance) is found once per evaluation, by one matrix row
+scan or a bisection window on the first Euclidean coordinate.  A site
+served by one robot takes the cyclic max gap of its in-order visits; a
+jointly served site is unrolled over the common period, at absolute
+times, in integers scaled by one denominator.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import (
@@ -23,7 +33,7 @@ from .errors import (
 )
 from .instance import Instance, Metric
 from .rationals import format_fraction, lcm_fractions, to_fraction
-from .schedule import CoordPos, Position, RobotTrack, Schedule, SitePos
+from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute, on coordinates/distances
 SPEED_TOL = VISIT_TOL
@@ -132,8 +142,23 @@ def position_distance(p: Position, q: Position, metric: Metric) -> Fraction:
     )
 
 
+def _check_site_ids(schedule: Schedule, n: int) -> None:
+    """Reject site ids outside 0..n-1: a negative id would alias a site
+    counted from the end."""
+    for track in schedule.robots:
+        if isinstance(track, RoundRobinTrack):
+            ids = [v for paths in track.trees for path in paths for v in path]
+        else:
+            ids = [p.site for _, p in track.waypoints if isinstance(p, SitePos)]
+            ids += [i for _, p in track.waypoints if isinstance(p, EdgePos) for i in (p.a, p.b)]
+        for i in ids:
+            if not 0 <= i < n:
+                raise ScheduleFormatError(f"site {i} is out of range 0..{n - 1}")
+
+
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     """Check every leg (and the wraparound leg) against unit speed."""
+    _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
     violations = []
     for r, track in enumerate(schedule.robots):
@@ -168,69 +193,98 @@ def combined_period(
     return total
 
 
-def _track_visits(
-    track: RobotTrack, instance: Instance
-) -> dict[int, list[tuple[Fraction, Fraction]]]:
-    """Visit intervals per site within one period of a single track.
+def _sites_near(schedule: Schedule, metric: Metric):
+    """The visit lookup of one evaluation, built once for all its legs.
 
-    Instantaneous visits are zero-length intervals.  Times lie within
-    [t_first, t_first + period).
+    Line metrics: site ids sorted by coordinate, with the sorted
+    coordinates, for bisection.  Other metrics: the co-location group
+    (sites within VISIT_TOL) of every site a waypoint names.
     """
-    metric = instance.metric
-    visits: dict[int, list[tuple[Fraction, Fraction]]] = {s: [] for s in instance.sites}
+    if metric.variant == "line":
+        order = sorted(range(metric.n), key=metric.coords.__getitem__)
+        return [metric.coords[s] for s in order], order
+    named = {p.site for t in schedule.robots for _, p in t.waypoints if isinstance(p, SitePos)}
+    if metric.variant == "matrix":
+        return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
+    # math.dist(w, s) <= 1e-9 puts s's first coordinate ([:1], empty in 0-d)
+    # within 1e-9 (plus ulps) of w's; float rounding of c -/+ 2e-9 is monotone,
+    # so the bisection window holds every such s and the predicate decides.
+    order = sorted(range(metric.n), key=lambda s: metric.points[s][:1])
+    keys = [metric.points[s][:1] for s in order]
+    groups = {}
+    for w in named:
+        head = metric.points[w][:1]
+        lo = bisect_left(keys, tuple(c - 2e-9 for c in head))
+        hi = bisect_right(keys, tuple(c + 2e-9 for c in head))
+        groups[w] = [s for s in order[lo:hi] if metric.distance(w, s) <= VISIT_TOL]
+    return groups
+
+
+def _track_visits(
+    track: RobotTrack, metric: Metric, near
+) -> dict[int, list[tuple[Fraction, Fraction]]]:
+    """Visit intervals per visited site within one period of a single track.
+
+    Instantaneous visits are zero-length intervals.  Each site's list is
+    in time order within [t_first, t_first + period].  `near` is the
+    evaluation's _sites_near lookup.
+    """
+    visits: dict[int, list[tuple[Fraction, Fraction]]] = {}
     line = metric.variant == "line"
     for t0, p0, t1, p1 in track.legs():
         if line:
             x0, x1 = _line_coord(p0, metric), _line_coord(p1, metric)
             lo, hi = min(x0, x1), max(x0, x1)
-            for s in instance.sites:
-                c = metric.coords[s]
+            keys, order = near
+            for s in order[bisect_left(keys, lo - VISIT_TOL):bisect_right(keys, hi + VISIT_TOL)]:
                 if x0 == x1:
-                    if abs(c - x0) <= VISIT_TOL:
-                        visits[s].append((t0, t1))
-                elif lo - VISIT_TOL <= c <= hi + VISIT_TOL:
-                    cc = min(max(c, lo), hi)
-                    tc = t0 + (t1 - t0) * abs(cc - x0) / (x1 - x0 if x1 > x0 else x0 - x1)
-                    visits[s].append((tc, tc))
-        else:
-            stationary = p0 == p1
-            for s in instance.sites:
-                at0 = _coincides(p0, s, metric)
-                if stationary and at0:
-                    visits[s].append((t0, t1))
-                elif at0:
-                    visits[s].append((t0, t0))
+                    visits.setdefault(s, []).append((t0, t1))
+                else:
+                    cc = min(max(metric.coords[s], lo), hi)
+                    tc = t0 + (t1 - t0) * abs(cc - x0) / (hi - lo)
+                    visits.setdefault(s, []).append((tc, tc))
+        elif isinstance(p0, SitePos):
+            span = (t0, t1) if p0 == p1 else (t0, t0)
+            for s in near[p0.site]:
+                visits.setdefault(s, []).append(span)
     # The end of each leg is the start of the next, so endpoint visits are
     # recorded once per leg start; the final wrap leg ends at t_first+period,
     # which is the first leg's start in the next period.
     return visits
 
 
-def _coincides(pos: Position, site: int, metric: Metric) -> bool:
-    if isinstance(pos, SitePos):
-        return metric.distance(pos.site, site) <= VISIT_TOL
-    return False
-
-
-def _merge(intervals: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    intervals.sort()
-    merged: list[tuple[Fraction, Fraction]] = []
+def _max_gap(intervals: list[tuple], period):
+    """Longest stretch of a cycle of length `period` that no interval covers,
+    in one merging pass over intervals sorted by start within [x, x + period]."""
+    gap, end = 0, intervals[0][1]
     for a, b in intervals:
-        if merged and a <= merged[-1][1]:
-            if b > merged[-1][1]:
-                merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    return merged
+        if a > end:
+            gap = max(gap, a - end)
+        if b > end:
+            end = b
+    return max(intervals[0][0] + period - end, gap)
 
 
-def _max_gap(intervals: list[tuple[Fraction, Fraction]], period: Fraction) -> Fraction:
-    merged = _merge(intervals)
-    gap = Fraction(0)
-    for (a0, b0), (a1, b1) in zip(merged, merged[1:]):
-        gap = max(gap, a1 - b0)
-    wrap = merged[0][0] + period - merged[-1][1]
-    return max(gap, wrap, Fraction(0))
+def _joint_gap(served: list[tuple[RobotTrack, list]], total: Fraction) -> Fraction:
+    """Max gap of a site that several (track, visits) serve, unrolled over the
+    common period `total` in integers scaled by one common denominator.  Each
+    visit sits at its absolute time modulo its track's period, so the phase
+    between tracks that start at different times counts."""
+    den = lcm(*(t.denominator for track, visits in served
+                for t in (track.period, *(t for visit in visits for t in visit))))
+    span = int(total * den)
+    intervals = []
+    for track, visits in served:
+        period = int(track.period * den)
+        for a, b in visits:
+            length = int((b - a) * den)
+            for start in range(int(a * den) % period, span, period):
+                if start + length > span:  # straddles the end: split it
+                    intervals += [(start, span), (0, start + length - span)]
+                else:
+                    intervals.append((start, start + length))
+    intervals.sort()
+    return Fraction(_max_gap(intervals, span), den)
 
 
 def max_weighted_latency(
@@ -245,42 +299,31 @@ def max_weighted_latency(
     common-period unroll.  A jointly served site whose unroll would
     exceed event_cap raises PeriodOverflowError.
     """
+    _check_site_ids(schedule, instance.n)
     schedule = schedule.expanded(instance.metric)
     if not schedule.robots:
         raise UnvisitedSiteError(0, _name(instance, 0))
-    per_track = [_track_visits(t, instance) for t in schedule.robots]
+    near = _sites_near(schedule, instance.metric)
+    per_track = [_track_visits(t, instance.metric, near) for t in schedule.robots]
 
     latencies: list[Fraction] = []
     for s in instance.sites:
-        holders = [r for r, vis in enumerate(per_track) if vis[s]]
-        if not holders:
+        served = [(track, vis[s]) for track, vis in zip(schedule.robots, per_track) if s in vis]
+        if not served:
             raise UnvisitedSiteError(s, _name(instance, s))
         # a site served by one robot repeats with that robot's own period;
         # only jointly served sites need a common period unroll
-        periods = [schedule.robots[r].period for r in holders]
-        total = lcm_fractions(periods)
-        events = sum(
-            int(total / schedule.robots[r].period) * len(per_track[r][s])
-            for r in holders
-        )
+        total = lcm_fractions(track.period for track, _ in served)
+        events = sum(int(total / track.period) * len(visits) for track, visits in served)
         if events > event_cap:
             raise PeriodOverflowError(
                 f"site {s} needs {events} visit events over the common period; "
                 f"cap is {event_cap}"
             )
-        intervals: list[tuple[Fraction, Fraction]] = []
-        for r in holders:
-            track = schedule.robots[r]
-            reps = int(total / track.period)
-            base = track.waypoints[0][0]
-            for a, b in per_track[r][s]:
-                start = (a - base) % track.period
-                length = b - a
-                for rep in range(reps):
-                    intervals.append(
-                        (start + rep * track.period, start + rep * track.period + length)
-                    )
-        latencies.append(_max_gap(_split_mod(intervals, total), total))
+        if len(served) == 1:
+            latencies.append(_max_gap(served[0][1], total))
+        else:
+            latencies.append(_joint_gap(served, total))
 
     rows = tuple(
         SiteLatency(s, lat, instance.weights[s], instance.weights[s] * lat)
@@ -288,20 +331,6 @@ def max_weighted_latency(
     )
     best = max(rows, key=lambda row: (row.weighted, -row.site))
     return LatencyReport(rows, best.weighted, best.site)
-
-
-def _split_mod(
-    intervals: list[tuple[Fraction, Fraction]], period: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Clip intervals into [0, period), splitting any that straddle the end."""
-    out = []
-    for a, b in intervals:
-        if b > period:
-            out.append((a, period))
-            out.append((Fraction(0), b - period))
-        else:
-            out.append((a, b))
-    return out
 
 
 def _name(instance: Instance, site: int) -> Optional[str]:

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
+from .errors import ResourceLimitError
 from .instance import Instance, Metric, WeightClasses, round_weights_dyadic
 from .metric_core import TREE_COVER_BETA, Tree, mst, partition_tour, tree_cover, tree_to_tour
 from .oracles import OracleBudget, exact_tree_cover
@@ -213,7 +214,7 @@ def solve_metric_detailed(
             break
         L = 2 * L
     if assignment is None:
-        raise RuntimeError("doubling search failed to find a feasible budget")
+        raise ResourceLimitError("doubling search found no feasible budget in 200 doublings")
 
     if refine and len(trail) > 1:
         lo, hi = L / 2, L

@@ -263,3 +263,72 @@ def test_nonfinite_euclidean_coordinates_exit_3(tmp_path, capsys):
         assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_INVALID
         err = capsys.readouterr().err
         assert err == "invalid input: euclidean coordinates must be finite\n"
+
+
+def write_site_schedule(path, *positions):
+    path.write_text(
+        json.dumps(
+            {
+                "robots": [
+                    {
+                        "period": "4",
+                        "waypoints": [
+                            {"t": str(t), "pos": pos} for t, pos in enumerate(positions)
+                        ],
+                    }
+                ]
+            }
+        )
+    )
+
+
+def test_evaluate_out_of_range_site_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    sched_path = tmp_path / "s.json"
+    cases = [
+        ({"site": -1}, "site -1 is out of range 0..3"),
+        ({"site": 4}, "site 4 is out of range 0..3"),
+        ({"edge": [2, 9], "frac": "0.5"}, "site 9 is out of range 0..3"),
+    ]
+    for bad, message in cases:
+        write_site_schedule(sched_path, {"site": 0}, bad)
+        assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+
+
+def test_unreadable_paths_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    sched_path = tmp_path / "s.json"
+    write_site_schedule(sched_path, {"site": 0})
+    missing = tmp_path / "missing.json"
+    for argv in (
+        ("evaluate", "--instance", missing, "--schedule", sched_path),
+        ("evaluate", "--instance", inst_path, "--schedule", missing),
+        ("evaluate", "--instance", inst_path, "--schedule", tmp_path),
+        ("solve", "--instance", missing, "--algo", "metric", "--k", 1),
+        ("compare", "--instance", missing, "--k", 1, "--algos", "metric"),
+    ):
+        assert run(*argv) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("invalid input: cannot read ")
+
+
+def test_doubling_without_feasible_budget_exit_4(tmp_path, capsys, monkeypatch):
+    import patrol.metric_scheduler as metric_scheduler
+
+    inst_path = tmp_path / "inst.json"
+    run("generate", "--kind", "euclidean", "--n", 5, "--seed", 1, "--out", inst_path)
+    capsys.readouterr()
+    monkeypatch.setattr(metric_scheduler, "k_robot_assignment", lambda *args: None)
+    assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "resource cap: doubling search found no feasible budget in 200 doublings\n"
+    )

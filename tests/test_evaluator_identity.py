@@ -1,0 +1,340 @@
+"""max_weighted_latency against a frozen copy of its original loops.
+
+The original scanned every site for every leg (through Metric.distance
+off the line) and unrolled every site's visits with Fraction `%`,
+clipped them at the common period, sorted and merged them.  The
+reference below keeps that code, self-contained apart from the error
+types, so any change in a latency, its type, the argmax or the error
+raised shows up as a difference.
+
+One line differs from the original on purpose: a jointly served site's
+visits are placed at their absolute time modulo the track's period.
+The original subtracted each track's own first waypoint time, which
+lost the phase between tracks that start at different times
+(test_evaluator_reference.py finds that case).
+"""
+
+import math
+import random
+from fractions import Fraction
+
+from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
+from patrol.evaluate import max_weighted_latency
+from patrol.instance import euclidean_instance, line_instance, matrix_instance
+from patrol.schedule import CoordPos, EdgePos, RobotTrack, Schedule, SitePos
+
+TOL = Fraction(1, 10**9)
+
+
+def reference_line_coord(pos, metric):
+    if isinstance(pos, CoordPos):
+        return pos.x
+    if isinstance(pos, SitePos):
+        return metric.coords[pos.site]
+    a, b = metric.coords[pos.a], metric.coords[pos.b]
+    return a + pos.frac * (b - a)
+
+
+def reference_coincides(pos, site, metric):
+    if isinstance(pos, SitePos):
+        return metric.distance(pos.site, site) <= TOL
+    return False
+
+
+def reference_track_visits(track, instance):
+    metric = instance.metric
+    visits = {s: [] for s in instance.sites}
+    line = metric.variant == "line"
+    for t0, p0, t1, p1 in track.legs():
+        if line:
+            x0, x1 = reference_line_coord(p0, metric), reference_line_coord(p1, metric)
+            lo, hi = min(x0, x1), max(x0, x1)
+            for s in instance.sites:
+                c = metric.coords[s]
+                if x0 == x1:
+                    if abs(c - x0) <= TOL:
+                        visits[s].append((t0, t1))
+                elif lo - TOL <= c <= hi + TOL:
+                    cc = min(max(c, lo), hi)
+                    tc = t0 + (t1 - t0) * abs(cc - x0) / (x1 - x0 if x1 > x0 else x0 - x1)
+                    visits[s].append((tc, tc))
+        else:
+            stationary = p0 == p1
+            for s in instance.sites:
+                at0 = reference_coincides(p0, s, metric)
+                if stationary and at0:
+                    visits[s].append((t0, t1))
+                elif at0:
+                    visits[s].append((t0, t0))
+    return visits
+
+
+def reference_lcm(values):
+    num, den = 1, 0
+    for f in values:
+        num = num * f.numerator // math.gcd(num, f.numerator)
+        den = math.gcd(den, f.denominator)
+    return Fraction(num, den)
+
+
+def reference_max_gap(intervals, period):
+    intervals.sort()
+    merged = []
+    for a, b in intervals:
+        if merged and a <= merged[-1][1]:
+            if b > merged[-1][1]:
+                merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    gap = Fraction(0)
+    for (a0, b0), (a1, b1) in zip(merged, merged[1:]):
+        gap = max(gap, a1 - b0)
+    wrap = merged[0][0] + period - merged[-1][1]
+    return max(gap, wrap, Fraction(0))
+
+
+def reference_split_mod(intervals, period):
+    out = []
+    for a, b in intervals:
+        if b > period:
+            out.append((a, period))
+            out.append((Fraction(0), b - period))
+        else:
+            out.append((a, b))
+    return out
+
+
+def reference_latencies(schedule, instance, event_cap):
+    """Per-site latencies, or raises what the original raised."""
+    schedule = schedule.expanded(instance.metric)
+    if not schedule.robots:
+        raise UnvisitedSiteError(0)
+    per_track = [reference_track_visits(t, instance) for t in schedule.robots]
+    latencies = []
+    for s in instance.sites:
+        holders = [r for r, vis in enumerate(per_track) if vis[s]]
+        if not holders:
+            raise UnvisitedSiteError(s)
+        total = reference_lcm([schedule.robots[r].period for r in holders])
+        events = sum(
+            int(total / schedule.robots[r].period) * len(per_track[r][s]) for r in holders
+        )
+        if events > event_cap:
+            raise PeriodOverflowError(
+                f"site {s} needs {events} visit events over the common period; "
+                f"cap is {event_cap}"
+            )
+        intervals = []
+        for r in holders:
+            track = schedule.robots[r]
+            reps = int(total / track.period)
+            for a, b in per_track[r][s]:
+                start = a % track.period  # the original: (a - t_first) % period
+                length = b - a
+                for rep in range(reps):
+                    intervals.append(
+                        (start + rep * track.period, start + rep * track.period + length)
+                    )
+        latencies.append(reference_max_gap(reference_split_mod(intervals, total), total))
+    return latencies
+
+
+def outcome(fn):
+    try:
+        return ("ok", fn())
+    except PatrolError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "site", None))
+
+
+def assert_identical(schedule, instance, event_cap=2_000_000):
+    def new():
+        rep = max_weighted_latency(schedule, instance, event_cap=event_cap)
+        return repr([row.latency for row in rep.per_site]), rep.max_weighted, rep.argmax_site
+
+    def old():
+        lats = reference_latencies(schedule, instance, event_cap)
+        weighted = [w * lat for w, lat in zip(instance.weights, lats)]
+        best = max(instance.sites, key=lambda s: (weighted[s], -s))
+        return repr(lats), weighted[best], best
+
+    got, want = outcome(new), outcome(old)
+    assert got == want, (schedule, instance)
+    return got[0]
+
+
+# --- generated cases -------------------------------------------------------
+
+PERIODS = [Fraction(p) for p in (1, 2, 3, 5, 6, 10, "1/2", "1/3", "5/2")]
+
+
+def random_track(rng, positions):
+    """A track over `positions` (a callable drawing one) with waits,
+    pass-throughs and, sometimes, a last waypoint at t_first + period."""
+    period = rng.choice(PERIODS)
+    q = rng.randint(1, 6)
+    base = Fraction(rng.randint(0, 7), rng.randint(1, 3))
+    steps = sorted(rng.sample(range(q + 1), rng.randint(1, q + 1)))
+    waypoints, last = [], None
+    for i in steps:
+        pos = last if last is not None and rng.random() < 0.3 else positions()
+        waypoints.append((base + period * i / q, pos))
+        last = pos
+    if steps[-1] == q and steps[0] == 0 and rng.random() < 0.7:
+        # full-period track: it must wrap to its start
+        waypoints[-1] = (waypoints[-1][0], waypoints[0][1])
+    return RobotTrack(period, tuple(waypoints))
+
+
+def sweep(rng, n):
+    """A track visiting every site of an n-site instance in random order,
+    so that most generated schedules measure rather than raise."""
+    order = rng.sample(range(n), n)
+    period = rng.choice(PERIODS)
+    return RobotTrack(period, tuple((period * i / n, SitePos(s)) for i, s in enumerate(order)))
+
+
+def tracks(rng, n, positions):
+    drawn = [random_track(rng, positions) for _ in range(rng.randint(1, 3))]
+    return Schedule(tuple(drawn + [sweep(rng, n)] if rng.random() < 0.6 else drawn))
+
+
+def line_cases(rng):
+    for _ in range(60):
+        n = rng.randint(1, 9)
+        coords = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 4))) for _ in range(n)]
+        inst = line_instance(coords, [rng.randint(1, 4) for _ in range(n)])
+
+        def positions():
+            kind = rng.random()
+            if kind < 0.4:
+                return SitePos(rng.randrange(n))
+            if kind < 0.6 and n > 1:
+                a, b = sorted(rng.sample(range(n), 2))
+                return EdgePos(a, b, Fraction(rng.randint(1, 3), 4))
+            c = rng.choice(coords) if rng.random() < 0.5 else Fraction(rng.randint(-2, 14), 2)
+            return CoordPos(c + rng.choice((0, 0, TOL, -TOL, 2 * TOL, TOL / 2)))
+
+        yield tracks(rng, n, positions), inst
+
+
+def euclidean_cases(rng):
+    for _ in range(40):
+        count = rng.randint(1, 4)
+        base = [(rng.randint(0, 4) * 1.5, rng.randint(0, 4) * 0.5) for _ in range(count)]
+        if rng.random() < 0.3:
+            base = [(x + 1e6, y) for x, y in base]
+        pts = list(base)
+        for x, y in base:
+            for off in (5e-10, 1e-9, 1.5e-9, 3e-9):
+                dx, dy = rng.choice(((off, 0), (-off, 0), (0, off), (off * 0.7, off * 0.7)))
+                if rng.random() < 0.5:
+                    pts.append((x + dx, y + dy))
+        rng.shuffle(pts)
+        n = len(pts)
+        inst = euclidean_instance(pts, [rng.randint(1, 3) for _ in range(n)])
+
+        def positions():
+            if n > 1 and rng.random() < 0.2:
+                a, b = sorted(rng.sample(range(n), 2))
+                return EdgePos(a, b, Fraction(1, 2))
+            return SitePos(rng.randrange(n))
+
+        yield tracks(rng, n, positions), inst
+
+
+def matrix_cases(rng):
+    for _ in range(40):
+        # points on a small grid, some repeated or a tolerance apart, give
+        # zero and near-zero off-diagonal entries of a valid metric
+        count = rng.randint(1, 6)
+        pts = [(Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3))) for _ in range(count)]
+        pts += [(x + rng.choice((0, TOL, 2 * TOL)), y) for x, y in pts if rng.random() < 0.5]
+        n = len(pts)
+        matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts]
+        inst = matrix_instance(matrix, [rng.randint(1, 3) for _ in range(n)])
+
+        def positions():
+            if n > 1 and rng.random() < 0.2:
+                a, b = sorted(rng.sample(range(n), 2))
+                return EdgePos(a, b, Fraction(1, 3))
+            return SitePos(rng.randrange(n))
+
+        yield tracks(rng, n, positions), inst
+
+
+def track(period, *points):
+    """RobotTrack from (time, position) pairs; bare numbers are coordinates."""
+    return RobotTrack(
+        Fraction(period),
+        tuple(
+            (Fraction(t), pos if isinstance(pos, (SitePos, EdgePos)) else CoordPos(Fraction(pos)))
+            for t, pos in points
+        ),
+    )
+
+
+def zigzag(left, right, period_scale, shift=0):
+    span = Fraction(right - left) * period_scale
+    return track(2 * span, (shift, left), (shift + span, right))
+
+
+def test_evaluator_matches_original_on_seeded_grid():
+    rng = random.Random(2005)
+    kinds = {}
+    for cases in (line_cases, euclidean_cases, matrix_cases):
+        for schedule, inst in cases(rng):
+            kind = assert_identical(schedule, inst)
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert sum(kinds.values()) == 140
+    # both the measured and the raising paths are exercised
+    assert kinds["ok"] >= 30 and kinds["UnvisitedSiteError"] >= 30
+
+
+def test_joint_sites_with_related_periods():
+    inst = line_instance(range(11), [1] * 11)
+    # periods 2:3:5 over overlapping ranges, and 1/2 : 1/3 on one span
+    tracks = (zigzag(0, 6, 1), zigzag(2, 8, Fraction(3, 2), 1), zigzag(3, 10, Fraction(5, 2)))
+    assert assert_identical(Schedule(tracks), inst) == "ok"
+    half = track("1/2", (0, 0), ("1/4", "1/4"))
+    third = track("1/3", ("1/7", 0), ("2/7", "1/7"))
+    small = line_instance([0, Fraction(1, 8), Fraction(1, 7), Fraction(1, 4)], [1, 2, 3, 4])
+    assert assert_identical(Schedule((half, third)), small) == "ok"
+    assert assert_identical(Schedule((third, half, zigzag(0, Fraction(1, 4), 1))), small) == "ok"
+
+
+def test_visit_at_end_of_period_and_full_period_track():
+    inst = line_instance([0, 1, 2, 3], [1, 1, 2, 1])
+    full = track(6, (1, 0), (4, 3), (7, 0))
+    assert assert_identical(Schedule((full,)), inst) == "ok"
+    waits = track(8, (0, SitePos(1)), (2, SitePos(1)), (3, SitePos(2)), (5, SitePos(3)))
+    assert assert_identical(Schedule((waits, track(4, (3, SitePos(0))))), inst) == "ok"
+
+
+def test_overflow_and_unvisited_paths():
+    inst = line_instance([0, 1, 2, 3, 4], [1] * 5)
+    tracks = (zigzag(0, 3, 1), zigzag(1, 4, Fraction(7, 5)), zigzag(2, 4, Fraction(11, 13)))
+    assert assert_identical(Schedule(tracks), inst, event_cap=40) == "PeriodOverflowError"
+    assert assert_identical(Schedule(tracks), inst) == "ok"
+    # sites 1 and 3 are unvisited; site 1 is reported
+    gappy = track(2, (0, SitePos(0)), (1, SitePos(0)))
+    parked = (track(1, (0, SitePos(2))), track(1, (0, SitePos(4))))
+    assert assert_identical(Schedule((gappy,) + parked), inst) == "UnvisitedSiteError"
+    assert assert_identical(Schedule(()), inst) == "UnvisitedSiteError"
+    # an overflowing site before an unvisited one raises the overflow
+    wider = line_instance([0, 1, 2, 3, 4, 9], [1] * 6)
+    got = assert_identical(Schedule(tracks + (gappy,)), wider, event_cap=40)
+    assert got == "PeriodOverflowError"
+
+
+def test_euclidean_tolerance_edges():
+    offsets = [(0, 0), (5e-10, 0), (1e-9, 0), (1.5e-9, 0), (-1e-9, 0), (0, 1e-9), (7e-10, 7e-10)]
+    for x0 in (0.0, 2.5, 1e6):
+        pts = [(x0 + dx, 1.0 + dy) for dx, dy in offsets]
+        inst = euclidean_instance(pts, [1] * len(pts))
+        for w in range(len(pts)):
+            parked = track(3, (0, SitePos(w)))
+            others = tuple(
+                track(5, (1, SitePos(s)), (2, SitePos(s))) for s in range(len(pts)) if s != w
+            )
+            assert assert_identical(Schedule((parked,) + others), inst) == "ok"
+            assert_identical(Schedule((parked,)), inst)

@@ -125,6 +125,16 @@ def test_shared_site_incommensurate_periods_over_cap():
         max_weighted_latency(Schedule((a, b)), inst, event_cap=100)
 
 
+def test_joint_site_keeps_phase_between_tracks():
+    # both robots touch site 0 once per period 4; the second starts later
+    inst = line_instance([0], [1])
+    first = track(4, (0, 0), (2, 2))
+    for start, latency in ((0, 4), (1, 3), (2, 2), (3, 3)):
+        later = track(4, (start, 0), (start + 2, 2))
+        rep = max_weighted_latency(Schedule((first, later)), inst)
+        assert rep.latency_of(0) == latency
+
+
 def test_time_shift_invariance():
     inst = line_instance([0, 3, 7], [1, 2, 1])
     base = zigzag_track(Fraction(0), Fraction(7))
