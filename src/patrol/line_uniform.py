@@ -8,8 +8,10 @@ closed-form latency per site.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import IncompatibleAlgorithmError
 from .instance import Instance
@@ -25,18 +27,19 @@ class IntervalCover:
     max_length: Fraction
 
 
-def _greedy_cover(points: list[Fraction], length: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Left-to-right sweep: anchor an interval at the leftmost uncovered
-    point, shrink it to the last point it reaches."""
+def _greedy_cover(ipts: list[int], length: int, limit: int) -> list[tuple[int, int]] | None:
+    """Left-to-right sweep over sorted integers: anchor an interval at the
+    leftmost uncovered point and stretch it to the last point within
+    `length` of it.  Returns the (first, last) index pairs, or None as
+    soon as more than `limit` intervals would be needed."""
     intervals = []
-    i, n = 0, len(points)
+    i, n = 0, len(ipts)
     while i < n:
-        start = points[i]
-        j = i
-        while j + 1 < n and points[j + 1] - start <= length:
-            j += 1
-        intervals.append((start, points[j]))
-        i = j + 1
+        if len(intervals) == limit:
+            return None
+        j = bisect_right(ipts, ipts[i] + length, i)
+        intervals.append((i, j - 1))
+        i = j
     return intervals
 
 
@@ -44,26 +47,31 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     """Exact minimum of the max interval length over covers of the points
     by at most k intervals.
 
-    The optimum is a pairwise coordinate difference (any optimal interval
-    can be shrunk to span exactly its leftmost and rightmost point), so a
-    binary search over those O(n^2) candidates with the greedy sweep is
-    exact.
+    The coordinates are scaled to integers by one common denominator D
+    (the lcm of their denominators), and the smallest integer length in
+    [0, span * D] at which the greedy sweep needs at most k intervals is
+    found by bisection: O(log(span * D)) probes, each an early-exit sweep
+    of O(k log n).  This is exact because feasibility is monotone in the
+    length and the optimum is a pairwise coordinate difference (any
+    optimal interval can be shrunk to span exactly its leftmost and
+    rightmost point), which is an integer after scaling.  The cover is
+    the greedy sweep at that length.
     """
     pts = sorted(Fraction(p) for p in points)
     if not pts:
         raise ValueError("no points to cover")
     if k < 1:
         raise ValueError("k must be positive")
-    candidates = sorted({b - a for i, a in enumerate(pts) for b in pts[i:]})
-    lo, hi = 0, len(candidates) - 1
+    scale = lcm(*(p.denominator for p in pts))
+    ipts = [p.numerator * (scale // p.denominator) for p in pts]
+    lo, hi = 0, ipts[-1] - ipts[0]
     while lo < hi:
         mid = (lo + hi) // 2
-        if len(_greedy_cover(pts, candidates[mid])) <= k:
-            hi = mid
-        else:
+        if _greedy_cover(ipts, mid, k) is None:
             lo = mid + 1
-    best = candidates[hi]
-    intervals = _greedy_cover(pts, best)
+        else:
+            hi = mid
+    intervals = [(pts[i], pts[j]) for i, j in _greedy_cover(ipts, hi, k)]
     max_len = max(b - a for a, b in intervals)
     return IntervalCover(tuple(intervals), max_len)
 

@@ -107,6 +107,14 @@ class RoundRobinTrack:
 
     trees: tuple[tuple[tuple[int, ...], ...], ...]
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ScheduleFormatError("round-robin track needs at least one tree")
+        if not all(self.trees):
+            raise ScheduleFormatError("round-robin tree needs at least one path")
+        if not all(all(paths) for paths in self.trees):
+            raise ScheduleFormatError("round-robin path needs at least one site")
+
     def rounds_to_repeat(self) -> int:
         counts = [len(paths) for paths in self.trees]
         return len(self.trees) * lcm(*counts)
@@ -257,10 +265,12 @@ def load_schedule(data: bytes | str) -> Schedule:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ScheduleFormatError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "robots" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("robots"), list):
         raise ScheduleFormatError("schedule document must have a 'robots' list")
     tracks: list[Track] = []
     for robot in doc["robots"]:
+        if not isinstance(robot, dict):
+            raise ScheduleFormatError(f"malformed robot track: {robot!r}")
         try:
             if robot.get("kind") == "round_robin":
                 tracks.append(
@@ -279,7 +289,7 @@ def load_schedule(data: bytes | str) -> Schedule:
                 tracks.append(RobotTrack(to_fraction(robot["period"]), waypoints))
         except ScheduleFormatError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ScheduleFormatError(f"malformed robot track: {exc}") from exc
     return Schedule(tuple(tracks))
 

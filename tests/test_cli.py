@@ -332,3 +332,29 @@ def test_doubling_without_feasible_budget_exit_4(tmp_path, capsys, monkeypatch):
     assert captured.err == (
         "resource cap: doubling search found no feasible budget in 200 doublings\n"
     )
+
+
+def evaluate_round_robin_exit_3(tmp_path, capsys, robot, message):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({"robots": [robot]}))
+    assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid input: {message}\n"
+
+
+def test_evaluate_round_robin_without_trees_exit_3(tmp_path, capsys):
+    robot = {"kind": "round_robin", "trees": []}
+    evaluate_round_robin_exit_3(tmp_path, capsys, robot, "round-robin track needs at least one tree")
+
+
+def test_evaluate_round_robin_tree_without_paths_exit_3(tmp_path, capsys):
+    robot = {"kind": "round_robin", "trees": [{"paths": [[0, 1]]}, {"paths": []}]}
+    evaluate_round_robin_exit_3(tmp_path, capsys, robot, "round-robin tree needs at least one path")
+
+
+def test_evaluate_round_robin_empty_path_exit_3(tmp_path, capsys):
+    robot = {"kind": "round_robin", "trees": [{"paths": [[]]}]}
+    evaluate_round_robin_exit_3(tmp_path, capsys, robot, "round-robin path needs at least one site")
