@@ -5,8 +5,8 @@ Euclidean points, or 1D coordinates) and one positive weight per site.
 Weight normalization and dyadic rounding live here as well, since every
 weighted solver starts from the same rounded weight classes.
 
-All objects are immutable after construction (a Metric's private tree
-cover memo aside) and safe to share between threads or workers.
+All objects are immutable after construction (a Metric's private memo
+aside) and safe to share between threads or workers.
 """
 
 from __future__ import annotations
@@ -31,15 +31,17 @@ class Metric:
     n x n entries), or "euclidean" (data = n points in R^d).  Line and
     matrix data are exact Fractions; a Euclidean distance is the double
     from math.dist read through its shortest decimal repr (not its exact
-    binary value).  _covers memoizes metric_core.tree_cover per (sorted
-    sites, t); it takes no part in equality, hashing or repr.
+    binary value).  _memo keeps what solvers derive from the metric
+    alone: metric_core.tree_cover per (sorted sites, t) and the
+    time-window atomic table under "atomics"; it takes no part in
+    equality, hashing or repr.
     """
 
     variant: str
     coords: tuple[Fraction, ...] | None = None
     matrix: tuple[tuple[Fraction, ...], ...] | None = None
     points: tuple[tuple[float, ...], ...] | None = None
-    _covers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -65,6 +67,11 @@ class Metric:
                 raise InstanceError("euclidean points must share one dimension")
             if not all(math.isfinite(c) for p in self.points for c in p):
                 raise InstanceError("euclidean coordinates must be finite")
+            # no two points are further apart than the bounding box's corners
+            lo = [min(axis) for axis in zip(*self.points)]
+            hi = [max(axis) for axis in zip(*self.points)]
+            if math.isinf(math.dist(lo, hi)):
+                raise InstanceError("euclidean distances overflow a double")
         if self.variant != "matrix":
             return
         if any(len(row) != n for row in self.matrix):
@@ -189,7 +196,7 @@ def load_instance(data: bytes | str) -> Instance:
     """
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise InstanceError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
@@ -213,7 +220,7 @@ def load_instance(data: bytes | str) -> Instance:
         names = tuple(str(x) for x in doc["names"]) if "names" in doc else None
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
     metric.validate()
     return Instance(metric=metric, weights=weights, kind=kind, names=names)

@@ -193,9 +193,9 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     if t < 1:
         raise ValueError("t must be at least 1")
     key = (tuple(sorted(set(sites))), t)
-    cover = metric._covers.get(key)
+    cover = metric._memo.get(key)
     if cover is None:  # setdefault: threads racing here all get one object
-        cover = metric._covers.setdefault(key, _search_cover(key[0], metric, t))
+        cover = metric._memo.setdefault(key, _search_cover(key[0], metric, t))
     return cover
 
 

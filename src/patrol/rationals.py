@@ -10,6 +10,7 @@ not that double's exact binary value.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Union
@@ -22,7 +23,10 @@ def to_fraction(value: Real) -> Fraction:
 
     Accepted forms: int, Fraction, decimal strings ("2.5"), rational
     strings ("5/2") and floats (converted via their shortest decimal
-    repr, so a JSON literal 2.5 parses to exactly 5/2).
+    repr, so a JSON literal 2.5 parses to exactly 5/2).  A decimal
+    exponent may not exceed sys.int_info.default_max_str_digits in
+    magnitude, the digit limit int() already puts on strings: "1e10000000"
+    would otherwise take seconds to expand.
     """
     if isinstance(value, Fraction):
         return value
@@ -37,6 +41,9 @@ def to_fraction(value: Real) -> Fraction:
         if "/" in text:
             num, _, den = text.partition("/")
             return Fraction(int(num), int(den))
+        _, e, exponent = text.lower().partition("e")
+        if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
+            raise ValueError(f"exponent out of range: {value!r}")
         return Fraction(text)
     raise ValueError(f"not a number: {value!r}")
 

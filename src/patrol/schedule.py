@@ -263,7 +263,7 @@ def dump_schedule(schedule: Schedule) -> str:
 def load_schedule(data: bytes | str) -> Schedule:
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also bad UTF-8 and over-long integer literals
         raise ScheduleFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("robots"), list):
         raise ScheduleFormatError("schedule document must have a 'robots' list")

@@ -16,7 +16,10 @@ the first visit and after the last one.  The level-doubling search
 keeps one schedule per distinct summary, so the whole thing is a
 dynamic program over these tuples.  An accepted standard schedule is
 made periodic by alternating it with its time reversal, which at most
-doubles any site's visit gap.
+doubles any site's visit gap.  Atomics do not depend on L: an instance
+lists them once, with integer-scaled tour lengths, and a probe keeps
+those that fit; one dominates another exactly when they share start
+and end coordinates and its hull contains the other's.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import floor, lcm
 from typing import Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
@@ -66,48 +70,68 @@ def type_two(span: int = 1) -> AtomicRep:
     return AtomicRep(None, None, None, None, Fraction(0), Fraction(span), span)
 
 
-def canonical_path_length(
-    coords: Sequence[Fraction], s: int, e: int, left: int, right: int
-) -> Fraction:
-    """Length of the shorter site tour start -> extremes -> end.
-
-    Two orders visit both extremes: detour left first or right first;
-    ties take the leftward order.  Valid only when left/right really are
-    the extremes of the four sites.
-    """
-    cs, ce, cl, cr = coords[s], coords[e], coords[left], coords[right]
-    left_first = (cs - cl) + (cr - cl) + (cr - ce)
-    right_first = (cr - cs) + (cr - cl) + (ce - cl)
-    return min(left_first, right_first)
-
-
 def canonical_path_order(
     coords: Sequence[Fraction], s: int, e: int, left: int, right: int
 ) -> list[int]:
+    """Sites of the shorter tour start -> extremes -> end: detour left
+    first or right first, ties taking the leftward order.  Valid only when
+    left/right really are the extremes of the four sites."""
     cs, ce, cl, cr = coords[s], coords[e], coords[left], coords[right]
-    left_first = (cs - cl) + (cr - cl) + (cr - ce)
-    right_first = (cr - cs) + (cr - cl) + (ce - cl)
-    if left_first <= right_first:
+    if (cs - cl) + (cr - cl) + (cr - ce) <= (cr - cs) + (cr - cl) + (ce - cl):
         return [s, left, right, e]
     return [s, right, left, e]
+
+
+def canonical_path_length(coords, s: int, e: int, left: int, right: int) -> Fraction:
+    """Length of the canonical_path_order tour (an int on int coords)."""
+    order = canonical_path_order(coords, s, e, left, right)
+    return sum(abs(coords[b] - coords[a]) for a, b in zip(order, order[1:]))
+
+
+def _atomic_table(instance: Instance) -> tuple[int, tuple[int, ...], tuple]:
+    """(D, coordinates times D, rows), kept in the Metric's memo: D is the
+    lcm of the coordinate denominators, and the rows are the visiting
+    4-tuples in product order as (3 * D * canonical tour length, AtomicRep)."""
+    table = instance.metric._memo.get("atomics")
+    if table is None:
+        D = lcm(*(c.denominator for c in instance.metric.coords))
+        X = tuple(c.numerator * (D // c.denominator) for c in instance.metric.coords)
+        rows = tuple(
+            (3 * canonical_path_length(X, s, e, left, right),
+             AtomicRep(s, e, left, right, Fraction(0), TWO_THIRDS, 1))
+            for s, e, left, right in product(range(len(X)), repeat=4)
+            if X[left] <= min(X[s], X[e]) and X[right] >= max(X[s], X[e])
+        )
+        table = instance.metric._memo.setdefault("atomics", (D, X, rows))
+    return table
 
 
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     """All single-window summaries: every visiting 4-tuple whose canonical
     tour fits in L/3, plus the single pure-travel summary."""
-    coords = instance.metric.coords
-    n = instance.n
-    reps: list[AtomicRep] = []
-    for s, e, left, right in product(range(n), repeat=4):
-        cl, cr = coords[left], coords[right]
-        if cl > coords[s] or cl > coords[e] or cl > cr:
-            continue
-        if cr < coords[s] or cr < coords[e]:
-            continue
-        if 3 * canonical_path_length(coords, s, e, left, right) <= L:
-            reps.append(AtomicRep(s, e, left, right, Fraction(0), TWO_THIRDS, 1))
-    reps.append(type_two())
-    return reps
+    D, _, rows = _atomic_table(instance)
+    cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
+    return [rep for length3, rep in rows if length3 <= cap] + [type_two()]
+
+
+def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
+    """The first rep of each undominated class, in the given order: per
+    (start, end) group, hulls sorted by left end, then right end descending,
+    are maximal when they reach further right than all before them (the
+    2-D maxima of Kung, Luccio and Preparata)."""
+    groups: dict = {}
+    for i, r in enumerate(reps):
+        ends = (X[r.start], X[r.end]) if r.visits else None
+        hull = (X[r.left], X[r.right]) if r.visits else (0, 0)
+        groups.setdefault(ends, {}).setdefault(hull, i)
+    keep = []
+    for hulls in groups.values():
+        reach = None
+        for lo, hi in sorted(hulls, key=lambda h: (h[0], -h[1])):
+            if reach is None or hi > reach:
+                keep.append(hulls[lo, hi])
+                reach = hi
+    return [reps[i] for i in sorted(keep)]
 
 
 def concat(
@@ -247,17 +271,6 @@ def _maybe_dominates(ka, kb) -> bool:
     return True
 
 
-def _prune_reps(reps: list[AtomicRep], coords, L: Fraction) -> list[AtomicRep]:
-    """Pareto frontier of single-robot summaries under _dominates."""
-    kept: list[AtomicRep] = []
-    for rep in reps:
-        if any(_dominates(coords, L, other, rep) for other in kept):
-            continue
-        kept = [other for other in kept if not _dominates(coords, L, rep, other)]
-        kept.append(rep)
-    return kept
-
-
 def _prune(states: list[StateNode], coords, L: Fraction) -> list[StateNode]:
     """Drop k-robot states componentwise dominated by a kept one.
 
@@ -306,7 +319,7 @@ def construct_schedule(
     level_sites = {j: members for j, members in classes.classes}
     m = classes.m
 
-    atoms = _prune_reps(enumerate_atomics(instance, L), coords, L)
+    atoms = _prune_atomics(enumerate_atomics(instance, L), _atomic_table(instance)[1])
     if len(atoms) ** k > pair_cap:
         raise ResourceLimitError(
             f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
@@ -563,24 +576,11 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     visiting-window tours (3 * tour length) and junction travel budgets
     d = (2/3 + j) * L for up to 2^m pure-travel windows in between."""
     coords = instance.metric.coords
-    n = instance.n
     classes, _ = round_weights_dyadic(instance)
-    values: set[Fraction] = set()
-    for s, e, left, right in product(range(n), repeat=4):
-        cl, cr = coords[left], coords[right]
-        if cl > coords[s] or cl > coords[e] or cl > cr:
-            continue
-        if cr < coords[s] or cr < coords[e]:
-            continue
-        values.add(3 * canonical_path_length(coords, s, e, left, right))
-    ratio = 2**classes.m
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = abs(coords[i] - coords[j])
-            if d == 0:
-                continue
-            for hops in range(0, ratio + 1):
-                values.add(d / (TWO_THIRDS + hops))
+    D, _, rows = _atomic_table(instance)
+    values = {Fraction(length3, D) for length3, _ in rows}
+    gaps = {b - a for a in coords for b in coords if a < b}
+    values.update(d / (TWO_THIRDS + hops) for d in gaps for hops in range(2**classes.m + 1))
     return sorted(values)
 
 

@@ -358,3 +358,31 @@ def test_evaluate_round_robin_tree_without_paths_exit_3(tmp_path, capsys):
 def test_evaluate_round_robin_empty_path_exit_3(tmp_path, capsys):
     robot = {"kind": "round_robin", "trees": [{"paths": [[]]}]}
     evaluate_round_robin_exit_3(tmp_path, capsys, robot, "round-robin path needs at least one site")
+
+
+def test_unparsable_instance_numbers_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    docs = {
+        '{"metric": {"type": "line", "data": [0, "1/0"]}, "weights": [1, 1]}':
+            "invalid input: malformed instance: Fraction(1, 0)\n",
+        '{"metric": {"type": "line", "data": [0, "1e99999"]}, "weights": [1, 1]}':
+            "invalid input: malformed instance: exponent out of range: '1e99999'\n",
+        '{"metric": {"type": "euclidean", "data": [[1e308, 0], [-1e308, 0]]}, "weights": [1, 1]}':
+            "invalid input: euclidean distances overflow a double\n",
+    }
+    for doc, message in docs.items():
+        inst_path.write_text(doc)
+        assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_INVALID
+        assert capsys.readouterr().err == message
+
+
+def test_overlong_json_integer_exit_3(tmp_path, capsys):
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "s.json"
+    huge = "1" + "0" * 5000  # beyond the digit limit of Python's int parser
+    inst_path.write_text('{"metric": {"type": "line", "data": [0, %s]}, "weights": [1, 1]}' % huge)
+    assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input: invalid JSON: Exceeds the limit")
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    sched_path.write_text('{"robots": [{"period": %s, "waypoints": []}]}' % huge)
+    assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_INVALID
+    assert capsys.readouterr().err.startswith("invalid input: invalid JSON: Exceeds the limit")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -49,3 +50,12 @@ def test_lcm_fractions():
         lcm_fractions([])
     with pytest.raises(ValueError):
         lcm_fractions([Fraction(0)])
+
+
+def test_parse_bounds_decimal_exponent():
+    limit = sys.int_info.default_max_str_digits
+    assert to_fraction(f"1e{limit}") == 10**limit
+    assert to_fraction(f"2.5E-{limit}") == Fraction(5, 2 * 10**limit)
+    for text in (f"1e{limit + 1}", f"-1e-{limit + 1}", "1E+10000000", "1e1_000_000"):
+        with pytest.raises(ValueError, match="exponent out of range"):
+            to_fraction(text)
