@@ -2,6 +2,7 @@
 
 Exit codes: 0 success, 2 infeasible or incompatible input, 3 validation
 failure (speed violation or unvisited site), 4 resource cap exceeded.
+A reader that closes standard output early ends the command quietly with 1.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -34,6 +36,7 @@ from .time_window import solve_line_weighted
 ALGOS = ("metric", "baseline", "line-uniform", "line-single", "line-weighted")
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_RESOURCE = 4
@@ -173,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--algo", required=True, choices=ALGOS)
     solve.add_argument("--k", type=int, required=True)
     solve.add_argument("--refine", action="store_true",
-                       help="bisect the final doubling interval (metric)")
+                       help="bisect the final doubling interval; kept only if "
+                            "its measured latency is no worse (metric)")
     solve.add_argument("--threads", type=int, default=1,
                        help="worker hint; results are identical for any value")
     solve.add_argument("--out-schedule")
@@ -219,7 +223,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so the final flush
+        # at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

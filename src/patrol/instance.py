@@ -213,7 +213,7 @@ def load_instance(data: bytes | str) -> Instance:
                 matrix=tuple(tuple(to_fraction(x) for x in row) for row in payload),
             )
         elif mtype == "euclidean":
-            metric = Metric("euclidean", points=tuple(tuple(float(c) for c in p) for p in payload))
+            metric = Metric("euclidean", points=_points(payload))
         else:
             raise InstanceError(f"unknown metric type: {mtype}")
         weights = tuple(to_fraction(w) for w in doc["weights"])
@@ -262,7 +262,14 @@ def matrix_instance(matrix: Sequence[Sequence], weights: Sequence) -> Instance:
     return Instance(metric=metric, weights=tuple(to_fraction(w) for w in weights))
 
 
+def _points(points: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
+    """Euclidean points as floats; booleans are not numbers, as in to_fraction."""
+    if any(isinstance(c, bool) for p in points for c in p):
+        raise InstanceError("euclidean coordinates must be numbers, not booleans")
+    return tuple(tuple(float(c) for c in p) for p in points)
+
+
 def euclidean_instance(points: Sequence[Sequence[float]], weights: Sequence) -> Instance:
-    metric = Metric("euclidean", points=tuple(tuple(float(c) for c in p) for p in points))
+    metric = Metric("euclidean", points=_points(points))
     metric.validate()
     return Instance(metric=metric, weights=tuple(to_fraction(w) for w in weights))

@@ -182,8 +182,9 @@ def solve_metric_detailed(
 ) -> tuple[SolveReport, MetricSolveDetails]:
     """Doubling search over L: start at the closest-pair distance and
     double until the assignment succeeds.  With refine=True the final
-    doubling interval is bisected down to a factor-1.1 bracket, which
-    can only improve the accepted budget."""
+    doubling interval is bisected down to a factor-1.1 bracket, and the
+    smallest accepted budget's schedule replaces the doubling answer
+    only when its measured latency is no worse."""
     if k < 1:
         raise ValueError("k must be positive")
     groups = _position_groups(instance)
@@ -216,8 +217,20 @@ def solve_metric_detailed(
     if assignment is None:
         raise ResourceLimitError("doubling search found no feasible budget in 200 doublings")
 
+    lower_bound = lower_bound_metric(instance, k)
+
+    def report_at(budget: Fraction, chosen: RobotAssignment) -> SolveReport:
+        tracks = tuple(
+            single_robot_schedule(plan, instance.metric, budget, k) for plan in chosen.robots
+        )
+        return build_report(
+            Schedule(tracks), instance, algo="metric", k=k, L_accepted=budget,
+            lower_bound=lower_bound,
+        )
+
+    report = report_at(L, assignment)
     if refine and len(trail) > 1:
-        lo, hi = L / 2, L
+        lo, hi, refined = L / 2, L, None
         while hi / lo > Fraction(11, 10):
             mid = (lo + hi) / 2
             cand = k_robot_assignment(classes, instance.metric, k, mid)
@@ -225,20 +238,11 @@ def solve_metric_detailed(
             if cand is None:
                 lo = mid
             else:
-                hi, assignment = mid, cand
-        L = hi
-
-    tracks = tuple(
-        single_robot_schedule(plan, instance.metric, L, k) for plan in assignment.robots
-    )
-    report = build_report(
-        Schedule(tracks),
-        instance,
-        algo="metric",
-        k=k,
-        L_accepted=L,
-        lower_bound=lower_bound_metric(instance, k),
-    )
+                hi, refined = mid, cand
+        if refined is not None:
+            tighter = report_at(hi, refined)
+            if tighter.measured_latency <= report.measured_latency:
+                report, assignment = tighter, refined
     return report, MetricSolveDetails(assignment, tuple(trail), classes)
 
 

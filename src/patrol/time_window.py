@@ -13,13 +13,15 @@ window.  A concatenation is summarized by the 6-tuple
 
 where t_before / t_after say how much travel time is available before
 the first visit and after the last one.  The level-doubling search
-keeps one schedule per distinct summary, so the whole thing is a
+keeps one schedule per undominated summary, so the whole thing is a
 dynamic program over these tuples.  An accepted standard schedule is
 made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  Atomics do not depend on L: an instance
 lists them once, with integer-scaled tour lengths, and a probe keeps
 those that fit; one dominates another exactly when they share start
-and end coordinates and its hull contains the other's.
+and end coordinates and its hull contains the other's.  Every
+dominance test compares integers: coordinates scaled by the lcm D of
+their denominators, so no rounding enters the search.
 """
 
 from __future__ import annotations
@@ -215,86 +217,54 @@ def _covers(reps: Sequence[AtomicRep], coords, sites: Sequence[int]) -> bool:
     return True
 
 
-def _dominates(coords, L: Fraction, a: AtomicRep, b: AtomicRep) -> bool:
-    """a can replace b in any surrounding schedule.
-
-    Sufficient conditions: a's visited hull contains b's, and a's spare
-    travel time on each side exceeds b's by at least the displacement of
-    the corresponding endpoint, so any junction b satisfies, a satisfies
-    via the triangle inequality.  Pure-travel summaries only dominate
-    each other (a visiting summary adds junction constraints).
-    """
-    if a.visits != b.visits:
-        return False
-    if not a.visits:
-        return True  # same span, both all-travel: identical summaries
-    if coords[a.left] > coords[b.left] or coords[a.right] < coords[b.right]:
-        return False
-    shift_start = abs(coords[a.start] - coords[b.start])
-    shift_end = abs(coords[a.end] - coords[b.end])
-    return (a.t_before - b.t_before) * L >= shift_start and (
-        a.t_after - b.t_after
-    ) * L >= shift_end
-
-
-_EPS = 1e-7
-
-
-def _float_key(coords, L: Fraction, rep: AtomicRep):
-    """(visits, start, end, left, right, tb*L, ta*L) as floats, for a fast
-    conservative prefilter before the exact dominance test."""
-    if not rep.visits:
-        return (False, 0.0, 0.0, 0.0, 0.0, 0.0, float(rep.t_after * L))
-    return (
-        True,
-        float(coords[rep.start]),
-        float(coords[rep.end]),
-        float(coords[rep.left]),
-        float(coords[rep.right]),
-        float(rep.t_before * L),
-        float(rep.t_after * L),
-    )
-
-
-def _maybe_dominates(ka, kb) -> bool:
-    """Float prefilter: False only when exact dominance is impossible."""
-    if ka[0] != kb[0]:
-        return False
-    if not ka[0]:
-        return True
-    if ka[3] > kb[3] + _EPS or ka[4] < kb[4] - _EPS:
-        return False
-    if ka[5] - kb[5] < abs(ka[1] - kb[1]) - _EPS:
-        return False
-    if ka[6] - kb[6] < abs(ka[2] - kb[2]) - _EPS:
-        return False
-    return True
-
-
-def _prune(states: list[StateNode], coords, L: Fraction) -> list[StateNode]:
+def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[StateNode]:
     """Drop k-robot states componentwise dominated by a kept one.
 
-    Candidates are scanned strongest-first (widest hulls, most slack), so
-    nearly all later states fall to the first few survivors; the float
-    prefilter avoids exact arithmetic on clear non-matches.
+    A summary dominates another of the same shape when its hull contains
+    the other's and its slack on each side exceeds the other's by at
+    least the displacement of that endpoint: any junction the other
+    meets, it meets by the triangle inequality.  Pure-travel summaries
+    of one span are identical.  With L = p/q, lengths are integers in
+    units of 1/(3qD): a coordinate is 3q * X[i] and a slack t * L is
+    3t * p * D.  States are scanned by decreasing total slack plus hull
+    width, a linear extension of dominance, so exactly one state per
+    undominated summary is kept.
     """
-    keyed = []
+    D, X, _ = _atomic_table(instance)
+    scale, per_third = 3 * L.denominator, L.numerator * D
+
+    def summary(rep: AtomicRep):
+        """(start, end, left, right, before, after), None for pure travel,
+        and the rep's share of the scan score."""
+        thirds = [divmod(3 * t.numerator, t.denominator) for t in (rep.t_before, rep.t_after)]
+        if thirds[0][1] or thirds[1][1]:
+            raise AssertionError(f"slacks of {rep} are not multiples of L/3")
+        before, after = (th * per_third for th, _ in thirds)
+        if not rep.visits:
+            return None, after
+        s, e, lo, hi = (scale * X[i] for i in (rep.start, rep.end, rep.left, rep.right))
+        return (s, e, lo, hi, before, after), before + after + hi - lo
+
+    def dominates(xs, ys) -> bool:
+        for a, b in zip(xs, ys):
+            if a is None or b is None:
+                if a is not b:
+                    return False
+            elif not (a[2] <= b[2] and a[3] >= b[3]
+                      and a[4] - b[4] >= abs(a[0] - b[0])
+                      and a[5] - b[5] >= abs(a[1] - b[1])):
+                return False
+        return True
+
+    scored = []
     for node in states:
-        keys = tuple(_float_key(coords, L, r) for r in node.reps)
-        score = sum(k[6] + k[5] + (k[4] - k[3] if k[0] else 0.0) for k in keys)
-        keyed.append((score, keys, node))
-    keyed.sort(key=lambda item: -item[0])
-
-    def covered(kx, x: StateNode, ky, y: StateNode) -> bool:
-        return all(
-            _maybe_dominates(a, b) for a, b in zip(kx, ky)
-        ) and all(_dominates(coords, L, a, b) for a, b in zip(x.reps, y.reps))
-
+        keys, scores = zip(*(summary(rep) for rep in node.reps))
+        scored.append((-sum(scores), keys, node))
+    scored.sort(key=lambda item: item[0])
     kept: list[tuple] = []
-    for _, keys, node in keyed:
-        if any(covered(kk, kn, keys, node) for kk, kn in kept):
-            continue
-        kept.append((keys, node))
+    for _, keys, node in scored:
+        if not any(dominates(other, keys) for other, _ in kept):
+            kept.append((keys, node))
     return [node for _, node in kept]
 
 
@@ -329,7 +299,7 @@ def construct_schedule(
         if not _covers(combo, coords, level_sites.get(0, ())):
             continue
         states.append(StateNode(reps=tuple(combo), level=0, atoms=tuple(combo)))
-    states = _prune(states, coords, L)
+    states = _prune(states, instance, L)
     levels = [states]
 
     # summaries are interned so the pair loops below run on small ints,
@@ -406,7 +376,7 @@ def construct_schedule(
                         raise ResourceLimitError(
                             f"more than {state_cap} states at level {h}"
                         )
-        levels.append(_prune(nxt, coords, L))
+        levels.append(_prune(nxt, instance, L))
 
     final = levels[m]
     answer = None
@@ -574,13 +544,17 @@ def cyclify(std: StandardSchedule, instance: Instance) -> Schedule:
 def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     """Window lengths where the decision structure can change: fits of
     visiting-window tours (3 * tour length) and junction travel budgets
-    d = (2/3 + j) * L for up to 2^m pure-travel windows in between."""
+    d = (2/3 + j) * L for up to 2^m pure-travel windows in between.
+    More junction values than DEFAULT_STATE_CAP raise ResourceLimitError."""
     coords = instance.metric.coords
     classes, _ = round_weights_dyadic(instance)
     D, _, rows = _atomic_table(instance)
     values = {Fraction(length3, D) for length3, _ in rows}
     gaps = {b - a for a in coords for b in coords if a < b}
-    values.update(d / (TWO_THIRDS + hops) for d in gaps for hops in range(2**classes.m + 1))
+    budgets = 2**classes.m + 1
+    if len(gaps) * budgets > DEFAULT_STATE_CAP:
+        raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
+    values.update(d / (TWO_THIRDS + hops) for d in gaps for hops in range(budgets))
     return sorted(values)
 
 

@@ -1,9 +1,21 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from patrol.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, EXIT_RESOURCE, main
+import patrol
+from patrol.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INFEASIBLE,
+    EXIT_INVALID,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    main,
+)
 from patrol.fixtures import cooperative_line_instance
 from patrol.instance import dump_instance, load_instance
 from patrol.rationals import to_fraction
@@ -386,3 +398,48 @@ def test_overlong_json_integer_exit_3(tmp_path, capsys):
     sched_path.write_text('{"robots": [{"period": %s, "waypoints": []}]}' % huge)
     assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_INVALID
     assert capsys.readouterr().err.startswith("invalid input: invalid JSON: Exceeds the limit")
+
+
+def test_unbounded_candidate_count_exit_4(tmp_path, capsys):
+    """Weights 1 and 1e-30 put 2^99 + 1 junction budgets on every site gap."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        '{"kind": "line", "metric": {"type": "line", "data": [0, 1, 2]},'
+        ' "weights": [1, 1, "1e-30"]}'
+    )
+    code = run("solve", "--instance", inst_path, "--algo", "line-weighted", "--k", 1)
+    assert code == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"resource cap: 2 gaps x {2**99 + 1} candidates exceed the state cap\n"
+    )
+
+
+def test_boolean_euclidean_coordinate_exit_3(tmp_path, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(
+        '{"metric": {"type": "euclidean", "data": [[true, 0], [0, 1]]}, "weights": [1, 1]}'
+    )
+    assert run("solve", "--instance", inst_path, "--algo", "metric", "--k", 1) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err == "invalid input: euclidean coordinates must be numbers, not booleans\n"
+
+
+def test_closed_stdout_ends_without_traceback(tmp_path):
+    """Like `patrol solve ... | head -1`: the reader takes one line of a
+    report far larger than a pipe buffer and closes."""
+    inst_path = tmp_path / "inst.json"
+    run("generate", "--kind", "line-uniform", "--n", 3000, "--seed", 1, "--out", inst_path)
+    src = str(Path(patrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    argv = [sys.executable, "-m", "patrol.cli", "solve", "--instance", str(inst_path),
+            "--algo", "line-uniform", "--k", "2"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=60)
+    assert code == EXIT_BROKEN_PIPE
+    assert "Traceback" not in err and "BrokenPipeError" not in err

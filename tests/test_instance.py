@@ -155,3 +155,10 @@ def test_euclidean_points_must_share_dimension():
         load_instance(doc("euclidean", [[0, 0], [1, 2, 3]], [1, 1]))
     with pytest.raises(InstanceError, match="dimension"):
         euclidean_instance([(0, 0), (1,)], [1, 1])
+
+
+def test_boolean_euclidean_coordinates_rejected():
+    with pytest.raises(InstanceError, match="booleans"):
+        load_instance(doc("euclidean", [[True, 0], [0, 1]], [1, 1]))
+    with pytest.raises(InstanceError, match="booleans"):
+        euclidean_instance([(0, False), (0, 1)], [1, 1])

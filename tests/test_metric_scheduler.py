@@ -4,6 +4,7 @@ from math import ceil
 
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.fixtures import clustered_instance, ngon_instance
+from patrol.generate import generate_instance
 from patrol.instance import (
     Instance,
     line_instance,
@@ -20,7 +21,7 @@ from patrol.metric_scheduler import (
     solve_metric,
     solve_metric_detailed,
 )
-from patrol.schedule import Schedule
+from patrol.schedule import Schedule, dump_schedule
 from conftest import random_euclidean_instance, random_matrix_instance
 
 BETA = 4
@@ -201,6 +202,25 @@ def test_solve_metric_refine_never_worse():
         plain = solve_metric(inst, 2)
         refined = solve_metric(inst, 2, refine=True)
         assert refined.L_accepted <= plain.L_accepted
+
+
+def test_refine_never_measures_worse():
+    """A tighter accepted budget can still measure worse (euclidean seed 1,
+    n=20, unit weights, k=2: 48.16 -> 78.78 when taken unconditionally);
+    the refined schedule is then dropped for the doubling one."""
+    inst = generate_instance("euclidean", 20, 1, wmax=1)
+    plain = solve_metric(inst, 2)
+    refined, details = solve_metric_detailed(inst, 2, refine=True)
+    assert refined.measured_latency == plain.measured_latency
+    assert refined.L_accepted == plain.L_accepted
+    assert dump_schedule(refined.schedule) == dump_schedule(plain.schedule)
+    assert len(details.trail) > len(solve_metric_detailed(inst, 2)[1].trail)
+    rng = random.Random(67)
+    for _ in range(8):
+        inst = random_euclidean_instance(rng, rng.randint(3, 8))
+        assert solve_metric(inst, 2, refine=True).measured_latency <= solve_metric(
+            inst, 2
+        ).measured_latency
 
 
 def test_doubling_trail_reconfirms_infeasible_at_half():

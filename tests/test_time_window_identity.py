@@ -5,7 +5,8 @@ every probe, pruned them with a pairwise, order-dependent scan under
 _dominates, and ran the same 4-tuple loop again for the candidate window
 lengths.  The reference below keeps that code, so any change in which
 atomics survive (or in their order), in the candidate list, in the DP
-levels built on the atomics, or in a solve shows up here.
+levels built on the atomics, or in a solve shows up here.  The k-robot
+state prune is held to its original float-prefiltered copy the same way.
 """
 
 import random
@@ -188,3 +189,114 @@ def test_table_leaves_metric_identity_alone():
     table = time_window._atomic_table(inst)
     assert time_window._atomic_table(inst) is table
     assert time_window._atomic_table(twin) is not table
+
+
+# --- the k-robot state prune against its float-prefiltered original ---------
+
+STATE_EPS = 1e-7
+
+
+def reference_float_key(coords, L, rep):
+    if not rep.visits:
+        return (False, 0.0, 0.0, 0.0, 0.0, 0.0, float(rep.t_after * L))
+    return (
+        True,
+        float(coords[rep.start]),
+        float(coords[rep.end]),
+        float(coords[rep.left]),
+        float(coords[rep.right]),
+        float(rep.t_before * L),
+        float(rep.t_after * L),
+    )
+
+
+def reference_maybe_dominates(ka, kb):
+    if ka[0] != kb[0]:
+        return False
+    if not ka[0]:
+        return True
+    if ka[3] > kb[3] + STATE_EPS or ka[4] < kb[4] - STATE_EPS:
+        return False
+    if ka[5] - kb[5] < abs(ka[1] - kb[1]) - STATE_EPS:
+        return False
+    if ka[6] - kb[6] < abs(ka[2] - kb[2]) - STATE_EPS:
+        return False
+    return True
+
+
+def reference_state_prune(states, coords, L):
+    """The original k-robot prune: a float score order, a float prefilter,
+    then exact Fraction dominance."""
+    keyed = []
+    for node in states:
+        keys = tuple(reference_float_key(coords, L, r) for r in node.reps)
+        score = sum(k[6] + k[5] + (k[4] - k[3] if k[0] else 0.0) for k in keys)
+        keyed.append((score, keys, node))
+    keyed.sort(key=lambda item: -item[0])
+
+    def covered(kx, x, ky, y):
+        return all(
+            reference_maybe_dominates(a, b) for a, b in zip(kx, ky)
+        ) and all(reference_dominates(coords, L, a, b) for a, b in zip(x.reps, y.reps))
+
+    kept = []
+    for _, keys, node in keyed:
+        if any(covered(kk, kn, keys, node) for kk, kn in kept):
+            continue
+        kept.append((keys, node))
+    return [node for _, node in kept]
+
+
+def state_cases():
+    """(instance, k) pairs: k=1 up to n=6 with weights to 4, k=2 up to
+    n=4 with weights to 2; every denominator of the sweep appears."""
+    cases = [(inst, 1) for inst in sweep(5, 40, 6, 4)]
+    cases += [(inst, 2) for inst in sweep(6, 16, 4, 2)]
+    dens = {c.denominator for inst, _ in cases for c in inst.metric.coords}
+    assert {3, 7, 100} <= dens
+    assert any(len(set(inst.metric.coords)) < inst.n for inst, _ in cases)
+    return cases
+
+
+def exact_score(node, coords, L):
+    return sum(
+        (r.t_before + r.t_after) * L + (coords[r.right] - coords[r.left] if r.visits else 0)
+        for r in node.reps
+    )
+
+
+def test_state_prune_matches_reference(monkeypatch):
+    """The same kept states and the same answers.  The order may differ
+    only among states of equal exact score, which the original ranked by
+    rounding noise in its float sums; on this sweep that moves one k=1
+    list (denominator 100, no change in its first state) and five k=2
+    lists."""
+    prune = time_window._prune
+    calls = []
+
+    def spy(states, instance, L):
+        calls.append((list(states), instance, L))
+        return prune(states, instance, L)
+
+    def reference(states, instance, L):
+        return reference_state_prune(states, instance.metric.coords, L)
+
+    lists = 0
+    for inst, k in state_cases():
+        coords = inst.metric.coords
+        cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
+        for L in cands[:: max(1, len(cands) // 6)]:
+            calls.clear()
+            monkeypatch.setattr(time_window, "_prune", spy)
+            answer = construct_schedule(inst, k, L)
+            monkeypatch.setattr(time_window, "_prune", reference)
+            assert (answer is None) == (construct_schedule(inst, k, L) is None)
+            for states, instance, L_ in calls:
+                got = prune(states, instance, L_)
+                want = reference(states, instance, L_)
+                assert sorted(map(id, got)) == sorted(map(id, want))
+                assert [exact_score(n, coords, L_) for n in got] == [
+                    exact_score(n, coords, L_) for n in want
+                ]
+                lists += 1
+    assert lists > 600
