@@ -5,8 +5,9 @@ Euclidean points, or 1D coordinates) and one positive weight per site.
 Weight normalization and dyadic rounding live here as well, since every
 weighted solver starts from the same rounded weight classes.
 
-All objects are immutable after construction (a Metric's private memo
-aside) and safe to share between threads or workers.
+All objects are immutable after construction (the private memos of a
+Metric and an Instance aside) and safe to share between threads or
+workers.
 """
 
 from __future__ import annotations
@@ -97,12 +98,18 @@ class Metric:
 
 @dataclass(frozen=True)
 class Instance:
-    """A patrol-scheduling problem instance."""
+    """A patrol-scheduling problem instance.
+
+    _memo keeps what solvers derive from the whole instance: the
+    time-window solver's weight classes under "dyadic"; it takes no part
+    in equality, hashing or repr.
+    """
 
     metric: Metric
     weights: tuple[Fraction, ...]
     kind: str = "general"
     names: Optional[tuple[str, ...]] = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.metric.n

@@ -19,9 +19,13 @@ made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  Atomics do not depend on L: an instance
 lists them once, with integer-scaled tour lengths, and a probe keeps
 those that fit; one dominates another exactly when they share start
-and end coordinates and its hull contains the other's.  Every
-dominance test compares integers: coordinates scaled by the lcm D of
-their denominators, so no rounding enters the search.
+and end coordinates and its hull contains the other's.  The DP runs on
+integer summaries (start, end, left, right, before3, after3, span) with
+slacks in thirds of L: for L = p/q and D the lcm of the coordinate
+denominators, its junction rule and prune compare integers in units of
+1/(3qD), where coordinate i is 3q * X[i] with X = D * coords and L/3 is
+p * D.  Fractions appear only at the public API (AtomicRep, concat, the
+candidate windows) and in realization.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from math import floor, lcm
 from typing import Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
-from .instance import Instance, round_weights_dyadic
+from .instance import Instance, WeightClasses, round_weights_dyadic
 from .oracles import exact_interval_cover
 from .report import SolveReport, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
@@ -41,18 +45,19 @@ from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 DEFAULT_STATE_CAP = 200_000
 DEFAULT_PAIR_CAP = 20_000_000  # pre-checked per level; about a minute of work
 
-TWO_THIRDS = Fraction(2, 3)
+ZERO, TWO_THIRDS = Fraction(0), Fraction(2, 3)
 
 
 @dataclass(frozen=True)
 class AtomicRep:
-    """Summary of a (concatenated) window schedule.
+    """Summary of a (concatenated) window schedule at the public API and
+    in realization; the DP runs on its integer form (_summary).
 
     Site fields are indices or None; t_before / t_after are stored as
-    multiples of the window length L, so all comparisons stay exact and
-    independent of the candidate L being probed.  span counts atomic
-    windows.  A schedule that visits nothing has all site fields None,
-    t_before 0 and t_after equal to its whole duration.
+    multiples of the window length L, so they do not depend on the
+    candidate L being probed.  span counts atomic windows.  A schedule
+    that visits nothing has all site fields None, t_before 0 and t_after
+    equal to its whole duration.
     """
 
     start: Optional[int]
@@ -69,7 +74,20 @@ class AtomicRep:
 
 
 def type_two(span: int = 1) -> AtomicRep:
-    return AtomicRep(None, None, None, None, Fraction(0), Fraction(span), span)
+    return AtomicRep(None, None, None, None, ZERO, Fraction(span), span)
+
+
+def _summary(rep: AtomicRep) -> tuple:
+    """rep as the integer summary (start, end, left, right, before3,
+    after3, span), its slacks counted in thirds of L."""
+    thirds = [divmod(3 * t.numerator, t.denominator) for t in (rep.t_before, rep.t_after)]
+    if thirds[0][1] or thirds[1][1]:
+        raise ValueError(f"slacks of {rep} are not multiples of 1/3")
+    return (rep.start, rep.end, rep.left, rep.right, thirds[0][0], thirds[1][0], rep.span)
+
+
+def _as_rep(key: tuple) -> AtomicRep:
+    return AtomicRep(*key[:4], Fraction(key[4], 3), Fraction(key[5], 3), key[6])
 
 
 def canonical_path_order(
@@ -90,28 +108,45 @@ def canonical_path_length(coords, s: int, e: int, left: int, right: int) -> Frac
     return sum(abs(coords[b] - coords[a]) for a, b in zip(order, order[1:]))
 
 
-def _atomic_table(instance: Instance) -> tuple[int, tuple[int, ...], tuple]:
-    """(D, coordinates times D, rows), kept in the Metric's memo: D is the
-    lcm of the coordinate denominators, and the rows are the visiting
-    4-tuples in product order as (3 * D * canonical tour length, AtomicRep)."""
+def _scaled(coords: Sequence[Fraction]) -> tuple:
+    """(D, X, low, high): D is the lcm of the coordinate denominators, X
+    the coordinates times D, and low[i] = (X[i], i) / high[i] = (X[i], -i)
+    the keys that pick a hull's left / right extreme, ties by index."""
+    D = lcm(*(c.denominator for c in coords))
+    X = tuple(c.numerator * (D // c.denominator) for c in coords)
+    return D, X, tuple(zip(X, range(len(X)))), tuple(zip(X, range(0, -len(X), -1)))
+
+
+def _atomic_table(instance: Instance) -> tuple:
+    """(D, X, rows, low, high), kept in the Metric's memo, with D, X, low
+    and high as in _scaled; the rows are the visiting 4-tuples in product
+    order as (3 * D * canonical tour length, AtomicRep)."""
     table = instance.metric._memo.get("atomics")
     if table is None:
-        D = lcm(*(c.denominator for c in instance.metric.coords))
-        X = tuple(c.numerator * (D // c.denominator) for c in instance.metric.coords)
+        D, X, low, high = _scaled(instance.metric.coords)
         rows = tuple(
             (3 * canonical_path_length(X, s, e, left, right),
-             AtomicRep(s, e, left, right, Fraction(0), TWO_THIRDS, 1))
+             AtomicRep(s, e, left, right, ZERO, TWO_THIRDS, 1))
             for s, e, left, right in product(range(len(X)), repeat=4)
             if X[left] <= min(X[s], X[e]) and X[right] >= max(X[s], X[e])
         )
-        table = instance.metric._memo.setdefault("atomics", (D, X, rows))
+        table = instance.metric._memo.setdefault("atomics", (D, X, rows, low, high))
     return table
+
+
+def _weight_classes(instance: Instance) -> WeightClasses:
+    """round_weights_dyadic's classes, kept in the instance's memo so a
+    solve rounds its weights once."""
+    classes = instance._memo.get("dyadic")
+    if classes is None:
+        classes = instance._memo.setdefault("dyadic", round_weights_dyadic(instance)[0])
+    return classes
 
 
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     """All single-window summaries: every visiting 4-tuple whose canonical
     tour fits in L/3, plus the single pure-travel summary."""
-    D, _, rows = _atomic_table(instance)
+    D, _, rows, _, _ = _atomic_table(instance)
     cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
     return [rep for length3, rep in rows if length3 <= cap] + [type_two()]
 
@@ -136,41 +171,35 @@ def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
     return [reps[i] for i in sorted(keep)]
 
 
+def _junction(a: tuple, b: tuple, X, low, high, scale: int, per_third: int) -> Optional[tuple]:
+    """Integer summary of running a then b, or None when the junction
+    travel does not fit: 3q * |X[a.end] - X[b.start]| = scale * gap >
+    (a.after3 + b.before3) * per_third, with per_third = p * D.  The rules
+    are span-agnostic, which also makes concatenation associative.
+    """
+    s, e, lo, hi, before, after, span = a
+    s2, e2, lo2, hi2, before2, after2, span2 = b
+    if s is None:
+        if s2 is None:
+            return (None, None, None, None, 0, after + after2, span + span2)
+        return (s2, e2, lo2, hi2, after + before2, after2, span + span2)
+    if s2 is None:
+        return (s, e, lo, hi, before, after + after2, span + span2)
+    if scale * abs(X[e] - X[s2]) > (after + before2) * per_third:
+        return None
+    return (s, e2, lo if low[lo] <= low[lo2] else lo2,
+            hi if high[hi] >= high[hi2] else hi2, before, after2, span + span2)
+
+
 def concat(
     a: AtomicRep, b: AtomicRep, L: Fraction, coords: Sequence[Fraction]
 ) -> Optional[AtomicRep]:
     """Summary of running a then b, or None when the junction travel does
-    not fit in the available slack.
-
-    The level-doubling search only ever joins equal spans, but the rules
-    are span-agnostic, which also makes concatenation associative.
-    """
-    if a.end is not None and b.start is not None:
-        gap = abs(coords[a.end] - coords[b.start])
-        if gap > (a.t_after + b.t_before) * L:
-            return None
-    start = a.start if a.start is not None else b.start
-    end = b.end if b.end is not None else a.end
-    left = _extreme(coords, a.left, b.left, low=True)
-    right = _extreme(coords, a.right, b.right, low=False)
-    if a.visits:
-        t_before = a.t_before
-    elif b.visits:
-        t_before = a.t_after + b.t_before
-    else:
-        t_before = Fraction(0)
-    t_after = b.t_after if b.visits else a.t_after + b.t_after
-    return AtomicRep(start, end, left, right, t_before, t_after, a.span + b.span)
-
-
-def _extreme(coords, x: Optional[int], y: Optional[int], low: bool) -> Optional[int]:
-    if x is None:
-        return y
-    if y is None:
-        return x
-    if low:
-        return min(x, y, key=lambda i: (coords[i], i))
-    return max(x, y, key=lambda i: (coords[i], -i))
+    not fit in the available slack.  Slacks must be multiples of 1/3;
+    the DP's integer junction rule decides on the scaled coordinates."""
+    D, X, low, high = _scaled(coords)
+    key = _junction(_summary(a), _summary(b), X, low, high, 3 * L.denominator, L.numerator * D)
+    return None if key is None else _as_rep(key)
 
 
 # --- the level-doubling decision procedure ---------------------------------
@@ -178,8 +207,10 @@ def _extreme(coords, x: Optional[int], y: Optional[int], low: bool) -> Optional[
 
 @dataclass
 class StateNode:
-    """One k-robot summary with enough structure to replay the motion."""
+    """One k-robot summary with enough structure to replay the motion:
+    keys are the robots' integer summaries, reps the same as AtomicReps."""
 
+    keys: tuple[tuple, ...]
     reps: tuple[AtomicRep, ...]
     level: int
     atoms: Optional[tuple[AtomicRep, ...]] = None  # level 0: per-robot atomic
@@ -207,16 +238,6 @@ class StandardSchedule:
         return self.window * 2**self.levels
 
 
-def _covers(reps: Sequence[AtomicRep], coords, sites: Sequence[int]) -> bool:
-    for s in sites:
-        c = coords[s]
-        if not any(
-            r.left is not None and coords[r.left] <= c <= coords[r.right] for r in reps
-        ):
-            return False
-    return True
-
-
 def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[StateNode]:
     """Drop k-robot states componentwise dominated by a kept one.
 
@@ -224,26 +245,24 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
     the other's and its slack on each side exceeds the other's by at
     least the displacement of that endpoint: any junction the other
     meets, it meets by the triangle inequality.  Pure-travel summaries
-    of one span are identical.  With L = p/q, lengths are integers in
-    units of 1/(3qD): a coordinate is 3q * X[i] and a slack t * L is
-    3t * p * D.  States are scanned by decreasing total slack plus hull
-    width, a linear extension of dominance, so exactly one state per
-    undominated summary is kept.
+    of one span are identical.  Lengths are integers in units of
+    1/(3qD): a coordinate is 3q * X[i] and a slack of before3 thirds of
+    L is before3 * p * D.  States are scanned by decreasing total slack
+    plus hull width, a linear extension of dominance, so exactly one
+    state per undominated summary is kept.
     """
-    D, X, _ = _atomic_table(instance)
+    D, X, _, _, _ = _atomic_table(instance)
     scale, per_third = 3 * L.denominator, L.numerator * D
 
-    def summary(rep: AtomicRep):
+    def scaled(key):
         """(start, end, left, right, before, after), None for pure travel,
-        and the rep's share of the scan score."""
-        thirds = [divmod(3 * t.numerator, t.denominator) for t in (rep.t_before, rep.t_after)]
-        if thirds[0][1] or thirds[1][1]:
-            raise AssertionError(f"slacks of {rep} are not multiples of L/3")
-        before, after = (th * per_third for th, _ in thirds)
-        if not rep.visits:
-            return None, after
-        s, e, lo, hi = (scale * X[i] for i in (rep.start, rep.end, rep.left, rep.right))
-        return (s, e, lo, hi, before, after), before + after + hi - lo
+        and the summary's share of the scan score."""
+        s, e, lo, hi, before, after, _ = key
+        if s is None:
+            return None, after * per_third
+        lo, hi = scale * X[lo], scale * X[hi]
+        before, after = before * per_third, after * per_third
+        return (scale * X[s], scale * X[e], lo, hi, before, after), before + after + hi - lo
 
     def dominates(xs, ys) -> bool:
         for a, b in zip(xs, ys):
@@ -258,7 +277,7 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 
     scored = []
     for node in states:
-        keys, scores = zip(*(summary(rep) for rep in node.reps))
+        keys, scores = zip(*map(scaled, node.keys))
         scored.append((-sum(scores), keys, node))
     scored.sort(key=lambda item: item[0])
     kept: list[tuple] = []
@@ -284,36 +303,48 @@ def construct_schedule(
     """
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
-    coords = instance.metric.coords
-    classes, _rounded = round_weights_dyadic(instance)
-    level_sites = {j: members for j, members in classes.classes}
+    D, X, _, low, high = _atomic_table(instance)
+    scale, per_third = 3 * L.denominator, L.numerator * D
+    classes = _weight_classes(instance)
     m = classes.m
+    level_sites = dict(classes.classes)
 
-    atoms = _prune_atomics(enumerate_atomics(instance, L), _atomic_table(instance)[1])
+    # summaries are interned so the pair loops run on small ints with memoized
+    # joins; a span fixes the level, and masks[i] marks its sites in i's hull
+    pool: list[tuple] = []
+    ids: dict[tuple, int] = {}
+    reps: list[AtomicRep] = []
+    masks: list[int] = []
+
+    def intern(key: tuple, rep: Optional[AtomicRep] = None) -> int:
+        got = ids.get(key)
+        if got is None:
+            got = ids[key] = len(pool)
+            pool.append(key)
+            reps.append(rep or _as_rep(key))
+            sites = () if key[0] is None else level_sites.get(key[6].bit_length() - 1, ())
+            masks.append(sum(1 << bit for bit, s in enumerate(sites)
+                             if X[key[2]] <= X[s] <= X[key[3]]))
+        return got
+
+    atoms = _prune_atomics(enumerate_atomics(instance, L), X)
     if len(atoms) ** k > pair_cap:
         raise ResourceLimitError(
             f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
         )
+    atom_ids = [intern(_summary(rep), rep) for rep in atoms]
+    full = (1 << len(level_sites.get(0, ()))) - 1
     states: list[StateNode] = []
-    for combo in product(atoms, repeat=k):
-        if not _covers(combo, coords, level_sites.get(0, ())):
-            continue
-        states.append(StateNode(reps=tuple(combo), level=0, atoms=tuple(combo)))
+    for combo in product(atom_ids, repeat=k):
+        mask = 0
+        for i in combo:
+            mask |= masks[i]
+        if mask == full:
+            combo_reps = tuple(reps[i] for i in combo)
+            states.append(StateNode(tuple(pool[i] for i in combo), combo_reps, 0,
+                                    atoms=combo_reps))
     states = _prune(states, instance, L)
     levels = [states]
-
-    # summaries are interned so the pair loops below run on small ints,
-    # with pairwise concatenation memoized across state pairs
-    rep_ids: dict[AtomicRep, int] = {}
-    rep_pool: list[AtomicRep] = []
-
-    def intern(rep: AtomicRep) -> int:
-        got = rep_ids.get(rep)
-        if got is None:
-            got = len(rep_pool)
-            rep_ids[rep] = got
-            rep_pool.append(rep)
-        return got
 
     for h in range(1, m + 1):
         prev = levels[-1]
@@ -321,68 +352,40 @@ def construct_schedule(
             raise ResourceLimitError(
                 f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
             )
-        targets = level_sites.get(h, ())
-        target_mask = (1 << len(targets)) - 1
-        mask_cache: dict[int, int] = {}
-
-        def hull_mask(rid: int) -> int:
-            got = mask_cache.get(rid)
-            if got is None:
-                rep = rep_pool[rid]
-                got = 0
-                if rep.visits:
-                    lo, hi = coords[rep.left], coords[rep.right]
-                    for bit, s in enumerate(targets):
-                        if lo <= coords[s] <= hi:
-                            got |= 1 << bit
-                mask_cache[rid] = got
-            return got
-
-        prev_ids = [tuple(intern(r) for r in node.reps) for node in prev]
+        full = (1 << len(level_sites.get(h, ()))) - 1
+        prev_ids = [tuple(ids[key] for key in node.keys) for node in prev]
         joins: dict[tuple[int, int], int] = {}  # -1 marks infeasible
-
-        def join(ia: int, ib: int) -> int:
-            got = joins.get((ia, ib))
-            if got is None:
-                rep = concat(rep_pool[ia], rep_pool[ib], L, coords)
-                got = -1 if rep is None else intern(rep)
-                joins[(ia, ib)] = got
-            return got
-
         nxt: list[StateNode] = []
         seen = set()
         for left, lids in zip(prev, prev_ids):
             for right, rids in zip(prev, prev_ids):
                 out = []
                 mask = 0
-                for ia, ib in zip(lids, rids):
-                    ic = join(ia, ib)
+                for pair in zip(lids, rids):
+                    ic = joins.get(pair)
+                    if ic is None:
+                        key = _junction(pool[pair[0]], pool[pair[1]], X, low, high,
+                                        scale, per_third)
+                        ic = joins[pair] = -1 if key is None else intern(key)
                     if ic < 0:
                         break
-                    mask |= hull_mask(ic)
+                    mask |= masks[ic]
                     out.append(ic)
                 else:
-                    if mask != target_mask or tuple(out) in seen:
+                    out = tuple(out)
+                    if mask != full or out in seen:
                         continue
-                    seen.add(tuple(out))
-                    nxt.append(
-                        StateNode(
-                            reps=tuple(rep_pool[i] for i in out),
-                            level=h,
-                            children=(left, right),
-                        )
-                    )
+                    seen.add(out)
+                    nxt.append(StateNode(tuple(pool[i] for i in out),
+                                         tuple(reps[i] for i in out), h,
+                                         children=(left, right)))
                     if len(nxt) > state_cap:
                         raise ResourceLimitError(
                             f"more than {state_cap} states at level {h}"
                         )
         levels.append(_prune(nxt, instance, L))
 
-    final = levels[m]
-    answer = None
-    if final:
-        node = final[0]
-        answer = _realize(node, instance, L, m)
+    answer = _realize(levels[m][0], instance, L, m) if levels[m] else None
     return (answer, levels) if keep_levels else answer
 
 
@@ -471,23 +474,33 @@ def _realize_track(
 def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
     of 2^j windows (checking the realized motion, pass-throughs count)."""
-    classes, _ = round_weights_dyadic(instance)
     coords = instance.metric.coords
     L = std.window
     if L == 0:
         positions = {wps[0][1] for wps in std.robot_waypoints}
         return all(coords[s] in positions for s in instance.sites)
-    for j, members in classes.classes:
-        block = L * 2**j
-        blocks = 2 ** (std.levels - j)
+    for j, members in _weight_classes(instance).classes:
         for s in members:
-            spans = []
-            for wps in std.robot_waypoints:
-                spans.extend(_visit_intervals(wps, std.duration, coords[s]))
-            for b in range(blocks):
-                lo, hi = b * block, (b + 1) * block
-                if not any(a <= hi and bnd >= lo for a, bnd in spans):
-                    return False
+            spans = [span for wps in std.robot_waypoints
+                     for span in _visit_intervals(wps, std.duration, coords[s])]
+            if not _every_block_met(sorted(spans), L * 2**j, 2 ** (std.levels - j)):
+                return False
+    return True
+
+
+def _every_block_met(spans: Sequence[tuple[Fraction, Fraction]], block: Fraction,
+                     blocks: int) -> bool:
+    """Whether each block [b * block, (b + 1) * block], b < blocks, meets
+    one of the spans, given sorted by start: a block meets one exactly
+    when the furthest end among the spans starting by the block's end
+    reaches the block's start."""
+    i, reach = 0, -1  # below every block's start
+    for b in range(blocks):
+        while i < len(spans) and spans[i][0] <= (b + 1) * block:
+            reach = max(reach, spans[i][1])
+            i += 1
+        if reach < b * block:
+            return False
     return True
 
 
@@ -546,15 +559,14 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     visiting-window tours (3 * tour length) and junction travel budgets
     d = (2/3 + j) * L for up to 2^m pure-travel windows in between.
     More junction values than DEFAULT_STATE_CAP raise ResourceLimitError."""
-    coords = instance.metric.coords
-    classes, _ = round_weights_dyadic(instance)
-    D, _, rows = _atomic_table(instance)
-    values = {Fraction(length3, D) for length3, _ in rows}
-    gaps = {b - a for a in coords for b in coords if a < b}
-    budgets = 2**classes.m + 1
+    D, X, rows, _, _ = _atomic_table(instance)
+    values = {Fraction(length3, D) for length3 in {length3 for length3, _ in rows}}
+    gaps = {b - a for a in X for b in X if a < b}
+    budgets = 2**_weight_classes(instance).m + 1
     if len(gaps) * budgets > DEFAULT_STATE_CAP:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
-    values.update(d / (TWO_THIRDS + hops) for d in gaps for hops in range(budgets))
+    # a gap g / D over a budget of (2/3 + hops) windows
+    values.update(Fraction(3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
     return sorted(values)
 
 
@@ -563,9 +575,8 @@ def line_lower_bound(instance: Instance, k: int) -> Fraction:
     largest visit gap the robots trace k intervals covering the group."""
     if instance.n <= k:
         return Fraction(0)
-    classes, _ = round_weights_dyadic(instance)
     coords = instance.metric.coords
-    groups = [members for _, members in classes.classes]
+    groups = [members for _, members in _weight_classes(instance).classes]
     groups.append(tuple(instance.sites))
     best = Fraction(0)
     for members in groups:
