@@ -7,13 +7,20 @@ Euclidean metrics, edges are abstract segments, so visits happen only
 at waypoints that coincide with a site (within a 1e-9 tolerance that
 guards float drift; exact data never needs it).
 
+An evaluation runs on ints in one time unit 1/U: the lcm of the
+denominators of every period, waypoint time and, on the line, site and
+waypoint coordinate.  Line latencies multiply U by the pass-through
+factor, the lcm of dx // gcd(dx, dt) over moving legs, so that each
+pass-through time t0 + dt*|c - x0|/dx is an integer.  The tolerances
+become floor(U * 1e-9), exact on int keys; only outputs become Fractions.
+
 A leg costs O(log n + visits): line legs bisect the coordinates sorted
 once per evaluation, and a waypoint site's co-location group (the sites
 within the tolerance) is found once per evaluation, by one matrix row
 scan or a bisection window on the first Euclidean coordinate.  A site
 served by one robot takes the cyclic max gap of its in-order visits; a
 jointly served site is unrolled over the common period, at absolute
-times, in integers scaled by one denominator.
+times, within an event budget shared by the whole evaluation.
 """
 
 from __future__ import annotations
@@ -23,14 +30,9 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional
+from math import floor, gcd, lcm
 
-from .errors import (
-    PeriodOverflowError,
-    ScheduleFormatError,
-    UnvisitedSiteError,
-)
+from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
 from .rationals import format_fraction, lcm_fractions, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
@@ -53,10 +55,8 @@ class SpeedViolation:
         return self.distance - self.duration
 
     def __str__(self) -> str:
-        return (
-            f"robot {self.robot} leg {self.leg}: distance {float(self.distance):g} "
-            f"in time {float(self.duration):g} (excess {float(self.excess):g})"
-        )
+        return (f"robot {self.robot} leg {self.leg}: distance {float(self.distance):g} "
+                f"in time {float(self.duration):g} (excess {float(self.excess):g})")
 
 
 @dataclass(frozen=True)
@@ -81,12 +81,8 @@ class LatencyReport:
             "max_weighted": format_fraction(self.max_weighted),
             "argmax_site": self.argmax_site,
             "per_site": [
-                {
-                    "site": s.site,
-                    "latency": format_fraction(s.latency),
-                    "weight": format_fraction(s.weight),
-                    "weighted": format_fraction(s.weighted),
-                }
+                {"site": s.site, "latency": format_fraction(s.latency),
+                 "weight": format_fraction(s.weight), "weighted": format_fraction(s.weighted)}
                 for s in self.per_site
             ],
         }
@@ -96,9 +92,7 @@ class LatencyReport:
         writer = csv.writer(buf)
         writer.writerow(["site", "latency", "weight", "weighted"])
         for s in self.per_site:
-            writer.writerow(
-                [s.site, float(s.latency), float(s.weight), float(s.weighted)]
-            )
+            writer.writerow([s.site, float(s.latency), float(s.weight), float(s.weighted)])
         return buf.getvalue()
 
 
@@ -156,16 +150,42 @@ def _check_site_ids(schedule: Schedule, n: int) -> None:
                 raise ScheduleFormatError(f"site {i} is out of range 0..{n - 1}")
 
 
+def _scale(value: Fraction, unit: int) -> int:
+    return value.numerator * (unit // value.denominator)
+
+
+def _unit(schedule: Schedule, metric: Metric) -> int:
+    """U of the time unit 1/U, before any pass-through factor (module docstring)."""
+    dens = [t.denominator for track in schedule.robots
+            for t in (*(t for t, _ in track.waypoints), track.period)]
+    if metric.variant == "line":
+        dens += [c.denominator for c in metric.coords]
+        dens += [_line_coord(p, metric).denominator
+                 for track in schedule.robots for _, p in track.waypoints]
+    return lcm(*dens)
+
+
+def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
+    """track.legs() in units of 1/unit (times and, on the line, positions)."""
+    line, legs = metric.variant == "line", track.legs()
+    points = [(_scale(t, unit), _scale(_line_coord(p, metric), unit) if line else p)
+              for t, p in [leg[:2] for leg in legs] + [legs[-1][2:]]]
+    return [a + b for a, b in zip(points, points[1:])]
+
+
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
-    """Check every leg (and the wraparound leg) against unit speed."""
+    """Check every leg (and the wraparound leg) against unit speed, in the
+    integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*SPEED_TOL)."""
     _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
+    unit, line = _unit(schedule, metric), metric.variant == "line"
+    tol = floor(unit * SPEED_TOL) if line else unit * SPEED_TOL
     violations = []
     for r, track in enumerate(schedule.robots):
-        for leg_idx, (t0, p0, t1, p1) in enumerate(track.legs()):
-            d = position_distance(p0, p1, metric)
-            if d > (t1 - t0) + SPEED_TOL:
-                violations.append(SpeedViolation(r, leg_idx, d, t1 - t0))
+        for i, (t0, p0, t1, p1) in enumerate(_legs(track, metric, unit)):
+            d = abs(p1 - p0) if line else position_distance(p0, p1, metric) * unit
+            if d - (t1 - t0) > tol:
+                violations.append(SpeedViolation(r, i, Fraction(d, unit), Fraction(t1 - t0, unit)))
     return violations
 
 
@@ -181,28 +201,23 @@ def combined_period(
         schedule = schedule.expanded(metric)
     if any(not isinstance(t, RobotTrack) for t in schedule.robots):
         raise ScheduleFormatError("symbolic tracks need a metric to expand")
-    periods = [t.period for t in schedule.robots]
-    total = lcm_fractions(periods)
-    events = 0
-    for track in schedule.robots:
-        events += int(total / track.period) * max(len(track.waypoints), 1)
-        if events > event_cap:
-            raise PeriodOverflowError(
-                f"common period {total} needs more than {event_cap} events"
-            )
+    total = lcm_fractions(t.period for t in schedule.robots)
+    if sum(int(total / t.period) * len(t.waypoints) for t in schedule.robots) > event_cap:
+        raise PeriodOverflowError(f"common period {total} needs more than {event_cap} events")
     return total
 
 
-def _sites_near(schedule: Schedule, metric: Metric):
+def _sites_near(schedule: Schedule, metric: Metric, unit: int):
     """The visit lookup of one evaluation, built once for all its legs.
 
-    Line metrics: site ids sorted by coordinate, with the sorted
+    Line metrics: site ids sorted by coordinate, with the sorted integer
     coordinates, for bisection.  Other metrics: the co-location group
     (sites within VISIT_TOL) of every site a waypoint names.
     """
     if metric.variant == "line":
-        order = sorted(range(metric.n), key=metric.coords.__getitem__)
-        return [metric.coords[s] for s in order], order
+        scaled = [_scale(c, unit) for c in metric.coords]
+        order = sorted(range(metric.n), key=scaled.__getitem__)
+        return [scaled[s] for s in order], order
     named = {p.site for t in schedule.robots for _, p in t.waypoints if isinstance(p, SitePos)}
     if metric.variant == "matrix":
         return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
@@ -220,29 +235,25 @@ def _sites_near(schedule: Schedule, metric: Metric):
     return groups
 
 
-def _track_visits(
-    track: RobotTrack, metric: Metric, near
-) -> dict[int, list[tuple[Fraction, Fraction]]]:
-    """Visit intervals per visited site within one period of a single track.
-
-    Instantaneous visits are zero-length intervals.  Each site's list is
-    in time order within [t_first, t_first + period].  `near` is the
-    evaluation's _sites_near lookup.
-    """
-    visits: dict[int, list[tuple[Fraction, Fraction]]] = {}
-    line = metric.variant == "line"
-    for t0, p0, t1, p1 in track.legs():
+def _track_visits(legs: list[tuple], line: bool, near, tol: int) -> dict[int, list[tuple]]:
+    """Visit intervals per visited site within one period of a single track,
+    each site's in time order within [t_first, t_first + period]; instantaneous
+    visits are zero-length.  `legs` are _legs, `near` is _sites_near and `tol`
+    is floor(U * VISIT_TOL)."""
+    visits: dict[int, list[tuple]] = {}
+    for t0, p0, t1, p1 in legs:
         if line:
-            x0, x1 = _line_coord(p0, metric), _line_coord(p1, metric)
-            lo, hi = min(x0, x1), max(x0, x1)
+            lo, hi = min(p0, p1), max(p0, p1)
             keys, order = near
-            for s in order[bisect_left(keys, lo - VISIT_TOL):bisect_right(keys, hi + VISIT_TOL)]:
-                if x0 == x1:
-                    visits.setdefault(s, []).append((t0, t1))
+            g = gcd(t1 - t0, hi - lo)  # dt*k/dx = rate*k/step, and step divides k
+            rate, step = (t1 - t0) // g, (hi - lo) // g
+            for i in range(bisect_left(keys, lo - tol), bisect_right(keys, hi + tol)):
+                if p0 == p1:
+                    visits.setdefault(order[i], []).append((t0, t1))
                 else:
-                    cc = min(max(metric.coords[s], lo), hi)
-                    tc = t0 + (t1 - t0) * abs(cc - x0) / (hi - lo)
-                    visits.setdefault(s, []).append((tc, tc))
+                    k, rest = divmod(abs(min(max(keys[i], lo), hi) - p0), step)
+                    assert not rest, "pass-through time off the unit grid"
+                    visits.setdefault(order[i], []).append((tc := t0 + rate * k, tc))
         elif isinstance(p0, SitePos):
             span = (t0, t1) if p0 == p1 else (t0, t0)
             for s in near[p0.site]:
@@ -265,26 +276,21 @@ def _max_gap(intervals: list[tuple], period):
     return max(intervals[0][0] + period - end, gap)
 
 
-def _joint_gap(served: list[tuple[RobotTrack, list]], total: Fraction) -> Fraction:
-    """Max gap of a site that several (track, visits) serve, unrolled over the
-    common period `total` in integers scaled by one common denominator.  Each
-    visit sits at its absolute time modulo its track's period, so the phase
-    between tracks that start at different times counts."""
-    den = lcm(*(t.denominator for track, visits in served
-                for t in (track.period, *(t for visit in visits for t in visit))))
-    span = int(total * den)
+def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
+    """Max gap of a site that several (period, visits) serve, unrolled over
+    their common period `total`.  Each visit sits at its absolute time
+    modulo its track's period, so the phase between tracks that start at
+    different times counts."""
     intervals = []
-    for track, visits in served:
-        period = int(track.period * den)
+    for period, visits in served:
         for a, b in visits:
-            length = int((b - a) * den)
-            for start in range(int(a * den) % period, span, period):
-                if start + length > span:  # straddles the end: split it
-                    intervals += [(start, span), (0, start + length - span)]
+            for start in range(a % period, total, period):
+                if start + b - a > total:  # straddles the end: split it
+                    intervals += [(start, total), (0, start + b - a - total)]
                 else:
-                    intervals.append((start, start + length))
+                    intervals.append((start, start + b - a))
     intervals.sort()
-    return Fraction(_max_gap(intervals, span), den)
+    return _max_gap(intervals, total)
 
 
 def max_weighted_latency(
@@ -296,42 +302,51 @@ def max_weighted_latency(
 
     Each site is analyzed over the least common period of the robots
     that actually visit it, so a site served by one robot never needs a
-    common-period unroll.  A jointly served site whose unroll would
-    exceed event_cap raises PeriodOverflowError.
+    common-period unroll.  Visits, gaps and periods are ints in the unit
+    1/U with its pass-through factor and integer tolerance (module
+    docstring); each latency is Fraction(gap, U).  Each jointly served
+    site's unroll, then their running total, must stay within event_cap
+    visit events, else PeriodOverflowError.
     """
     _check_site_ids(schedule, instance.n)
     schedule = schedule.expanded(instance.metric)
     if not schedule.robots:
         raise UnvisitedSiteError(0, _name(instance, 0))
-    near = _sites_near(schedule, instance.metric)
-    per_track = [_track_visits(t, instance.metric, near) for t in schedule.robots]
+    unit, line = _unit(schedule, instance.metric), instance.metric.variant == "line"
+    legs = [_legs(t, instance.metric, unit) for t in schedule.robots]
+    if line:  # the pass-through factor
+        m = lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)
+                  for track in legs for t0, x0, t1, x1 in track if x1 != x0))
+        unit *= m
+        legs = [[(t0 * m, x0 * m, t1 * m, x1 * m) for t0, x0, t1, x1 in track] for track in legs]
+    near = _sites_near(schedule, instance.metric, unit)
+    per_track = [_track_visits(track, line, near, floor(unit * VISIT_TOL)) for track in legs]
+    periods = [_scale(t.period, unit) for t in schedule.robots]
 
-    latencies: list[Fraction] = []
+    rows, joint_events = [], 0
     for s in instance.sites:
-        served = [(track, vis[s]) for track, vis in zip(schedule.robots, per_track) if s in vis]
+        served = [(period, vis[s]) for period, vis in zip(periods, per_track) if s in vis]
         if not served:
             raise UnvisitedSiteError(s, _name(instance, s))
-        # a site served by one robot repeats with that robot's own period;
-        # only jointly served sites need a common period unroll
-        total = lcm_fractions(track.period for track, _ in served)
-        events = sum(int(total / track.period) * len(visits) for track, visits in served)
+        # a site one robot serves repeats with its period; only joint sites unroll
+        total = lcm(*(period for period, _ in served))
+        events = sum(total // period * len(visits) for period, visits in served)
         if events > event_cap:
             raise PeriodOverflowError(
                 f"site {s} needs {events} visit events over the common period; "
                 f"cap is {event_cap}"
             )
-        if len(served) == 1:
-            latencies.append(_max_gap(served[0][1], total))
-        else:
-            latencies.append(_joint_gap(served, total))
+        joint_events += events if len(served) > 1 else 0
+        if joint_events > event_cap:
+            raise PeriodOverflowError(f"jointly served sites up to site {s} need {joint_events} "
+                                      f"visit events in total; cap is {event_cap}")
+        gap = _max_gap(served[0][1], total) if len(served) == 1 else _joint_gap(served, total)
+        lat = Fraction(gap, unit)
+        rows.append(SiteLatency(s, lat, instance.weights[s], instance.weights[s] * lat))
 
-    rows = tuple(
-        SiteLatency(s, lat, instance.weights[s], instance.weights[s] * lat)
-        for s, lat in zip(instance.sites, latencies)
-    )
     best = max(rows, key=lambda row: (row.weighted, -row.site))
-    return LatencyReport(rows, best.weighted, best.site)
+    return LatencyReport(tuple(rows), best.weighted, best.site)
 
 
-def _name(instance: Instance, site: int) -> Optional[str]:
+def _name(instance: Instance, site: int) -> str | None:
     return instance.names[site] if instance.names else None

@@ -17,7 +17,7 @@ from patrol.cli import (
     main,
 )
 from patrol.fixtures import cooperative_line_instance
-from patrol.instance import dump_instance, load_instance
+from patrol.instance import dump_instance, line_instance, load_instance
 from patrol.rationals import to_fraction
 
 
@@ -165,6 +165,21 @@ def test_evaluate_resource_cap_exit_4(tmp_path):
     trees = [{"paths": [[0]] * count} for count in (128, 243, 625, 343)]
     sched_path.write_text(json.dumps({"robots": [{"kind": "round_robin", "trees": trees}]}))
     assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_RESOURCE
+
+
+def test_evaluate_event_budget_exit_4(tmp_path, capsys):
+    # two zigzags over 40 jointly served sites, periods 78 and 78 * 100001/100000:
+    # each site needs 400 002 visit events, all of them 16 M
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "s.json"
+    inst_path.write_text(dump_instance(line_instance(range(40), [1] * 40)))
+    robots = [
+        {"period": period, "waypoints": [{"t": 0, "pos": {"coord": 0}},
+                                         {"t": half, "pos": {"coord": 39}}]}
+        for period, half in (("78", "39"), ("7800078/100000", "3900039/100000"))
+    ]
+    sched_path.write_text(json.dumps({"robots": robots}))
+    assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_RESOURCE
+    assert "visit events in total" in capsys.readouterr().err
 
 
 def test_compare_table(tmp_path):

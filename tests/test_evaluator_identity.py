@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 
 from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
-from patrol.evaluate import max_weighted_latency
+from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.instance import euclidean_instance, line_instance, matrix_instance
 from patrol.schedule import CoordPos, EdgePos, RobotTrack, Schedule, SitePos
 
@@ -338,3 +338,111 @@ def test_euclidean_tolerance_edges():
             )
             assert assert_identical(Schedule((parked,) + others), inst) == "ok"
             assert_identical(Schedule((parked,)), inst)
+
+
+# --- the integer time unit ---------------------------------------------------
+#
+# The evaluator works in one integer unit 1/U per evaluation.  The cases
+# below make U grow through slow legs, edge positions and odd coordinate
+# denominators, and put sites and legs exactly on and just past the 1e-9
+# tolerance.
+
+
+def reference_violations(schedule, instance):
+    """The original validate_speed on a line: each leg's Fraction distance
+    against its duration plus the tolerance."""
+    out = []
+    for r, trk in enumerate(schedule.expanded(instance.metric).robots):
+        for leg, (t0, p0, t1, p1) in enumerate(trk.legs()):
+            x0 = reference_line_coord(p0, instance.metric)
+            d = abs(reference_line_coord(p1, instance.metric) - x0)
+            if d > (t1 - t0) + TOL:
+                out.append((r, leg, d, t1 - t0))
+    return out
+
+
+def assert_speed_identical(schedule, instance):
+    got = [(v.robot, v.leg, v.distance, v.duration)
+           for v in validate_speed(schedule, instance.metric)]
+    assert repr(got) == repr(reference_violations(schedule, instance))
+    return got
+
+
+def test_slow_legs_with_prime_speed_denominators():
+    # legs at speeds dx/dt = 2/3, 5/6, 7/8, 11/13, 11/12, 22/25, 15/16 and
+    # 15/26: pass-through times fall on the grids 1/2, 1/5, 1/7, 1/11, 1/22
+    # and 1/15, which the waypoint times alone do not give
+    inst = line_instance(range(12), [1 + i % 3 for i in range(12)])
+    a = track(42, (0, 0), (3, 2), (9, 7), (17, 0), (30, 11))
+    b = track(42, (1, 11), (14, 0), (Fraction(53, 2), 11))
+    c = track(14, (0, 3), (Fraction(16, 3), 8))  # speed 15/16
+    for tracks in ((a,), (b,), (a, b), (a, b, c), (c, b)):
+        schedule = Schedule(tracks)
+        assert assert_speed_identical(schedule, inst) == []
+        assert assert_identical(schedule, inst) in ("ok", "UnvisitedSiteError")
+    assert assert_identical(Schedule((a, b, c)), inst) == "ok"
+
+
+def test_edge_positions_on_the_line():
+    inst = line_instance([0, 3, 10, Fraction(5, 2), 8], [1, 2, 3, 1, 2])
+    quarter = EdgePos(0, 2, Fraction(1, 4))  # 2.5
+    back = EdgePos(2, 1, Fraction(2, 7))  # 10 + 2/7 * (3 - 10) = 8, unnormalized
+    third = EdgePos(1, 2, Fraction(1, 3))  # 3 + 7/3
+    sweeps = (
+        track(20, (0, SitePos(0)), (Fraction(5, 2), quarter), (8, back), (10, SitePos(2))),
+        track(Fraction(31, 3), (1, third), (Fraction(19, 3), quarter), (8, SitePos(1))),
+        track(13, (0, back), (2, back), (Fraction(15, 2), quarter)),
+    )
+    for k in range(1, 4):
+        schedule = Schedule(sweeps[:k])
+        assert assert_speed_identical(schedule, inst) == []
+        assert assert_identical(schedule, inst) == "ok"
+
+
+def test_coordinates_with_denominators_3_7_100():
+    coords = [Fraction(1, 3), Fraction(2, 7), Fraction(101, 100), Fraction(2), Fraction(5, 3)]
+    inst = line_instance(coords, [3, 1, 2, 1, 7])
+    lo, hi = Fraction(2, 7), Fraction(2)
+    span = hi - lo
+    tracks = (
+        track(2 * span, (0, lo), (span, hi)),
+        track(3 * span, (Fraction(1, 100), hi), (2 * span + Fraction(1, 100), lo)),
+        track(4, (0, Fraction(1, 3)), (1, Fraction(1, 3)), (Fraction(7, 3), Fraction(5, 3))),
+    )
+    for k in range(1, 4):
+        schedule = Schedule(tracks[:k])
+        assert assert_speed_identical(schedule, inst) == []
+        assert assert_identical(schedule, inst) == "ok"
+
+
+def test_visit_tolerance_boundary_in_the_integer_unit():
+    for slow in (1, 3):  # a slow leg multiplies U by 3
+        sweep = track(10 * slow, (0, 0), (5 * slow, 5))
+        for edge in (5 + TOL, -TOL):
+            inst = line_instance([0, 5, edge], [1, 1, 1])
+            assert assert_identical(Schedule((sweep,)), inst) == "ok"
+            rep = max_weighted_latency(Schedule((sweep,)), inst)
+            assert rep.latency_of(2) == rep.latency_of(0 if edge < 0 else 1)
+        for edge in (5 + TOL + TOL * TOL, -TOL - TOL * TOL):
+            inst = line_instance([0, 5, edge], [1, 1, 1])
+            assert assert_identical(Schedule((sweep,)), inst) == "UnvisitedSiteError"
+            # a robot parked on the stray site measures it
+            parked = track(1, (0, edge))
+            assert assert_identical(Schedule((sweep, parked)), inst) == "ok"
+    # with U = 3 the tolerance is floor(3e-9) = 0 units: a site 1/3 past the
+    # end stays unvisited
+    inst = line_instance([0, 5, Fraction(16, 3)], [1, 1, 1])
+    assert assert_identical(Schedule((track(10, (0, 0), (5, 5)),)), inst) == "UnvisitedSiteError"
+
+
+def test_speed_tolerance_boundary_in_the_integer_unit():
+    inst = line_instance([0, 1], [1, 1])
+    for duration in (1, Fraction(1, 3)):
+        exact = track(2 * duration + 1, (0, 0), (duration, duration + TOL))
+        assert assert_speed_identical(Schedule((exact,)), inst) == []
+        over = track(2 * duration + 1, (0, 0), (duration, duration + TOL + TOL * TOL))
+        got = assert_speed_identical(Schedule((over,)), inst)
+        assert got == [(0, 0, duration + TOL + TOL * TOL, duration)]
+    # with U = 3 the tolerance is 0 units: 1/3 too fast fails
+    got = assert_speed_identical(Schedule((track(3, (0, 0), (1, Fraction(4, 3))),)), inst)
+    assert got == [(0, 0, Fraction(4, 3), 1)]

@@ -3,12 +3,13 @@
 The simulator shares no code with patrol.evaluate: it samples every
 robot's position on a fixed time grid and reads each site's latency off
 the samples.  The strategies build line schedules on an integer grid
-(integer coordinates, integer waits, moves at speed 1/s for integer s),
+(integer coordinates, integer waits, moves at speed 1/s for s = 1, 2, 3),
 so every visit, turn and wait boundary falls on an integer tick and
 stepping at half ticks is exact: a moving robot is never on an integer
 coordinate at a half tick, so a site occupied at a half tick is one a
 robot is resting on.  The schedule given to the evaluator divides all
-times by q, putting them on the grid 1/q.
+times by q, putting them on the grid 1/q, and names a waypoint as a site,
+as a point on the edge between the outermost sites, or as a coordinate.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from patrol.errors import UnvisitedSiteError
 from patrol.evaluate import max_weighted_latency
 from patrol.instance import line_instance
-from patrol.schedule import CoordPos, RobotTrack, Schedule, SitePos
+from patrol.schedule import CoordPos, EdgePos, RobotTrack, Schedule, SitePos
 
 
 @st.composite
@@ -36,10 +37,10 @@ def robot_plans(draw, coords):
             t += draw(st.integers(1, 3))  # wait in place
         else:
             target = draw(st.integers(-1, 9).filter(lambda v: v != x))
-            t += abs(target - x) * draw(st.integers(1, 2))
+            t += abs(target - x) * draw(st.integers(1, 3))
             x = target
         points.append((t, x))
-    back = abs(points[0][1] - x) * draw(st.integers(1, 2))
+    back = abs(points[0][1] - x) * draw(st.integers(1, 3))
     if back == 0:
         back = draw(st.integers(0 if len(points) > 1 else 1, 2))
     if back == 0:
@@ -58,13 +59,24 @@ def line_schedules(draw):
     return coords, weights, plans, q, as_site
 
 
+def named(coords, x):
+    """Coordinate x as a site, else as a point on the edge between the
+    outermost sites (named from its right end), else as a coordinate."""
+    if x in coords:
+        return SitePos(coords.index(x))
+    lo, hi = coords.index(min(coords)), coords.index(max(coords))
+    if coords[lo] < x < coords[hi]:
+        return EdgePos(hi, lo, Fraction(coords[hi] - x, coords[hi] - coords[lo]))
+    return CoordPos(Fraction(x))
+
+
 def build(coords, weights, plans, q, as_site):
     inst = line_instance(coords, weights)
     tracks = []
     for _start, points, period in plans:
         waypoints = []
         for t, x in points:
-            pos = SitePos(coords.index(x)) if as_site and x in coords else CoordPos(Fraction(x))
+            pos = named(coords, x) if as_site else CoordPos(Fraction(x))
             waypoints.append((Fraction(t, q), pos))
         tracks.append(RobotTrack(Fraction(period, q), tuple(waypoints)))
     return inst, Schedule(tuple(tracks))

@@ -125,6 +125,28 @@ def test_shared_site_incommensurate_periods_over_cap():
         max_weighted_latency(Schedule((a, b)), inst, event_cap=100)
 
 
+def budget_zigzags(q):
+    """Two zigzags over sites 0..39 with periods 78 and 78(q+1)/q: every site
+    is served jointly, with 4q + 2 visit events over its common period."""
+    def zigzag(period):
+        return track(period, (0, 0), (period / 2, 39))
+    return line_instance(range(40), [1] * 40), Schedule((zigzag(78), zigzag(Fraction(78 * (q + 1), q))))
+
+
+def test_event_budget_bounds_the_whole_evaluation():
+    # 400 002 events per site pass the per-site cap, but 40 sites need 16 M;
+    # the running total passes the default cap of 2 000 000 at site 4
+    inst, sched = budget_zigzags(100_000)
+    with pytest.raises(PeriodOverflowError) as err:
+        max_weighted_latency(sched, inst)
+    assert str(err.value) == (
+        "jointly served sites up to site 4 need 2000010 visit events in total; cap is 2000000"
+    )
+    # under the cap the same shape measures: the fast zigzag's period bounds it
+    inst, sched = budget_zigzags(2)
+    assert max_weighted_latency(sched, inst).max_weighted <= 78
+
+
 def test_joint_site_keeps_phase_between_tracks():
     # both robots touch site 0 once per period 4; the second starts later
     inst = line_instance([0], [1])
