@@ -9,10 +9,13 @@ guards float drift; exact data never needs it).
 
 An evaluation runs on ints in one time unit 1/U: the lcm of the
 denominators of every period, waypoint time and, on the line, site and
-waypoint coordinate.  Line latencies multiply U by the pass-through
-factor, the lcm of dx // gcd(dx, dt) over moving legs, so that each
-pass-through time t0 + dt*|c - x0|/dx is an integer.  The tolerances
-become floor(U * 1e-9), exact on int keys; only outputs become Fractions.
+waypoint coordinate (speed checks read no site and leave the sites out).
+Line latencies multiply U by the pass-through factor, the lcm of
+dx // gcd(dx, dt) over moving legs, so that each pass-through time
+t0 + dt*|c - x0|/dx is an integer.  The tolerances become
+floor(U * 1e-9), exact on int keys; only outputs become Fractions.
+site_visits is the one visit rule: the latencies here and the
+time-window check of an accepted schedule both read it.
 
 A leg costs O(log n + visits): line legs bisect the coordinates sorted
 once per evaluation, and a waypoint site's co-location group (the sites
@@ -155,11 +158,11 @@ def _scale(value: Fraction, unit: int) -> int:
 
 
 def _unit(schedule: Schedule, metric: Metric) -> int:
-    """U of the time unit 1/U, before any pass-through factor (module docstring)."""
+    """U of the time unit 1/U of the legs: the lcm of the denominators of
+    every waypoint time and period and, on the line, waypoint coordinate."""
     dens = [t.denominator for track in schedule.robots
             for t in (*(t for t, _ in track.waypoints), track.period)]
     if metric.variant == "line":
-        dens += [c.denominator for c in metric.coords]
         dens += [_line_coord(p, metric).denominator
                  for track in schedule.robots for _, p in track.waypoints]
     return lcm(*dens)
@@ -293,6 +296,27 @@ def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
     return _max_gap(intervals, total)
 
 
+def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], list[dict]]:
+    """(U, periods, visits) of the expanded schedule: the evaluation's time
+    unit 1/U, with the site coordinates and, on the line, the pass-through
+    factor (module docstring) folded in, each track's period, and each
+    track's _track_visits, all ints in that unit."""
+    _check_site_ids(schedule, metric.n)
+    schedule = schedule.expanded(metric)
+    unit, line = _unit(schedule, metric), metric.variant == "line"
+    legs = [_legs(t, metric, unit) for t in schedule.robots]
+    if line:  # the site coordinates' denominators, then the pass-through factor
+        m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
+        m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)
+                   for track in legs for t0, x0, t1, x1 in track if x1 != x0))
+        unit *= m
+        legs = [[(t0 * m, x0 * m, t1 * m, x1 * m) for t0, x0, t1, x1 in track] for track in legs]
+    near = _sites_near(schedule, metric, unit)
+    tol = floor(unit * VISIT_TOL)
+    return (unit, [_scale(t.period, unit) for t in schedule.robots],
+            [_track_visits(track, line, near, tol) for track in legs])
+
+
 def max_weighted_latency(
     schedule: Schedule,
     instance: Instance,
@@ -302,28 +326,14 @@ def max_weighted_latency(
 
     Each site is analyzed over the least common period of the robots
     that actually visit it, so a site served by one robot never needs a
-    common-period unroll.  Visits, gaps and periods are ints in the unit
-    1/U with its pass-through factor and integer tolerance (module
-    docstring); each latency is Fraction(gap, U).  Each jointly served
-    site's unroll, then their running total, must stay within event_cap
-    visit events, else PeriodOverflowError.
+    common-period unroll.  Visits, gaps and periods are site_visits' ints
+    in the unit 1/U; each latency is Fraction(gap, U).  Each jointly
+    served site's unroll, then their running total, must stay within
+    event_cap visit events, else PeriodOverflowError; every site is
+    checked before any site is unrolled.
     """
-    _check_site_ids(schedule, instance.n)
-    schedule = schedule.expanded(instance.metric)
-    if not schedule.robots:
-        raise UnvisitedSiteError(0, _name(instance, 0))
-    unit, line = _unit(schedule, instance.metric), instance.metric.variant == "line"
-    legs = [_legs(t, instance.metric, unit) for t in schedule.robots]
-    if line:  # the pass-through factor
-        m = lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)
-                  for track in legs for t0, x0, t1, x1 in track if x1 != x0))
-        unit *= m
-        legs = [[(t0 * m, x0 * m, t1 * m, x1 * m) for t0, x0, t1, x1 in track] for track in legs]
-    near = _sites_near(schedule, instance.metric, unit)
-    per_track = [_track_visits(track, line, near, floor(unit * VISIT_TOL)) for track in legs]
-    periods = [_scale(t.period, unit) for t in schedule.robots]
-
-    rows, joint_events = [], 0
+    unit, periods, per_track = site_visits(schedule, instance.metric)
+    checked, joint_events = [], 0
     for s in instance.sites:
         served = [(period, vis[s]) for period, vis in zip(periods, per_track) if s in vis]
         if not served:
@@ -340,10 +350,13 @@ def max_weighted_latency(
         if joint_events > event_cap:
             raise PeriodOverflowError(f"jointly served sites up to site {s} need {joint_events} "
                                       f"visit events in total; cap is {event_cap}")
+        checked.append((s, served, total))
+
+    rows = []
+    for s, served, total in checked:
         gap = _max_gap(served[0][1], total) if len(served) == 1 else _joint_gap(served, total)
         lat = Fraction(gap, unit)
         rows.append(SiteLatency(s, lat, instance.weights[s], instance.weights[s] * lat))
-
     best = max(rows, key=lambda row: (row.weighted, -row.site))
     return LatencyReport(tuple(rows), best.weighted, best.site)
 

@@ -16,10 +16,13 @@ the first visit and after the last one.  The level-doubling search
 keeps one schedule per undominated summary, so the whole thing is a
 dynamic program over these tuples.  An accepted standard schedule is
 made periodic by alternating it with its time reversal, which at most
-doubles any site's visit gap.  Atomics do not depend on L: an instance
-lists them once, with integer-scaled tour lengths, and a probe keeps
-those that fit; one dominates another exactly when they share start
-and end coordinates and its hull contains the other's.  The DP runs on
+doubles any site's visit gap.  That periodic schedule, the one
+returned, is what validate_standard checks, block by block over its
+whole period, with the evaluator's visit rule (evaluate.site_visits).
+Atomics do not depend on L: an instance lists them once, with
+integer-scaled tour lengths, and a probe keeps those that fit; one
+dominates another exactly when they share start and end coordinates
+and its hull contains the other's.  The DP runs on
 integer summaries (start, end, left, right, before3, after3, span) with
 slacks in thirds of L: for L = p/q and D the lcm of the coordinate
 denominators, its junction rule and prune compare integers in units of
@@ -37,8 +40,9 @@ from math import floor, lcm
 from typing import Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
+from .evaluate import site_visits
 from .instance import Instance, WeightClasses, round_weights_dyadic
-from .oracles import exact_interval_cover
+from .line_uniform import min_interval_cover
 from .report import SolveReport, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 
@@ -230,7 +234,6 @@ class StandardSchedule:
 
     window: Fraction  # L
     levels: int  # m
-    robot_slots: tuple[tuple[AtomicRep, ...], ...]  # [robot][window]
     robot_waypoints: tuple[tuple[tuple[Fraction, Fraction], ...], ...]  # (t, x)
 
     @property
@@ -398,18 +401,10 @@ def realize_node(node: StateNode, instance: Instance, L: Fraction) -> StandardSc
 
 def _realize(node: StateNode, instance: Instance, L: Fraction, m: int) -> StandardSchedule:
     coords = instance.metric.coords
-    k = len(node.reps)
     slots = node.slots()  # [window][robot]
-    per_robot = [tuple(slot[r] for slot in slots) for r in range(k)]
-    tracks = []
-    for robot_slots in per_robot:
-        tracks.append(_realize_track(robot_slots, coords, L))
-    return StandardSchedule(
-        window=L,
-        levels=m,
-        robot_slots=tuple(per_robot),
-        robot_waypoints=tuple(tracks),
-    )
+    tracks = tuple(_realize_track([slot[r] for slot in slots], coords, L)
+                   for r in range(len(node.reps)))
+    return StandardSchedule(window=L, levels=m, robot_waypoints=tracks)
 
 
 def _realize_track(
@@ -473,23 +468,29 @@ def _realize_track(
 
 def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
-    of 2^j windows (checking the realized motion, pass-throughs count)."""
-    coords = instance.metric.coords
-    L = std.window
-    if L == 0:
-        positions = {wps[0][1] for wps in std.robot_waypoints}
-        return all(coords[s] in positions for s in instance.sites)
+    of 2^j windows, over the whole period 2D of the cyclified schedule
+    (both halves) and by the evaluator's visit rule.  Visits are
+    site_visits' ints in the unit 1/U, so with P = 2D * U block b is
+    [b * P, (b + 1) * P] once visit times are scaled by 2^(m+1-j).  A
+    stationary track covers its sites at all times."""
+    schedule = cyclify(std, instance)
+    unit, _, per_track = site_visits(schedule, instance.metric)
+    still = set().union(*(vis for track, vis in zip(schedule.robots, per_track)
+                          if len(track.waypoints) == 1))
+    moving = [vis for track, vis in zip(schedule.robots, per_track) if len(track.waypoints) > 1]
+    period = int(2 * std.duration * unit)  # exact when a track moves: 2D is its period
     for j, members in _weight_classes(instance).classes:
+        scale = 2 ** (std.levels + 1 - j)
         for s in members:
-            spans = [span for wps in std.robot_waypoints
-                     for span in _visit_intervals(wps, std.duration, coords[s])]
-            if not _every_block_met(sorted(spans), L * 2**j, 2 ** (std.levels - j)):
+            if s in still:
+                continue
+            spans = sorted((a * scale, b * scale) for vis in moving for a, b in vis.get(s, ()))
+            if not _every_block_met(spans, period, scale):
                 return False
     return True
 
 
-def _every_block_met(spans: Sequence[tuple[Fraction, Fraction]], block: Fraction,
-                     blocks: int) -> bool:
+def _every_block_met(spans: Sequence[tuple[int, int]], block: int, blocks: int) -> bool:
     """Whether each block [b * block, (b + 1) * block], b < blocks, meets
     one of the spans, given sorted by start: a block meets one exactly
     when the furthest end among the spans starting by the block's end
@@ -502,31 +503,6 @@ def _every_block_met(spans: Sequence[tuple[Fraction, Fraction]], block: Fraction
         if reach < b * block:
             return False
     return True
-
-
-def _visit_intervals(
-    waypoints: Sequence[tuple[Fraction, Fraction]],
-    duration: Fraction,
-    c: Fraction,
-) -> list[tuple[Fraction, Fraction]]:
-    """Intervals within [0, duration] when a finite waypoint track is at
-    coordinate c; crossings are zero-length, waits (including the trailing
-    one after the last waypoint) keep their extent."""
-    out = []
-    if not waypoints:
-        return out
-    for (t0, x0), (t1, x1) in zip(waypoints, waypoints[1:]):
-        lo, hi = min(x0, x1), max(x0, x1)
-        if lo <= c <= hi:
-            if x0 == x1:
-                out.append((t0, t1))
-            else:
-                tc = t0 + (t1 - t0) * abs(c - x0) / (hi - lo)
-                out.append((tc, tc))
-    t_last, x_last = waypoints[-1]
-    if x_last == c and t_last <= duration:
-        out.append((t_last, duration))
-    return out
 
 
 def cyclify(std: StandardSchedule, instance: Instance) -> Schedule:
@@ -581,7 +557,7 @@ def line_lower_bound(instance: Instance, k: int) -> Fraction:
     best = Fraction(0)
     for members in groups:
         pts = sorted(coords[s] for s in members)
-        val = exact_interval_cover(pts, k) * min(instance.weights[s] for s in members)
+        val = min_interval_cover(pts, k).max_length * min(instance.weights[s] for s in members)
         best = max(best, val)
     return best
 

@@ -225,6 +225,20 @@ def test_solve_line_weighted_reference_instance(tmp_path):
     assert measured <= 120
 
 
+def test_solve_line_weighted_past_oracle_site_budget(tmp_path):
+    # 21 sites: the lower bound must not need the 20-site brute-force oracle
+    inst_path, rep_path = tmp_path / "inst.json", tmp_path / "r.json"
+    run("generate", "--kind", "line-weighted", "--n", 21, "--seed", 1, "--wmax", 1,
+        "--out", inst_path)
+    assert (
+        run("solve", "--instance", inst_path, "--algo", "line-weighted", "--k", 1,
+            "--out-report", rep_path)
+        == EXIT_OK
+    )
+    report = json.loads(rep_path.read_text())
+    assert 0 < to_fraction(report["lower_bound"]) <= to_fraction(report["measured"])
+
+
 def test_threads_flag_does_not_change_output(tmp_path):
     inst_path = tmp_path / "inst.json"
     run("generate", "--kind", "euclidean", "--n", 8, "--seed", 2, "--out", inst_path)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from patrol import evaluate
 from patrol.errors import (
     PeriodOverflowError,
     ResourceLimitError,
@@ -145,6 +146,16 @@ def test_event_budget_bounds_the_whole_evaluation():
     # under the cap the same shape measures: the fast zigzag's period bounds it
     inst, sched = budget_zigzags(2)
     assert max_weighted_latency(sched, inst).max_weighted <= 78
+
+
+def test_event_budget_is_checked_before_any_unroll(monkeypatch):
+    # site 4 breaks the running total; sites 0-3 must not be unrolled first
+    unrolled = []
+    monkeypatch.setattr(evaluate, "_joint_gap", lambda *args: unrolled.append(args))
+    inst, sched = budget_zigzags(100_000)
+    with pytest.raises(PeriodOverflowError):
+        max_weighted_latency(sched, inst)
+    assert not unrolled
 
 
 def test_joint_site_keeps_phase_between_tracks():

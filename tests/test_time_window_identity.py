@@ -6,10 +6,13 @@ _dominates, and ran the same 4-tuple loop again for the candidate window
 lengths.  The reference below keeps that code, so any change in which
 atomics survive (or in their order), in the candidate list, in the DP
 levels built on the atomics, or in a solve shows up here.  The k-robot
-state prune is held to its original float-prefiltered copy the same way.
+state prune is held to its original float-prefiltered copy the same way,
+and validate_standard, which reads visits from the evaluator, to its
+original Fraction visit rule on the schedule before reversal.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -20,11 +23,14 @@ from patrol.instance import dump_instance, line_instance, round_weights_dyadic
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
+    StandardSchedule,
     candidate_window_lengths,
     construct_schedule,
     enumerate_atomics,
+    realize_node,
     solve_line_weighted,
     type_two,
+    validate_standard,
 )
 
 TWO_THIRDS = Fraction(2, 3)
@@ -300,3 +306,101 @@ def test_state_prune_matches_reference(monkeypatch):
                 ]
                 lists += 1
     assert lists > 600
+
+
+# --- validate_standard against its original Fraction visit rule --------------
+
+
+def reference_visit_intervals(waypoints, duration, c):
+    out = []
+    if not waypoints:
+        return out
+    for (t0, x0), (t1, x1) in zip(waypoints, waypoints[1:]):
+        lo, hi = min(x0, x1), max(x0, x1)
+        if lo <= c <= hi:
+            if x0 == x1:
+                out.append((t0, t1))
+            else:
+                tc = t0 + (t1 - t0) * abs(c - x0) / (hi - lo)
+                out.append((tc, tc))
+    t_last, x_last = waypoints[-1]
+    if x_last == c and t_last <= duration:
+        out.append((t_last, duration))
+    return out
+
+
+def reference_every_block_met(spans, block, blocks):
+    i, reach = 0, -1
+    for b in range(blocks):
+        while i < len(spans) and spans[i][0] <= (b + 1) * block:
+            reach = max(reach, spans[i][1])
+            i += 1
+        if reach < b * block:
+            return False
+    return True
+
+
+def reference_validate_standard(std, instance):
+    """The original check: the standard schedule before reversal, over
+    [0, D], with exact coordinate equality and its own trailing wait."""
+    coords = instance.metric.coords
+    L = std.window
+    if L == 0:
+        positions = {wps[0][1] for wps in std.robot_waypoints}
+        return all(coords[s] in positions for s in instance.sites)
+    for j, members in round_weights_dyadic(instance)[0].classes:
+        for s in members:
+            spans = [span for wps in std.robot_waypoints
+                     for span in reference_visit_intervals(wps, std.duration, coords[s])]
+            if not reference_every_block_met(sorted(spans), L * 2**j, 2 ** (std.levels - j)):
+                return False
+    return True
+
+
+def without_window(node, instance, L, robot, window):
+    """node realized with one visiting window of one robot made pure travel."""
+    slots = node.slots()
+    tracks = []
+    for r in range(len(node.reps)):
+        mine = [slot[r] for slot in slots]
+        if r == robot:
+            mine[window] = type_two()
+        tracks.append(time_window._realize_track(mine, instance.metric.coords, L))
+    return StandardSchedule(L, len(slots).bit_length() - 1, tuple(tracks))
+
+
+def test_validate_standard_matches_reference(dp_cases):
+    """Every top-level DP node of the sweep, realized as it is and with
+    each visiting window dropped in turn, gets the original's answer."""
+    answers = Counter()
+    for inst, k in dp_cases:
+        cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
+        for L in cands[:: max(1, len(cands) // 4)]:
+            _, levels = construct_schedule(inst, k, L, keep_levels=True)
+            for node in levels[-1]:
+                std = realize_node(node, inst, L)
+                assert validate_standard(std, inst) and reference_validate_standard(std, inst)
+                answers["node"] += 1
+                for w, slot in enumerate(node.slots()):
+                    for r, rep in enumerate(slot):
+                        if rep.visits:
+                            std = without_window(node, inst, L, r, w)
+                            got = validate_standard(std, inst)
+                            assert got == reference_validate_standard(std, inst), (inst, k, L, r, w)
+                            answers[got] += 1
+    assert answers["node"] > 100 and answers[False] > 100 and answers[True] > 100, answers
+
+
+def test_validate_standard_stationary_and_one_site():
+    """Coincident sites and a single site, at L = 0 and L > 0: robots
+    that never move, and (False) one parked away from the sites."""
+    for coords, weights in (([2, 2, 2], [1, 2, 4]), ([Fraction(3, 7)], [1])):
+        inst = line_instance(coords, weights)
+        m = round_weights_dyadic(inst)[0].m
+        for L in (Fraction(0), Fraction(1, 3), Fraction(2)):
+            for k in (1, 2):
+                std = construct_schedule(inst, k, L)
+                assert validate_standard(std, inst) and reference_validate_standard(std, inst)
+                away = StandardSchedule(L, m, (((Fraction(0), Fraction(5)),),) * k)
+                assert not validate_standard(away, inst)
+                assert not reference_validate_standard(away, inst)
