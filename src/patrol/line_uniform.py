@@ -15,6 +15,7 @@ from math import lcm
 
 from .errors import IncompatibleAlgorithmError
 from .instance import Instance
+from .rationals import smallest_accepted
 from .report import SolveReport, build_report
 from .schedule import Schedule, zigzag_track
 
@@ -55,7 +56,7 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     length and the optimum is a pairwise coordinate difference (any
     optimal interval can be shrunk to span exactly its leftmost and
     rightmost point), which is an integer after scaling.  The cover is
-    the greedy sweep at that length.
+    the accepted sweep at that length.
     """
     pts = sorted(Fraction(p) for p in points)
     if not pts:
@@ -64,14 +65,8 @@ def min_interval_cover(points, k: int) -> IntervalCover:
         raise ValueError("k must be positive")
     scale = lcm(*(p.denominator for p in pts))
     ipts = [p.numerator * (scale // p.denominator) for p in pts]
-    lo, hi = 0, ipts[-1] - ipts[0]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _greedy_cover(ipts, mid, k) is None:
-            lo = mid + 1
-        else:
-            hi = mid
-    intervals = [(pts[i], pts[j]) for i, j in _greedy_cover(ipts, hi, k)]
+    _, pieces = smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
+    intervals = [(pts[i], pts[j]) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)
     return IntervalCover(tuple(intervals), max_len)
 

@@ -12,9 +12,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .instance import Metric
+from .rationals import smallest_accepted
 
 TREE_COVER_BETA = 4  # approximation factor of tree_cover, used by all thresholds
 
@@ -200,12 +201,13 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
 
 
 def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
-    """tree_cover without the memo: 120 halvings of B over [0, |MST|].
+    """tree_cover without the memo: B = 0, else the smallest accepted
+    B = |MST| * j / 2^120 for j in [1, 2^120], the 120 halvings of [0, |MST|].
 
-    A probe only counts pieces.  Keeping the `kept` MST edges <= B leaves
-    n - kept components, so a probe with more than t is rejected at once;
-    the walks of every other kept count are built once, and trees only
-    for the final B."""
+    Keeping the `kept` MST edges <= B leaves n - kept components, so a
+    probe with more than t is rejected at once; the walks of every other
+    kept count are built once.  A probe returns each walk's cut pieces, and
+    the trees are built from the accepted probe's."""
     base = mst(sites, metric)
     if t == 1 or len(base.vertices) == 1:
         return TreeCover((base,), base.total_length)
@@ -226,30 +228,26 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
                     regimes[kept].append((order, *_walk_lengths(order, metric)))
         return regimes[kept]
 
-    def accepts(bound: Fraction) -> bool:
+    def cut(bound: Fraction) -> Optional[list]:
+        """(walk, steps, pieces) of each component, or None past t pieces."""
         if len(base.vertices) - bisect_right(lengths, bound) > t:
-            return False
-        count = 0
-        for _, _, prefix in walks(bound):
-            count += len(_cut_walk(prefix, TREE_COVER_BETA * bound, t - count))
-            if count > t:
-                return False
-        return True
+            return None
+        cuts, left = [], t
+        for order, steps, prefix in walks(bound):
+            pieces = _cut_walk(prefix, TREE_COVER_BETA * bound, left)
+            left -= len(pieces)
+            if left < 0:
+                return None
+            cuts.append((order, steps, pieces))
+        return cuts
 
-    lo, hi = Fraction(0), base.total_length
-    if accepts(lo):
-        hi = lo
-    else:
-        for _ in range(120):
-            mid = (lo + hi) / 2
-            if accepts(mid):
-                hi = mid
-            else:
-                lo = mid
-    pieces = []
-    for order, steps, prefix in walks(hi):
-        for first, last in _cut_walk(prefix, TREE_COVER_BETA * hi):
+    cuts = cut(Fraction(0))
+    if cuts is None:
+        _, cuts = smallest_accepted(1, 2**120, lambda j: cut(base.total_length * j / 2**120))
+    trees = []
+    for order, steps, pieces in cuts:
+        for first, last in pieces:
             run = order[first : last + 1]
             edges = [(min(a, b), max(a, b), d) for a, b, d in zip(run, run[1:], steps[first:])]
-            pieces.append(Tree.build(sorted(run), edges))
-    return TreeCover(tuple(pieces), max(p.total_length for p in pieces))
+            trees.append(Tree.build(sorted(run), edges))
+    return TreeCover(tuple(trees), max(p.total_length for p in trees))

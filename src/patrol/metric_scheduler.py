@@ -246,9 +246,7 @@ def solve_metric_detailed(
     return report, MetricSolveDetails(assignment, tuple(trail), classes)
 
 
-def lower_bound_metric(
-    instance: Instance, k: int, budget: Optional[OracleBudget] = None
-) -> Fraction:
+def lower_bound_metric(instance: Instance, k: int) -> Fraction:
     """Certified lower bound from min-max tree covers.
 
     Within any time window equal to the largest visit gap of a class, a
@@ -259,13 +257,12 @@ def lower_bound_metric(
     individually coverable for free.  Small site sets use the exact
     cover, larger ones the approximate cover divided by its factor.
     """
-    budget = budget or OracleBudget()
     if instance.n <= k:
         return Fraction(0)
 
     def cover_value(sites: Sequence[int]) -> Fraction:
-        if len(sites) <= 10 and k <= budget.max_k:
-            return exact_tree_cover(sites, instance.metric, k, budget)
+        if len(sites) <= 10 and k <= OracleBudget().max_k:
+            return exact_tree_cover(sites, instance.metric, k)
         return tree_cover(sites, instance.metric, k).max_length / TREE_COVER_BETA
 
     classes, _ = round_weights_dyadic(instance)

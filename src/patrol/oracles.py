@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, isnan, nan
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -22,25 +22,27 @@ from .metric_core import mst
 from .rationals import to_fraction
 
 
-def _env_timeout() -> float:
-    return float(os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120"))
-
-
 @dataclass(frozen=True)
 class OracleBudget:
     max_sites: int = 20
     max_k: int = 3
-    timeout: float = field(default_factory=_env_timeout)
+    timeout: Optional[float] = None  # seconds; None: PATROL_ORACLE_BUDGET_SECS or 120
 
     def check_sites(self, n: int, limit: int) -> None:
         if n > min(limit, self.max_sites):
             raise ResourceLimitError(f"oracle budget: {n} sites exceeds {limit}")
 
     def deadline(self) -> float:
-        return time.monotonic() + self.timeout
-
-
-DEFAULT_BUDGET = OracleBudget()
+        if self.timeout is not None:
+            return time.monotonic() + self.timeout
+        text = os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120")
+        try:
+            timeout = float(text)
+        except ValueError:
+            timeout = nan
+        if isnan(timeout):
+            raise ValueError(f"PATROL_ORACLE_BUDGET_SECS is not a number: {text!r}")
+        return time.monotonic() + timeout
 
 
 def exact_interval_cover(

@@ -1,4 +1,5 @@
-"""Exact rational parsing, formatting and period arithmetic.
+"""Exact rational parsing, formatting, period arithmetic, and the one
+bisection for the smallest integer a monotone test accepts.
 
 All times and 1D coordinates in this package are `fractions.Fraction`
 values so that visit times, periods and latencies come out exact on
@@ -13,7 +14,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 Real = Union[int, float, str, Fraction]
 
@@ -90,3 +91,19 @@ def lcm_fractions(values: Iterable[Fraction]) -> Fraction:
     if den == 0:
         raise ValueError("lcm of empty sequence")
     return Fraction(num, den)
+
+
+def smallest_accepted(lo: int, hi: int, probe: Callable) -> tuple:
+    """(i, probe(i)) for the smallest i in [lo, hi] that a monotone probe
+    accepts, by bisection at (lo + hi) // 2.  Any result but None accepts.
+    hi is assumed accepted and probed only when every other probe rejects,
+    so at most ceil(log2(hi - lo + 1)) + 1 probes run."""
+    best = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        got = probe(mid)
+        if got is None:
+            lo = mid + 1
+        else:
+            hi, best = mid, got
+    return hi, probe(hi) if best is None else best

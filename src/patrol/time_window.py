@@ -43,6 +43,7 @@ from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import site_visits
 from .instance import Instance, WeightClasses, round_weights_dyadic
 from .line_uniform import min_interval_cover
+from .rationals import smallest_accepted
 from .report import SolveReport, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 
@@ -217,13 +218,12 @@ class StateNode:
     keys: tuple[tuple, ...]
     reps: tuple[AtomicRep, ...]
     level: int
-    atoms: Optional[tuple[AtomicRep, ...]] = None  # level 0: per-robot atomic
     children: Optional[tuple["StateNode", "StateNode"]] = None
 
     def slots(self) -> list[tuple[AtomicRep, ...]]:
         """Per-window atomic summaries, one tuple of k entries per window."""
         if self.level == 0:
-            return [self.atoms]
+            return [self.reps]
         left, right = self.children
         return left.slots() + right.slots()
 
@@ -343,9 +343,8 @@ def construct_schedule(
         for i in combo:
             mask |= masks[i]
         if mask == full:
-            combo_reps = tuple(reps[i] for i in combo)
-            states.append(StateNode(tuple(pool[i] for i in combo), combo_reps, 0,
-                                    atoms=combo_reps))
+            states.append(StateNode(tuple(pool[i] for i in combo),
+                                    tuple(reps[i] for i in combo), 0))
     states = _prune(states, instance, L)
     levels = [states]
 
@@ -469,11 +468,15 @@ def _realize_track(
 def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
     of 2^j windows, over the whole period 2D of the cyclified schedule
-    (both halves) and by the evaluator's visit rule.  Visits are
+    (both halves) and by the evaluator's visit rule."""
+    return _blocks_met(std, cyclify(std, instance), instance)
+
+
+def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance) -> bool:
+    """validate_standard on schedule = cyclify(std, instance).  Visits are
     site_visits' ints in the unit 1/U, so with P = 2D * U block b is
     [b * P, (b + 1) * P] once visit times are scaled by 2^(m+1-j).  A
     stationary track covers its sites at all times."""
-    schedule = cyclify(std, instance)
     unit, _, per_track = site_visits(schedule, instance.metric)
     still = set().union(*(vis for track, vis in zip(schedule.robots, per_track)
                           if len(track.waypoints) == 1))
@@ -583,30 +586,17 @@ def solve_line_weighted(
         )
 
     candidates = [c for c in candidate_window_lengths(instance, k) if c > 0]
-    lo, hi = 0, len(candidates) - 1
-    best: Optional[StandardSchedule] = None
-
-    def probe(idx: int) -> Optional[StandardSchedule]:
-        return construct_schedule(instance, k, candidates[idx], state_cap, pair_cap)
-
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        got = probe(mid)
-        if got is not None:
-            hi, best = mid, got
-        else:
-            lo = mid + 1
-    if best is None:  # every probed midpoint said no; the answer is the top
-        best = probe(hi)
+    _, best = smallest_accepted(0, len(candidates) - 1, lambda i: construct_schedule(
+        instance, k, candidates[i], state_cap, pair_cap))
     if best is None:
         raise AssertionError("the largest candidate window must be schedulable")
 
-    if not validate_standard(best, instance):
-        raise AssertionError("accepted schedule violates its visit windows")
     schedule = cyclify(best, instance)
+    if not _blocks_met(best, schedule, instance):
+        raise AssertionError("accepted schedule violates its visit windows")
     return build_report(
         schedule,
         instance,

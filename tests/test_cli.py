@@ -472,3 +472,21 @@ def test_closed_stdout_ends_without_traceback(tmp_path):
         code = proc.wait(timeout=60)
     assert code == EXIT_BROKEN_PIPE
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_malformed_oracle_budget_variable_leaves_commands_working(tmp_path):
+    """Only the slotted-motion reference search reads
+    PATROL_ORACLE_BUDGET_SECS, so a value that is not a number must not
+    stop importing patrol, generating or solving."""
+    inst_path = tmp_path / "inst.json"
+    src = str(Path(patrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PATROL_ORACLE_BUDGET_SECS="abc")
+    for argv in (
+        ["generate", "--kind", "euclidean", "--n", "5", "--out", str(inst_path)],
+        ["solve", "--instance", str(inst_path), "--algo", "metric", "--k", "2"],
+    ):
+        done = subprocess.run([sys.executable, "-m", "patrol.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr.decode()
+        assert b"Traceback" not in done.stderr

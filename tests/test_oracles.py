@@ -145,3 +145,17 @@ def test_budget_env_override(monkeypatch):
     inst = cooperative_line_instance()
     with pytest.raises(ResourceLimitError, match="timed out"):
         exact_line_weighted_opt(inst, 2, upper_start=Fraction(12), budget=budget)
+
+
+def test_budget_env_variable(monkeypatch):
+    """The slotted-motion search reads PATROL_ORACLE_BUDGET_SECS when it
+    starts; a value that is not a number fails that search alone."""
+    inst = cooperative_line_instance()
+    monkeypatch.setenv("PATROL_ORACLE_BUDGET_SECS", "0")
+    with pytest.raises(ResourceLimitError, match="timed out"):
+        exact_line_weighted_opt(inst, 2, upper_start=Fraction(12))
+    for text in ("abc", "nan"):
+        monkeypatch.setenv("PATROL_ORACLE_BUDGET_SECS", text)
+        with pytest.raises(ValueError, match="PATROL_ORACLE_BUDGET_SECS"):
+            exact_line_weighted_opt(inst, 2, upper_start=Fraction(12))
+    assert exact_interval_cover([0, 1, 5], 2) == 1
