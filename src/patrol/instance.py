@@ -32,10 +32,11 @@ class Metric:
     n x n entries), or "euclidean" (data = n points in R^d).  Line and
     matrix data are exact Fractions; a Euclidean distance is the double
     from math.dist read through its shortest decimal repr (not its exact
-    binary value).  _memo keeps what solvers derive from the metric
-    alone: metric_core.tree_cover per (sorted sites, t) and the
-    time-window atomic table under "atomics"; it takes no part in
-    equality, hashing or repr.
+    binary value).  distance_key(i, j) orders pairs exactly as distance
+    does, without building a Fraction.  _memo keeps what solvers derive
+    from the metric alone: metric_core.tree_cover per (sorted sites, t)
+    and the time-window atomic table under "atomics"; it takes no part
+    in equality, hashing or repr.
     """
 
     variant: str
@@ -58,6 +59,22 @@ class Metric:
         if self.variant == "matrix":
             return self.matrix[i][j]
         return to_fraction(math.dist(self.points[i], self.points[j]))
+
+    def distance_key(self, i: int, j: int):
+        """A key whose order, ties included, is exactly that of distance(i, j).
+
+        Euclidean: the math.dist double itself.  distance() reads a
+        double x through its shortest round-tripping repr, and that read
+        is strictly increasing in x: for doubles x < y, every decimal
+        that rounds to x lies below every decimal that rounds to y
+        (round-to-nearest is monotone), so repr(x) < repr(y) as exact
+        decimals, while equal doubles give equal reprs.  Line and matrix:
+        the exact distance.  Callers compare keys and build a Fraction
+        only for a pair they keep.
+        """
+        if self.variant == "euclidean":
+            return math.dist(self.points[i], self.points[j])
+        return self.distance(i, j)
 
     def validate(self) -> None:
         n = self.n
@@ -100,9 +117,10 @@ class Metric:
 class Instance:
     """A patrol-scheduling problem instance.
 
-    _memo keeps what solvers derive from the whole instance: the
-    time-window solver's weight classes under "dyadic"; it takes no part
-    in equality, hashing or repr.
+    _memo keeps what solvers derive from the whole instance: the weight
+    classes of weight_classes() under "dyadic", shared by the time-window
+    solver, the metric solver and its lower bound; it takes no part in
+    equality, hashing or repr.
     """
 
     metric: Metric
@@ -190,6 +208,15 @@ def round_weights_dyadic(instance: Instance) -> tuple[WeightClasses, list[Fracti
         grouped.setdefault(j, []).append(site)
     classes = tuple((j, tuple(grouped[j])) for j in sorted(grouped))
     return WeightClasses(m=m, classes=classes, scale=scale), rounded
+
+
+def weight_classes(instance: Instance) -> WeightClasses:
+    """round_weights_dyadic's classes, kept in the instance's memo so a
+    solve rounds its weights once."""
+    classes = instance._memo.get("dyadic")
+    if classes is None:
+        classes = instance._memo.setdefault("dyadic", round_weights_dyadic(instance)[0])
+    return classes
 
 
 def load_instance(data: bytes | str) -> Instance:

@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import Optional, Sequence
 
 from .instance import Metric
@@ -91,23 +92,26 @@ def mst(sites: Sequence[int], metric: Metric) -> Tree:
     """Minimum spanning tree of the complete graph induced by the metric.
 
     Kruskal with edges ordered by (length, i, j), so the output is
-    deterministic even when distances tie (including distance 0).
+    deterministic even when distances tie (including distance 0).  The
+    sort is on Metric.distance_key, whose order is exactly the length
+    order, and only the n - 1 accepted edges get an exact length.
     """
     sites = sorted(sites)
     if not sites:
         raise ValueError("mst of an empty site set")
     if len(sites) == 1:
         return Tree.build(sites, [])
+    key = metric.distance_key
     cand = sorted(
-        (metric.distance(a, b), a, b)
+        (key(a, b), a, b)
         for idx, a in enumerate(sites)
         for b in sites[idx + 1 :]
     )
     uf = _UnionFind(sites)
     edges: list[tuple[int, int, Fraction]] = []
-    for d, a, b in cand:
+    for _, a, b in cand:
         if uf.union(a, b):
-            edges.append((a, b, d))
+            edges.append((a, b, metric.distance(a, b)))
             if len(edges) == len(sites) - 1:
                 break
     return Tree.build(sites, edges)
@@ -201,49 +205,68 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
 
 
 def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
-    """tree_cover without the memo: B = 0, else the smallest accepted
-    B = |MST| * j / 2^120 for j in [1, 2^120], the 120 halvings of [0, |MST|].
+    """tree_cover without the memo: the smallest accepted B = |MST| * j / 2^120
+    for j in [0, 2^120], probing j = 0 first and then bisecting [1, 2^120]:
+    the 120 halvings of [0, |MST|].
 
-    Keeping the `kept` MST edges <= B leaves n - kept components, so a
-    probe with more than t is rejected at once; the walks of every other
-    kept count are built once.  A probe returns each walk's cut pieces, and
-    the trees are built from the accepted probe's."""
+    A probe runs on integers.  With |MST| = P/Q, an MST edge of length l
+    is kept (l <= B) iff j >= ceil(l * Q * 2^120 / P), so the kept count is
+    one bisect over those thresholds, and more than t components reject
+    the probe at once.  Each kept count's walks are built once, with
+    prefix lengths in units of 1/M (M the lcm of the step denominators),
+    and are cut at floor(4 * B * M), which keeps the same vertices as the
+    exact cap 4B.  A probe returns each walk's cut pieces, and the trees
+    are built from the accepted probe's, with the exact steps."""
     base = mst(sites, metric)
     if t == 1 or len(base.vertices) == 1:
         return TreeCover((base,), base.total_length)
-    lengths = sorted(d for _, _, d in base.edges)
-    regimes: dict[int, list] = {}
+    P, Q = base.total_length.numerator, base.total_length.denominator
+    scale = Q << 120
+    thresholds = [-(-d.numerator * scale // (d.denominator * P)) if d else 0
+                  for _, _, d in base.edges]
+    ordered = sorted(thresholds)
+    regimes: dict[int, tuple] = {}
 
-    def walks(bound: Fraction) -> list:
-        """(walk, steps, prefix) of each component, in order of its lowest site."""
-        kept = bisect_right(lengths, bound)
+    def walks(j: int, kept: int) -> tuple:
+        """(M, [(walk, steps, prefix in units of 1/M)]) of the components
+        at probe j, in order of their lowest sites."""
         if kept not in regimes:
-            forest = Tree.build(base.vertices, [e for e in base.edges if e[2] <= bound])
+            kept_edges = [e for e, th in zip(base.edges, thresholds) if th <= j]
+            forest = Tree.build(base.vertices, kept_edges)
             seen: set[int] = set()
-            regimes[kept] = []
+            comps = []
             for v in base.vertices:
                 if v not in seen:
                     order = _preorder(forest, v)
                     seen.update(order)
-                    regimes[kept].append((order, *_walk_lengths(order, metric)))
+                    comps.append((order, [metric.distance(a, b) for a, b in zip(order, order[1:])]))
+            M = lcm(*(d.denominator for _, steps in comps for d in steps))
+            regimes[kept] = M, [
+                (order, steps, list(accumulate((d.numerator * (M // d.denominator) for d in steps),
+                                               initial=0)))
+                for order, steps in comps
+            ]
         return regimes[kept]
 
-    def cut(bound: Fraction) -> Optional[list]:
+    def cut(j: int) -> Optional[list]:
         """(walk, steps, pieces) of each component, or None past t pieces."""
-        if len(base.vertices) - bisect_right(lengths, bound) > t:
+        kept = bisect_right(ordered, j)
+        if len(base.vertices) - kept > t:
             return None
+        M, comps = walks(j, kept)
+        cap = TREE_COVER_BETA * P * j * M // scale
         cuts, left = [], t
-        for order, steps, prefix in walks(bound):
-            pieces = _cut_walk(prefix, TREE_COVER_BETA * bound, left)
+        for order, steps, prefix in comps:
+            pieces = _cut_walk(prefix, cap, left)
             left -= len(pieces)
             if left < 0:
                 return None
             cuts.append((order, steps, pieces))
         return cuts
 
-    cuts = cut(Fraction(0))
+    cuts = cut(0)
     if cuts is None:
-        _, cuts = smallest_accepted(1, 2**120, lambda j: cut(base.total_length * j / 2**120))
+        _, cuts = smallest_accepted(1, 2**120, cut)
     trees = []
     for order, steps, pieces in cuts:
         for first, last in pieces:

@@ -16,7 +16,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
-from .instance import Instance, Metric, WeightClasses, round_weights_dyadic
+from .instance import Instance, Metric, WeightClasses, weight_classes
 from .metric_core import TREE_COVER_BETA, Tree, mst, partition_tour, tree_cover, tree_to_tour
 from .oracles import OracleBudget, exact_tree_cover
 from .report import SolveReport, build_report
@@ -152,20 +152,33 @@ def single_robot_schedule(
 
 
 def _closest_positive_distance(instance: Instance) -> Optional[Fraction]:
-    best: Optional[Fraction] = None
-    for i in instance.sites:
-        for j in range(i + 1, instance.n):
-            d = instance.metric.distance(i, j)
-            if d > 0 and (best is None or d < best):
-                best = d
-    return best
+    """The smallest positive distance over all pairs: the smallest positive
+    Metric.distance_key, converted once.  All pairs, not one site per
+    position: a matrix within TRIANGLE_TOL may have d(0,1) = 0 and
+    d(1,2) < d(0,2)."""
+    key = instance.metric.distance_key
+    pairs = ((key(i, j), i, j) for i in instance.sites for j in range(i + 1, instance.n))
+    best = min((p for p in pairs if p[0] > 0), default=None)
+    return None if best is None else instance.metric.distance(best[1], best[2])
 
 
 def _position_groups(instance: Instance) -> list[int]:
-    """One representative site per group of coincident (distance-0) sites."""
+    """One representative site per group of coincident (distance-0) sites.
+
+    Points and coordinates are hashed: a Euclidean distance is 0 exactly
+    when the points are equal (as floats, so -0.0 == 0.0), and a line
+    distance exactly when the coordinates are.  A matrix is scanned, since
+    its zero distances need not be transitive."""
+    metric = instance.metric
+    if metric.variant != "matrix":
+        positions = metric.points if metric.variant == "euclidean" else metric.coords
+        first: dict = {}
+        for s in instance.sites:
+            first.setdefault(positions[s], s)
+        return list(first.values())
     reps: list[int] = []
     for s in instance.sites:
-        if not any(instance.metric.distance(s, r) == 0 for r in reps):
+        if not any(metric.distance(s, r) == 0 for r in reps):
             reps.append(s)
     return reps
 
@@ -201,7 +214,7 @@ def solve_metric_detailed(
         )
         return report, MetricSolveDetails(None, (), None)
 
-    classes, _rounded = round_weights_dyadic(instance)
+    classes = weight_classes(instance)
     start = _closest_positive_distance(instance)
     assert start is not None  # more distinct positions than robots
 
@@ -265,7 +278,7 @@ def lower_bound_metric(instance: Instance, k: int) -> Fraction:
             return exact_tree_cover(sites, instance.metric, k)
         return tree_cover(sites, instance.metric, k).max_length / TREE_COVER_BETA
 
-    classes, _ = round_weights_dyadic(instance)
+    classes = weight_classes(instance)
     bounds = [
         classes.scale * Fraction(1, 2**j) * cover_value(members)
         for j, members in classes.classes

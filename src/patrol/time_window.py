@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import site_visits
-from .instance import Instance, WeightClasses, round_weights_dyadic
+from .instance import Instance, weight_classes
 from .line_uniform import min_interval_cover
 from .rationals import smallest_accepted
 from .report import SolveReport, build_report
@@ -137,15 +137,6 @@ def _atomic_table(instance: Instance) -> tuple:
         )
         table = instance.metric._memo.setdefault("atomics", (D, X, rows, low, high))
     return table
-
-
-def _weight_classes(instance: Instance) -> WeightClasses:
-    """round_weights_dyadic's classes, kept in the instance's memo so a
-    solve rounds its weights once."""
-    classes = instance._memo.get("dyadic")
-    if classes is None:
-        classes = instance._memo.setdefault("dyadic", round_weights_dyadic(instance)[0])
-    return classes
 
 
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
@@ -308,7 +299,7 @@ def construct_schedule(
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
     D, X, _, low, high = _atomic_table(instance)
     scale, per_third = 3 * L.denominator, L.numerator * D
-    classes = _weight_classes(instance)
+    classes = weight_classes(instance)
     m = classes.m
     level_sites = dict(classes.classes)
 
@@ -482,7 +473,7 @@ def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance) -
                           if len(track.waypoints) == 1))
     moving = [vis for track, vis in zip(schedule.robots, per_track) if len(track.waypoints) > 1]
     period = int(2 * std.duration * unit)  # exact when a track moves: 2D is its period
-    for j, members in _weight_classes(instance).classes:
+    for j, members in weight_classes(instance).classes:
         scale = 2 ** (std.levels + 1 - j)
         for s in members:
             if s in still:
@@ -541,7 +532,7 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     D, X, rows, _, _ = _atomic_table(instance)
     values = {Fraction(length3, D) for length3 in {length3 for length3, _ in rows}}
     gaps = {b - a for a in X for b in X if a < b}
-    budgets = 2**_weight_classes(instance).m + 1
+    budgets = 2**weight_classes(instance).m + 1
     if len(gaps) * budgets > DEFAULT_STATE_CAP:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
     # a gap g / D over a budget of (2/3 + hops) windows
@@ -555,7 +546,7 @@ def line_lower_bound(instance: Instance, k: int) -> Fraction:
     if instance.n <= k:
         return Fraction(0)
     coords = instance.metric.coords
-    groups = [members for _, members in _weight_classes(instance).classes]
+    groups = [members for _, members in weight_classes(instance).classes]
     groups.append(tuple(instance.sites))
     best = Fraction(0)
     for members in groups:

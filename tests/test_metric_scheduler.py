@@ -21,6 +21,7 @@ from patrol.metric_scheduler import (
     solve_metric,
     solve_metric_detailed,
 )
+from patrol.rationals import format_fraction
 from patrol.schedule import Schedule, dump_schedule
 from conftest import random_euclidean_instance, random_matrix_instance
 
@@ -290,3 +291,27 @@ def test_baseline_two_clusters_structure():
     rep = baseline_cover_schedule(inst, 2)
     metric_rep = solve_metric(inst, 2)
     assert len(rep.schedule.robots) == len(metric_rep.schedule.robots) == 2
+
+
+def test_solve_metric_rounds_weights_once(monkeypatch):
+    import patrol.instance
+    import patrol.metric_scheduler
+    import patrol.time_window
+
+    calls = []
+    original = patrol.instance.round_weights_dyadic
+    for module in (patrol.instance, patrol.metric_scheduler, patrol.time_window):
+        if hasattr(module, "round_weights_dyadic"):
+            monkeypatch.setattr(module, "round_weights_dyadic",
+                                lambda inst: calls.append(inst) or original(inst))
+    solve_metric(generate_instance("euclidean", 12, 1), 2)
+    assert len(calls) == 1
+
+
+def test_solve_metric_large_euclidean_pinned():
+    # outputs of the Fraction-sorted Kruskal and tree-cover probes this
+    # pipeline replaced, where this solve took about 10 s; now under 1 s
+    rep = solve_metric(generate_instance("euclidean", 500, 1), 4)
+    assert format_fraction(rep.L_accepted) == "20.479999999999563776"
+    assert format_fraction(rep.lower_bound) == "86.10761747780660457"
+    assert format_fraction(rep.measured_latency) == "3860.060341199393113384"
