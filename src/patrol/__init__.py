@@ -2,7 +2,6 @@
 
 from .evaluate import (
     LatencyReport,
-    combined_period,
     max_weighted_latency,
     validate_speed,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "Schedule",
     "baseline_cover_schedule",
     "candidate_window_lengths",
-    "combined_period",
     "concat",
     "construct_schedule",
     "cyclify",

@@ -37,7 +37,7 @@ from math import floor, gcd, lcm
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import format_fraction, lcm_fractions, to_fraction
+from .rationals import format_fraction, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute, on coordinates/distances
@@ -190,24 +190,6 @@ def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
             if d - (t1 - t0) > tol:
                 violations.append(SpeedViolation(r, i, Fraction(d, unit), Fraction(t1 - t0, unit)))
     return violations
-
-
-def combined_period(
-    schedule: Schedule, metric: Metric | None = None, event_cap: int = DEFAULT_EVENT_CAP
-) -> Fraction:
-    """Least common period of all robot tracks.
-
-    Raises PeriodOverflowError when unrolling every track to the common
-    period would exceed event_cap waypoint events.
-    """
-    if metric is not None:
-        schedule = schedule.expanded(metric)
-    if any(not isinstance(t, RobotTrack) for t in schedule.robots):
-        raise ScheduleFormatError("symbolic tracks need a metric to expand")
-    total = lcm_fractions(t.period for t in schedule.robots)
-    if sum(int(total / t.period) * len(t.waypoints) for t in schedule.robots) > event_cap:
-        raise PeriodOverflowError(f"common period {total} needs more than {event_cap} events")
-    return total
 
 
 def _sites_near(schedule: Schedule, metric: Metric, unit: int):

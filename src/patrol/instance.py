@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InstanceError
-from .rationals import format_fraction, to_fraction
+from .rationals import float_to_fraction, format_fraction, to_fraction
 
 TRIANGLE_TOL = 1e-9
 
@@ -58,7 +58,7 @@ class Metric:
             return abs(self.coords[i] - self.coords[j])
         if self.variant == "matrix":
             return self.matrix[i][j]
-        return to_fraction(math.dist(self.points[i], self.points[j]))
+        return float_to_fraction(math.dist(self.points[i], self.points[j]))
 
     def distance_key(self, i: int, j: int):
         """A key whose order, ties included, is exactly that of distance(i, j).

