@@ -178,12 +178,6 @@ class WeightClasses:
     classes: tuple[tuple[int, tuple[int, ...]], ...]
     scale: Fraction  # original max weight; scaled weight = original / scale
 
-    def class_of(self, site: int) -> int:
-        for j, members in self.classes:
-            if site in members:
-                return j
-        raise KeyError(site)
-
 
 def round_weights_dyadic(instance: Instance) -> tuple[WeightClasses, list[Fraction]]:
     """Scale weights to max 1 and round each up to the next power of 1/2.

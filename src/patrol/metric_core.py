@@ -46,15 +46,8 @@ class Tree:
 
 @dataclass(frozen=True)
 class Tour:
-    """An open walk visiting each of its vertices once."""
-
-    vertices: tuple[int, ...]
-    length: Fraction
-
-
-@dataclass(frozen=True)
-class Path:
-    """A contiguous piece of a tour."""
+    """An open walk visiting each of its vertices once (a whole tour, or a
+    contiguous piece of one)."""
 
     vertices: tuple[int, ...]
     length: Fraction
@@ -66,55 +59,36 @@ class TreeCover:
     max_length: Fraction
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:  # keep the smallest index as the representative
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-
 def mst(sites: Sequence[int], metric: Metric) -> Tree:
     """Minimum spanning tree of the complete graph induced by the metric.
 
-    Kruskal with edges ordered by (length, i, j), so the output is
-    deterministic even when distances tie (including distance 0).  The
-    sort is on Metric.distance_key, whose order is exactly the length
-    order, and only the n - 1 accepted edges get an exact length.
+    Edges are ordered by (length, i, j) with i < j, a strict total order
+    (so the tree is unique and deterministic even when distances tie,
+    including distance 0), compared on Metric.distance_key, whose order
+    is exactly the length order.  One O(n^2) Prim/Jarnik pass from the
+    lowest site keeps only each outside site's cheapest edge into the
+    tree; the n - 1 chosen edges come back in that order, and only they
+    get an exact length.  Repeated ids are spanned once: vertices is the
+    sorted input, edges join its distinct ids.
     """
     sites = sorted(sites)
     if not sites:
         raise ValueError("mst of an empty site set")
-    if len(sites) == 1:
-        return Tree.build(sites, [])
     key = metric.distance_key
-    cand = sorted(
-        (key(a, b), a, b)
-        for idx, a in enumerate(sites)
-        for b in sites[idx + 1 :]
-    )
-    uf = _UnionFind(sites)
-    edges: list[tuple[int, int, Fraction]] = []
-    for _, a, b in cand:
-        if uf.union(a, b):
-            edges.append((a, b, metric.distance(a, b)))
-            if len(edges) == len(sites) - 1:
-                break
-    return Tree.build(sites, edges)
+    root, *rest = dict.fromkeys(sites)
+    best = {v: (key(root, v), root, v) for v in rest}  # cheapest edge into the tree
+    chosen = []
+    while best:
+        v = min(best, key=best.__getitem__)
+        chosen.append(best.pop(v))
+        for w, edge in best.items():
+            d = key(v, w)  # keys are symmetric
+            if d <= edge[0]:
+                cand = (d, v, w) if v < w else (d, w, v)
+                if cand < edge:
+                    best[w] = cand
+    chosen.sort()
+    return Tree.build(sites, [(a, b, metric.distance(a, b)) for _, a, b in chosen])
 
 
 def _preorder(tree: Tree, start: int) -> tuple[int, ...]:
@@ -166,7 +140,7 @@ def _cut_walk(prefix: Sequence[Fraction], cap: Fraction, limit=None) -> list[tup
     return pieces
 
 
-def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Path]:
+def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Tour]:
     """Split a tour into consecutive pieces of length <= delta.
 
     Cuts happen between sites; the tour edge crossing a cut is dropped
@@ -178,7 +152,7 @@ def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Path]:
         raise ValueError("delta must be positive")
     _, prefix = _walk_lengths(tour.vertices, metric)
     return [
-        Path(tour.vertices[first : last + 1], prefix[last] - prefix[first])
+        Tour(tour.vertices[first : last + 1], prefix[last] - prefix[first])
         for first, last in _cut_walk(prefix, delta)
     ]
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
@@ -145,10 +144,10 @@ def single_robot_schedule(
         tour = tree_to_tour(tree, min(tree.vertices), metric)
         pieces = partition_tour(tour, delta, metric)
         paths_per_tree.append(tuple(p.vertices for p in pieces))
-    rounds = len(paths_per_tree) * lcm(*[len(p) for p in paths_per_tree])
-    if rounds > ROUND_CAP:
-        return RoundRobinTrack(tuple(paths_per_tree))
-    return expand_round_robin(paths_per_tree, metric)
+    track = RoundRobinTrack(tuple(paths_per_tree))
+    if track.rounds_to_repeat() > ROUND_CAP:
+        return track
+    return expand_round_robin(track.trees, metric)
 
 
 def _closest_positive_distance(instance: Instance) -> Optional[Fraction]:
@@ -297,10 +296,7 @@ def baseline_cover_schedule(instance: Instance, k: int) -> SolveReport:
     tracks = []
     for tree in cover.trees:
         tour = tree_to_tour(tree, min(tree.vertices), instance.metric)
-        if len(tour.vertices) == 1:
-            tracks.append(stationary_track(SitePos(tour.vertices[0])))
-        else:
-            tracks.append(loop_track(tour.vertices, instance.metric))
+        tracks.append(loop_track(tour.vertices, instance.metric))
     return build_report(
         Schedule(tuple(tracks)),
         instance,

@@ -15,12 +15,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Sequence, Union
 
 from .errors import ResourceLimitError, ScheduleFormatError
 from .instance import Metric
 from .rationals import format_fraction, to_fraction
+
+EXPAND_ROUND_CAP = 2_000_000  # rounds a round-robin track may take to close
 
 
 @dataclass(frozen=True)
@@ -119,11 +122,11 @@ class RoundRobinTrack:
         counts = [len(paths) for paths in self.trees]
         return len(self.trees) * lcm(*counts)
 
-    def expand(self, metric: Metric, max_rounds: int = 2_000_000) -> RobotTrack:
+    def expand(self, metric: Metric) -> RobotTrack:
         rounds = self.rounds_to_repeat()
-        if rounds > max_rounds:
+        if rounds > EXPAND_ROUND_CAP:
             raise ResourceLimitError(
-                f"round-robin track needs {rounds} rounds to close; cap is {max_rounds}"
+                f"round-robin track needs {rounds} rounds to close; cap is {EXPAND_ROUND_CAP}"
             )
         return expand_round_robin(self.trees, metric)
 
@@ -135,10 +138,10 @@ Track = Union[RobotTrack, RoundRobinTrack]
 class Schedule:
     robots: tuple[Track, ...]
 
-    def expanded(self, metric: Metric, max_rounds: int = 2_000_000) -> "Schedule":
+    def expanded(self, metric: Metric) -> "Schedule":
         return Schedule(
             tuple(
-                r.expand(metric, max_rounds) if isinstance(r, RoundRobinTrack) else r
+                r.expand(metric) if isinstance(r, RoundRobinTrack) else r
                 for r in self.robots
             )
         )
@@ -147,38 +150,27 @@ class Schedule:
 def expand_round_robin(
     trees: Sequence[Sequence[Sequence[int]]], metric: Metric
 ) -> RobotTrack:
-    """Materialize one full period of the round-robin walk."""
-    h = len(trees)
-    counts = [len(paths) for paths in trees]
-    rounds = h * lcm(*counts)
-    idx = [0] * h
-    t = Fraction(0)
-    start = trees[0][0][0]
-    pos = start
-    waypoints: list[tuple[Fraction, Position]] = [(t, SitePos(start))]
+    """Materialize one full period of the round-robin walk.
 
-    def advance(target: int):
-        nonlocal t, pos
-        step = metric.distance(pos, target)
+    Round r traverses piece r // h (modulo its piece count) of tree r % h;
+    after h * lcm(piece counts) rounds every piece index has wrapped, and
+    the walk closes back at its first site."""
+    h = len(trees)
+    rounds = h * lcm(*(len(paths) for paths in trees))
+    start = trees[0][0][0]
+    walk = chain.from_iterable(trees[r % h][r // h % len(trees[r % h])] for r in range(rounds))
+    t, pos = Fraction(0), start
+    waypoints: list[tuple[Fraction, Position]] = [(t, SitePos(start))]
+    for v in chain(walk, (start,)):
+        step = metric.distance(pos, v)
         if step > 0:
             t += step
-            waypoints.append((t, SitePos(target)))
-        pos = target
-
-    for r in range(rounds):
-        i = r % h
-        piece = trees[i][idx[i]]
-        advance(piece[0])
-        for v in piece[1:]:
-            advance(v)
-        idx[i] += 1
-        if idx[i] == counts[i]:
-            idx[i] = 0
-    advance(start)  # close the period back at the starting vertex
-    period = t
-    if period == 0:
+            waypoints.append((t, SitePos(v)))
+        pos = v
+    if t == 0:
         return RobotTrack(Fraction(1), (waypoints[0],))
-    return RobotTrack(period, tuple(waypoints[:-1]) if waypoints[-1][0] == period else tuple(waypoints))
+    # the last waypoint, at time t, is where the track wraps to its start
+    return RobotTrack(t, tuple(waypoints[:-1]))
 
 
 def stationary_track(pos: Position, period: Fraction = Fraction(1)) -> RobotTrack:
@@ -200,21 +192,7 @@ def zigzag_track(left: Fraction, right: Fraction) -> RobotTrack:
 
 def loop_track(sites: Sequence[int], metric: Metric) -> RobotTrack:
     """Repeatedly traverse the closed tour site[0] -> ... -> site[-1] -> site[0]."""
-    order = list(sites)
-    t = Fraction(0)
-    waypoints: list[tuple[Fraction, Position]] = [(t, SitePos(order[0]))]
-    for a, b in zip(order, order[1:]):
-        d = metric.distance(a, b)
-        if d > 0:
-            t += d
-            waypoints.append((t, SitePos(b)))
-    back = metric.distance(order[-1], order[0])
-    period = t + back
-    if period == 0:
-        return stationary_track(SitePos(order[0]))
-    if back == 0:  # the last site sits on the first, where the track wraps
-        waypoints.pop()
-    return RobotTrack(period, tuple(waypoints))
+    return expand_round_robin(((tuple(sites),),), metric)
 
 
 # --- serialization ---------------------------------------------------------
@@ -294,17 +272,3 @@ def load_schedule(data: bytes | str) -> Schedule:
         except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ScheduleFormatError(f"malformed robot track: {exc}") from exc
     return Schedule(tuple(tracks))
-
-
-def shift_track(track: RobotTrack, delta: Fraction) -> RobotTrack:
-    """Rotate a track in time by delta (mod period); used by tests."""
-    period = track.period
-    delta = delta % period
-    base = track.waypoints[0][0]
-    shifted = sorted(((t - base + delta) % period, p) for t, p in track.waypoints)
-    merged: list[tuple[Fraction, Position]] = []
-    for t, p in shifted:
-        if merged and merged[-1][0] == t:
-            continue
-        merged.append((t, p))
-    return RobotTrack(period, tuple(merged))

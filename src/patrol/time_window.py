@@ -285,8 +285,6 @@ def construct_schedule(
     instance: Instance,
     k: int,
     L: Fraction,
-    state_cap: int = DEFAULT_STATE_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
     keep_levels: bool = False,
 ):
     """Decide whether a standard k-robot schedule of window L exists.
@@ -322,7 +320,7 @@ def construct_schedule(
         return got
 
     atoms = _prune_atomics(enumerate_atomics(instance, L), X)
-    if len(atoms) ** k > pair_cap:
+    if len(atoms) ** k > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(
             f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
         )
@@ -341,7 +339,7 @@ def construct_schedule(
 
     for h in range(1, m + 1):
         prev = levels[-1]
-        if len(prev) ** 2 > pair_cap:
+        if len(prev) ** 2 > DEFAULT_PAIR_CAP:
             raise ResourceLimitError(
                 f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
             )
@@ -372,21 +370,14 @@ def construct_schedule(
                     nxt.append(StateNode(tuple(pool[i] for i in out),
                                          tuple(reps[i] for i in out), h,
                                          children=(left, right)))
-                    if len(nxt) > state_cap:
+                    if len(nxt) > DEFAULT_STATE_CAP:
                         raise ResourceLimitError(
-                            f"more than {state_cap} states at level {h}"
+                            f"more than {DEFAULT_STATE_CAP} states at level {h}"
                         )
         levels.append(_prune(nxt, instance, L))
 
     answer = _realize(levels[m][0], instance, L, m) if levels[m] else None
     return (answer, levels) if keep_levels else answer
-
-
-def realize_node(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedule:
-    """Replay any DP node into explicit motion (used by invariant tests)."""
-    span = node.reps[0].span
-    levels = span.bit_length() - 1
-    return _realize(node, instance, L, levels)
 
 
 def _realize(node: StateNode, instance: Instance, L: Fraction, m: int) -> StandardSchedule:
@@ -556,12 +547,7 @@ def line_lower_bound(instance: Instance, k: int) -> Fraction:
     return best
 
 
-def solve_line_weighted(
-    instance: Instance,
-    k: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-) -> SolveReport:
+def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
     """Approximate weighted line scheduling: smallest candidate window
     that admits a standard schedule, made periodic by reversal."""
     if not instance.is_line():
@@ -580,8 +566,8 @@ def solve_line_weighted(
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
-    _, best = smallest_accepted(0, len(candidates) - 1, lambda i: construct_schedule(
-        instance, k, candidates[i], state_cap, pair_cap))
+    _, best = smallest_accepted(0, len(candidates) - 1,
+                                lambda i: construct_schedule(instance, k, candidates[i]))
     if best is None:
         raise AssertionError("the largest candidate window must be schedulable")
 

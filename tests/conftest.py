@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 
 from patrol.instance import Instance, euclidean_instance, line_instance, matrix_instance
+from patrol.time_window import _realize
 
 
 def random_line_coords(rng: random.Random, n: int, hi: int = 2000) -> list[Fraction]:
@@ -42,3 +43,9 @@ def random_matrix_instance(rng: random.Random, n: int, wchoices=(1, 2)) -> Insta
     ]
     weights = [rng.choice(wchoices) for _ in range(n)]
     return matrix_instance(matrix, weights)
+
+
+def realize_node(node, instance: Instance, L: Fraction):
+    """Replay any time-window DP node into explicit motion."""
+    levels = node.reps[0].span.bit_length() - 1
+    return _realize(node, instance, L, levels)

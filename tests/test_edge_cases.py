@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import patrol.metric_scheduler as ms
+import patrol.time_window as tw
 from patrol.errors import InstanceError, ResourceLimitError
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.instance import (
@@ -61,10 +62,11 @@ def test_single_robot_schedule_symbolic_under_low_cap(monkeypatch):
     assert rep.measured_latency > 0
 
 
-def test_time_window_state_cap_raises():
+def test_time_window_state_cap_raises(monkeypatch):
+    monkeypatch.setattr(tw, "DEFAULT_PAIR_CAP", 10)
     inst = line_instance([0, 2, 5, 9], [1, 2, 4, 1])
     with pytest.raises(ResourceLimitError):
-        solve_line_weighted(inst, 2, pair_cap=10)
+        solve_line_weighted(inst, 2)
 
 
 def test_time_window_k3_guarded_but_small_cases_work():

@@ -33,6 +33,13 @@ def classes_of(inst: Instance):
     return classes
 
 
+def class_of(classes, site: int) -> int:
+    for j, members in classes.classes:
+        if site in members:
+            return j
+    raise KeyError(site)
+
+
 def check_assignment_invariants(assignment: RobotAssignment, inst: Instance):
     """Partition, ball, tree-count and depot-separation conditions."""
     classes = classes_of(inst)
@@ -50,7 +57,7 @@ def check_assignment_invariants(assignment: RobotAssignment, inst: Instance):
                 for v in tree.vertices:
                     assert metric.distance(v, depot) <= radius
         for v in plan.sites():  # depot weight is maximal for the robot
-            assert classes.class_of(v) >= plan.depot_class
+            assert class_of(classes, v) >= plan.depot_class
     assert sorted(seen) == list(inst.sites)
     for i, a in enumerate(assignment.robots):
         for b in assignment.robots[i + 1 :]:

@@ -14,11 +14,11 @@ from patrol.time_window import (
     construct_schedule,
     cyclify,
     enumerate_atomics,
-    realize_node,
     solve_line_weighted,
     type_two,
     validate_standard,
 )
+from conftest import realize_node
 
 TWO_THIRDS = Fraction(2, 3)
 

@@ -27,11 +27,11 @@ from patrol.time_window import (
     candidate_window_lengths,
     construct_schedule,
     enumerate_atomics,
-    realize_node,
     solve_line_weighted,
     type_two,
     validate_standard,
 )
+from conftest import realize_node
 
 TWO_THIRDS = Fraction(2, 3)
 
