@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 infeasible or incompatible input, 3 validation
 failure (speed violation or unvisited site), 4 resource cap exceeded.
-A reader that closes standard output early ends the command quietly with 1.
+A reader that closes standard output early ends the command quietly with 1;
+a failed internal check (a solver bug) ends it with 1 and one line,
+"internal error: ...", on standard error.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ ALGOS = ("metric", "baseline", "line-uniform", "line-single", "line-weighted")
 
 EXIT_OK = 0
 EXIT_BROKEN_PIPE = 1
+EXIT_INTERNAL = 1  # what Python itself exits with on an uncaught exception
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_RESOURCE = 4
@@ -220,6 +223,9 @@ def main(argv=None) -> int:
     except PatrolError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -151,14 +151,18 @@ def single_robot_schedule(
 
 
 def _closest_positive_distance(instance: Instance) -> Optional[Fraction]:
-    """The smallest positive distance over all pairs: the smallest positive
-    Metric.distance_key, converted once.  All pairs, not one site per
-    position: a matrix within TRIANGLE_TOL may have d(0,1) = 0 and
-    d(1,2) < d(0,2)."""
+    """The smallest positive distance over all pairs: a running minimum of
+    the positive Metric.distance_key values, converted once.  All pairs,
+    not one site per position: a matrix within TRIANGLE_TOL may have
+    d(0,1) = 0 and d(1,2) < d(0,2)."""
     key = instance.metric.distance_key
-    pairs = ((key(i, j), i, j) for i in instance.sites for j in range(i + 1, instance.n))
-    best = min((p for p in pairs if p[0] > 0), default=None)
-    return None if best is None else instance.metric.distance(best[1], best[2])
+    best = pair = None
+    for i in instance.sites:
+        for j in range(i + 1, instance.n):
+            d = key(i, j)
+            if d > 0 and (best is None or d < best):
+                best, pair = d, (i, j)
+    return None if pair is None else instance.metric.distance(*pair)
 
 
 def _position_groups(instance: Instance) -> list[int]:

@@ -19,16 +19,22 @@ made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  That periodic schedule, the one
 returned, is what validate_standard checks, block by block over its
 whole period, with the evaluator's visit rule (evaluate.site_visits).
-Atomics do not depend on L: an instance lists them once, with
-integer-scaled tour lengths, and a probe keeps those that fit; one
-dominates another exactly when they share start and end coordinates
-and its hull contains the other's.  The DP runs on
-integer summaries (start, end, left, right, before3, after3, span) with
-slacks in thirds of L: for L = p/q and D the lcm of the coordinate
-denominators, its junction rule and prune compare integers in units of
-1/(3qD), where coordinate i is 3q * X[i] with X = D * coords and L/3 is
-p * D.  Fractions appear only at the public API (AtomicRep, concat, the
-candidate windows) and in realization.
+The DP runs on integer summaries (start, end, left, right, before3,
+after3, span) with slacks in thirds of L: for L = p/q and D the lcm of
+the coordinate denominators, its junction rule and prune compare
+integers in units of 1/(3qD), where coordinate i is 3q * X[i] with X =
+D * coords and L/3 is p * D.  Fractions appear only at the public API
+(AtomicRep, StateNode.reps, concat, the candidate windows) and in
+realization.
+
+What does not depend on L is built once, not once per probe of the
+window search.  Per Metric: the atomic table, every visiting 4-tuple
+with its integer-scaled tour length (a probe keeps those that fit; one
+dominates another exactly when they share start and end coordinates and
+its hull contains the other's).  Per Instance: the summary pool, which
+interns each summary once and keeps its hull mask over its weight
+class's sites.  Per probe: the junction memo, the levels and their
+prunes, which read L.
 """
 
 from __future__ import annotations
@@ -82,6 +88,9 @@ def type_two(span: int = 1) -> AtomicRep:
     return AtomicRep(None, None, None, None, ZERO, Fraction(span), span)
 
 
+_TRAVEL = type_two()  # one object, so the summary pool maps it to its id by identity
+
+
 def _summary(rep: AtomicRep) -> tuple:
     """rep as the integer summary (start, end, left, right, before3,
     after3, span), its slacks counted in thirds of L."""
@@ -107,12 +116,6 @@ def canonical_path_order(
     return [s, right, left, e]
 
 
-def canonical_path_length(coords, s: int, e: int, left: int, right: int) -> Fraction:
-    """Length of the canonical_path_order tour (an int on int coords)."""
-    order = canonical_path_order(coords, s, e, left, right)
-    return sum(abs(coords[b] - coords[a]) for a, b in zip(order, order[1:]))
-
-
 def _scaled(coords: Sequence[Fraction]) -> tuple:
     """(D, X, low, high): D is the lcm of the coordinate denominators, X
     the coordinates times D, and low[i] = (X[i], i) / high[i] = (X[i], -i)
@@ -125,17 +128,24 @@ def _scaled(coords: Sequence[Fraction]) -> tuple:
 def _atomic_table(instance: Instance) -> tuple:
     """(D, X, rows, low, high), kept in the Metric's memo, with D, X, low
     and high as in _scaled; the rows are the visiting 4-tuples in product
-    order as (3 * D * canonical tour length, AtomicRep)."""
+    order as (3 * D * canonical tour length, AtomicRep).  The canonical
+    length of s -> e through the extremes l <= s, e <= r is
+    (r - l) + min((s - l) + (r - e), (r - s) + (e - l))."""
     table = instance.metric._memo.get("atomics")
     if table is None:
         D, X, low, high = _scaled(instance.metric.coords)
-        rows = tuple(
-            (3 * canonical_path_length(X, s, e, left, right),
-             AtomicRep(s, e, left, right, ZERO, TWO_THIRDS, 1))
-            for s, e, left, right in product(range(len(X)), repeat=4)
-            if X[left] <= min(X[s], X[e]) and X[right] >= max(X[s], X[e])
-        )
-        table = instance.metric._memo.setdefault("atomics", (D, X, rows, low, high))
+        rows = []
+        for s, xs in enumerate(X):
+            for e, xe in enumerate(X):
+                lo, hi = min(xs, xe), max(xs, xe)
+                rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
+                for left, xl in enumerate(X):
+                    if xl > lo:
+                        continue
+                    for right, xr in rights:
+                        length = (xr - xl) + min((xs - xl) + (xr - xe), (xr - xs) + (xe - xl))
+                        rows.append((3 * length, AtomicRep(s, e, left, right, ZERO, TWO_THIRDS, 1)))
+        table = instance.metric._memo.setdefault("atomics", (D, X, tuple(rows), low, high))
     return table
 
 
@@ -144,7 +154,7 @@ def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     tour fits in L/3, plus the single pure-travel summary."""
     D, _, rows, _, _ = _atomic_table(instance)
     cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
-    return [rep for length3, rep in rows if length3 <= cap] + [type_two()]
+    return [rep for length3, rep in rows if length3 <= cap] + [_TRAVEL]
 
 
 def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
@@ -154,8 +164,10 @@ def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
     2-D maxima of Kung, Luccio and Preparata)."""
     groups: dict = {}
     for i, r in enumerate(reps):
-        ends = (X[r.start], X[r.end]) if r.visits else None
-        hull = (X[r.left], X[r.right]) if r.visits else (0, 0)
+        if r.start is None:
+            ends, hull = None, (0, 0)
+        else:
+            ends, hull = (X[r.start], X[r.end]), (X[r.left], X[r.right])
         groups.setdefault(ends, {}).setdefault(hull, i)
     keep = []
     for hulls in groups.values():
@@ -204,12 +216,18 @@ def concat(
 @dataclass
 class StateNode:
     """One k-robot summary with enough structure to replay the motion:
-    keys are the robots' integer summaries, reps the same as AtomicReps."""
+    keys are the robots' integer summaries, interned in the instance's
+    summary pool and shared by every probe; reps builds the same as
+    AtomicReps on demand (the API and realization), since a probe keeps
+    only its junction memo and its levels."""
 
     keys: tuple[tuple, ...]
-    reps: tuple[AtomicRep, ...]
     level: int
     children: Optional[tuple["StateNode", "StateNode"]] = None
+
+    @property
+    def reps(self) -> tuple[AtomicRep, ...]:
+        return tuple(map(_as_rep, self.keys))
 
     def slots(self) -> list[tuple[AtomicRep, ...]]:
         """Per-window atomic summaries, one tuple of k entries per window."""
@@ -281,6 +299,50 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
     return [node for _, node in kept]
 
 
+class _SummaryPool:
+    """The interned integer summaries of one instance, shared by every
+    probe of a solve, since none depends on L (slacks count thirds of L):
+    the pair loops run on small ints.  pool[i] is summary i and ids its
+    inverse; masks[i] marks the sites of i's level (a span fixes the
+    level) inside i's hull.  The masks read the weight classes, so the
+    pool lives on the Instance, not on its Metric.  atoms maps id(rep) of
+    an AtomicRep to (rep, summary id): identity, not a hash of two
+    Fractions, and holding the rep keeps its id from being reused."""
+
+    def __init__(self, instance: Instance):
+        self.X = _atomic_table(instance)[1]
+        self.level_sites = dict(weight_classes(instance).classes)
+        self.pool: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.masks: list[int] = []
+        self.atoms: dict[int, tuple[AtomicRep, int]] = {}
+
+    def intern(self, key: tuple) -> int:
+        got = self.ids.get(key)
+        if got is None:
+            got = self.ids[key] = len(self.pool)
+            self.pool.append(key)
+            X = self.X
+            sites = () if key[0] is None else self.level_sites.get(key[6].bit_length() - 1, ())
+            self.masks.append(sum(1 << bit for bit, s in enumerate(sites)
+                                  if X[key[2]] <= X[s] <= X[key[3]]))
+        return got
+
+    def atom(self, rep: AtomicRep) -> int:
+        hit = self.atoms.get(id(rep))
+        if hit is None:
+            hit = self.atoms[id(rep)] = (rep, self.intern(_summary(rep)))
+        return hit[1]
+
+
+def _summary_pool(instance: Instance) -> _SummaryPool:
+    """The instance's _SummaryPool, kept in its memo under "summaries"."""
+    pool = instance._memo.get("summaries")
+    if pool is None:
+        pool = instance._memo.setdefault("summaries", _SummaryPool(instance))
+    return pool
+
+
 def construct_schedule(
     instance: Instance,
     k: int,
@@ -297,34 +359,17 @@ def construct_schedule(
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
     D, X, _, low, high = _atomic_table(instance)
     scale, per_third = 3 * L.denominator, L.numerator * D
-    classes = weight_classes(instance)
-    m = classes.m
-    level_sites = dict(classes.classes)
-
-    # summaries are interned so the pair loops run on small ints with memoized
-    # joins; a span fixes the level, and masks[i] marks its sites in i's hull
-    pool: list[tuple] = []
-    ids: dict[tuple, int] = {}
-    reps: list[AtomicRep] = []
-    masks: list[int] = []
-
-    def intern(key: tuple, rep: Optional[AtomicRep] = None) -> int:
-        got = ids.get(key)
-        if got is None:
-            got = ids[key] = len(pool)
-            pool.append(key)
-            reps.append(rep or _as_rep(key))
-            sites = () if key[0] is None else level_sites.get(key[6].bit_length() - 1, ())
-            masks.append(sum(1 << bit for bit, s in enumerate(sites)
-                             if X[key[2]] <= X[s] <= X[key[3]]))
-        return got
+    m = weight_classes(instance).m
+    summaries = _summary_pool(instance)
+    pool, ids, masks, level_sites = (summaries.pool, summaries.ids, summaries.masks,
+                                     summaries.level_sites)
 
     atoms = _prune_atomics(enumerate_atomics(instance, L), X)
     if len(atoms) ** k > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(
             f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
         )
-    atom_ids = [intern(_summary(rep), rep) for rep in atoms]
+    atom_ids = [summaries.atom(rep) for rep in atoms]
     full = (1 << len(level_sites.get(0, ()))) - 1
     states: list[StateNode] = []
     for combo in product(atom_ids, repeat=k):
@@ -332,8 +377,7 @@ def construct_schedule(
         for i in combo:
             mask |= masks[i]
         if mask == full:
-            states.append(StateNode(tuple(pool[i] for i in combo),
-                                    tuple(reps[i] for i in combo), 0))
+            states.append(StateNode(tuple(pool[i] for i in combo), 0))
     states = _prune(states, instance, L)
     levels = [states]
 
@@ -345,7 +389,7 @@ def construct_schedule(
             )
         full = (1 << len(level_sites.get(h, ()))) - 1
         prev_ids = [tuple(ids[key] for key in node.keys) for node in prev]
-        joins: dict[tuple[int, int], int] = {}  # -1 marks infeasible
+        joins: dict[tuple[int, int], int] = {}  # per probe, as it reads L; -1: infeasible
         nxt: list[StateNode] = []
         seen = set()
         for left, lids in zip(prev, prev_ids):
@@ -357,7 +401,7 @@ def construct_schedule(
                     if ic is None:
                         key = _junction(pool[pair[0]], pool[pair[1]], X, low, high,
                                         scale, per_third)
-                        ic = joins[pair] = -1 if key is None else intern(key)
+                        ic = joins[pair] = -1 if key is None else summaries.intern(key)
                     if ic < 0:
                         break
                     mask |= masks[ic]
@@ -367,8 +411,7 @@ def construct_schedule(
                     if mask != full or out in seen:
                         continue
                     seen.add(out)
-                    nxt.append(StateNode(tuple(pool[i] for i in out),
-                                         tuple(reps[i] for i in out), h,
+                    nxt.append(StateNode(tuple(pool[i] for i in out), h,
                                          children=(left, right)))
                     if len(nxt) > DEFAULT_STATE_CAP:
                         raise ResourceLimitError(
@@ -528,7 +571,13 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
     # a gap g / D over a budget of (2/3 + hops) windows
     values.update(Fraction(3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
-    return sorted(values)
+    # int / int division rounds correctly, so it is monotone: only equal
+    # floats fall through to the exact comparison; past the double range
+    # it overflows, and the exact sort is left
+    try:
+        return sorted(values, key=lambda q: (q.numerator / q.denominator, q))
+    except OverflowError:
+        return sorted(values)
 
 
 def line_lower_bound(instance: Instance, k: int) -> Fraction:

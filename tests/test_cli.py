@@ -11,6 +11,7 @@ import patrol
 from patrol.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_INFEASIBLE,
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -395,6 +396,31 @@ def test_doubling_without_feasible_budget_exit_4(tmp_path, capsys, monkeypatch):
     assert captured.err == (
         "resource cap: doubling search found no feasible budget in 200 doublings\n"
     )
+
+
+def test_failed_internal_check_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    """A solver's own check that fails (here: the accepted schedule's visit
+    windows) ends the command with 1 and one line, as an uncaught
+    exception would exit, but with no traceback."""
+    import patrol.time_window as time_window
+
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    monkeypatch.setattr(time_window, "_blocks_met", lambda *args: False)
+    code = run("solve", "--instance", inst_path, "--algo", "line-weighted", "--k", 1)
+    assert code == EXIT_INTERNAL == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: accepted schedule violates its visit windows\n"
+    monkeypatch.setattr("patrol.cli.solve_line_weighted", _failing_assert)
+    assert run("compare", "--instance", inst_path, "--k", 1,
+               "--algos", "line-single,line-weighted") == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "internal error: assertion failed\n"
+
+
+def _failing_assert(*args):
+    raise AssertionError
 
 
 def evaluate_round_robin_exit_3(tmp_path, capsys, robot, message):

@@ -4,12 +4,12 @@ from itertools import product
 
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.fixtures import cooperative_line_instance
-from patrol.instance import line_instance, round_weights_dyadic
+from patrol.instance import Instance, line_instance, round_weights_dyadic
 from patrol.line_uniform import solve_line_uniform
+from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
     candidate_window_lengths,
-    canonical_path_length,
     concat,
     construct_schedule,
     cyclify,
@@ -61,9 +61,11 @@ def test_enumerate_count_bound():
 
 
 def test_canonical_path_shorter_order():
-    coords = [Fraction(0), Fraction(1), Fraction(5)]
-    # start 1, end 1, extremes 0 and 5: left-first = 1+5+4, right-first = 4+5+1
-    assert canonical_path_length(coords, 1, 1, 0, 2) == 10
+    inst = line_instance([0, 1, 5], [1, 1, 1])
+    # start 1, end 1, extremes 0 and 5: left-first = 1+5+4, right-first = 4+5+1;
+    # an atomic fits when 3 * tour <= L
+    assert atomic(1, 1, 0, 2) in enumerate_atomics(inst, Fraction(30))
+    assert atomic(1, 1, 0, 2) not in enumerate_atomics(inst, Fraction(30) - Fraction(1, 10**9))
 
 
 # --- concatenation rules ----------------------------------------------------
@@ -273,6 +275,68 @@ def test_state_count_bound():
         for h, level in enumerate(levels):
             reps = {node.reps[0] for node in level}
             assert len(reps) <= n**4 * 4**h * 4
+
+
+# --- tables shared by the probes of one instance -----------------------------
+
+
+def solved(inst, k):
+    rep = solve_line_weighted(inst, k)
+    return rep.L_accepted, rep.lower_bound, rep.measured_latency, dump_schedule(rep.schedule)
+
+
+def test_instances_sharing_a_metric_solve_like_fresh_ones():
+    """The atomic table lives on the Metric, the summary pool and its
+    weight-class masks on the Instance: a second weight vector over the
+    same metric must not see the first one's masks."""
+    for k, coords in ((1, [0, 2, Fraction(7, 2), 6]), (2, [0, 2, Fraction(7, 2)])):
+        first = line_instance(coords, [1] * len(coords))
+        solved(first, k)
+        for weights in ([1, 4, 1, 2], [4, 1, 2, 1], [1, 1, 1, 1]):
+            weights = weights[:len(coords)]
+            shared = Instance(metric=first.metric, weights=tuple(map(Fraction, weights)),
+                              kind="line")
+            assert solved(shared, k) == solved(line_instance(coords, weights), k), (k, weights)
+            assert shared.metric._memo["atomics"] is first.metric._memo["atomics"]
+
+
+def test_probes_in_any_order_match_fresh_instances():
+    """construct_schedule at shuffled windows on one instance gives the
+    answers and levels (node.reps, in order) of a fresh instance per
+    window."""
+    rng = random.Random(7)
+    probes = 0
+    for k, n_max, wmax in ((1, 5, 4), (2, 3, 2)):
+        for _ in range(6):
+            n = rng.randint(2, n_max)
+            coords = [Fraction(rng.randint(0, 9), rng.choice((1, 3, 7))) for _ in range(n)]
+            weights = [rng.randint(1, wmax) for _ in range(n)]
+            inst = line_instance(coords, weights)
+            cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
+            probed = rng.sample(cands, min(8, len(cands)))
+            for L in probed:
+                answer, levels = construct_schedule(inst, k, L, keep_levels=True)
+                want, want_levels = construct_schedule(line_instance(coords, weights), k, L,
+                                                       keep_levels=True)
+                assert answer == want, (coords, weights, k, L)
+                assert [[node.reps for node in lv] for lv in levels] == [
+                    [node.reps for node in lv] for lv in want_levels
+                ]
+                probes += 1
+    assert probes > 60
+
+
+def test_candidate_order_when_candidates_share_a_float():
+    """Distinct candidates whose doubles are equal are ordered exactly, and
+    candidates past the double range are still sorted."""
+    big = 10**18
+    inst = line_instance([0, Fraction(big, big + 1), Fraction(big + 1, big + 3), 1],
+                         [1, 2, 1, 4])
+    cands = candidate_window_lengths(inst, 1)
+    assert len({float(c) for c in cands}) < len(cands) == len(set(cands))
+    assert cands == sorted(cands)
+    huge = candidate_window_lengths(line_instance([0, 10**400, 3 * 10**400], [1, 2, 1]), 1)
+    assert huge == sorted(huge) and huge[-1] > 10**400
 
 
 # --- full solver, cyclification ---------------------------------------------
