@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -52,6 +53,14 @@ def _read(path: str, error: type[PatrolError]) -> bytes:
         raise error(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write text to path as it is (no newline translation)."""
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise InstanceError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _read_instance(path: str) -> Instance:
     return load_instance(_read(path, InstanceError))
 
@@ -74,7 +83,7 @@ def run_solver(instance: Instance, algo: str, k: int, refine: bool = False) -> S
 
 def cmd_generate(args) -> int:
     instance = generate_instance(args.kind, args.n, args.seed, gap=args.gap, wmax=args.wmax)
-    Path(args.out).write_text(dump_instance(instance))
+    _write(args.out, dump_instance(instance))
     print(f"wrote {args.out}: kind={args.kind} n={args.n} seed={args.seed}")
     return EXIT_OK
 
@@ -85,7 +94,7 @@ def cmd_solve(args) -> int:
     report = run_solver(instance, args.algo, args.k, refine=args.refine)
     elapsed = time.perf_counter() - started
     if args.out_schedule:
-        Path(args.out_schedule).write_text(dump_schedule(report.schedule))
+        _write(args.out_schedule, dump_schedule(report.schedule))
     doc = report.to_json_dict(seconds=elapsed)
     doc["config"] = {
         "instance": args.instance,
@@ -96,7 +105,7 @@ def cmd_solve(args) -> int:
     }
     text = json.dumps(doc, indent=2)
     if args.out_report:
-        Path(args.out_report).write_text(text)
+        _write(args.out_report, text)
     print(text)
     return EXIT_OK
 
@@ -116,9 +125,9 @@ def cmd_evaluate(args) -> int:
         return EXIT_INVALID
     doc = json.dumps(latency.to_json_dict(), indent=2)
     if args.report:
-        Path(args.report).write_text(doc)
+        _write(args.report, doc)
     if args.csv:
-        Path(args.csv).write_text(latency.to_csv())
+        _write(args.csv, latency.to_csv())
     print(doc)
     return EXIT_OK
 
@@ -144,17 +153,15 @@ def cmd_compare(args) -> int:
                 round(elapsed, 6),
             ]
         )
-    header = ["algo", "measured", "lower_bound", "ratio", "seconds"]
+    table = io.StringIO()
+    writer = csv.writer(table)
+    writer.writerow(["algo", "measured", "lower_bound", "ratio", "seconds"])
+    writer.writerows(rows)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write(args.csv, table.getvalue())
         print(f"wrote {args.csv}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
+        sys.stdout.write(table.getvalue())
     return EXIT_OK
 
 

@@ -299,11 +299,7 @@ def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], lis
             [_track_visits(track, line, near, tol) for track in legs])
 
 
-def max_weighted_latency(
-    schedule: Schedule,
-    instance: Instance,
-    event_cap: int = DEFAULT_EVENT_CAP,
-) -> LatencyReport:
+def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyReport:
     """Exact per-site latency, with wraparound.
 
     Each site is analyzed over the least common period of the robots
@@ -311,8 +307,8 @@ def max_weighted_latency(
     common-period unroll.  Visits, gaps and periods are site_visits' ints
     in the unit 1/U; each latency is Fraction(gap, U).  Each jointly
     served site's unroll, then their running total, must stay within
-    event_cap visit events, else PeriodOverflowError; every site is
-    checked before any site is unrolled.
+    DEFAULT_EVENT_CAP visit events, else PeriodOverflowError; every site
+    is checked before any site is unrolled.
     """
     unit, periods, per_track = site_visits(schedule, instance.metric)
     checked, joint_events = [], 0
@@ -323,15 +319,15 @@ def max_weighted_latency(
         # a site one robot serves repeats with its period; only joint sites unroll
         total = lcm(*(period for period, _ in served))
         events = sum(total // period * len(visits) for period, visits in served)
-        if events > event_cap:
+        if events > DEFAULT_EVENT_CAP:
             raise PeriodOverflowError(
                 f"site {s} needs {events} visit events over the common period; "
-                f"cap is {event_cap}"
+                f"cap is {DEFAULT_EVENT_CAP}"
             )
         joint_events += events if len(served) > 1 else 0
-        if joint_events > event_cap:
+        if joint_events > DEFAULT_EVENT_CAP:
             raise PeriodOverflowError(f"jointly served sites up to site {s} need {joint_events} "
-                                      f"visit events in total; cap is {event_cap}")
+                                      f"visit events in total; cap is {DEFAULT_EVENT_CAP}")
         checked.append((s, served, total))
 
     rows = []

@@ -8,6 +8,7 @@ from fractions import Fraction
 from .errors import InstanceError
 from .fixtures import clustered_instance, ngon_instance
 from .instance import Instance, euclidean_instance, line_instance
+from .rationals import to_fraction
 
 KINDS = ("line-uniform", "line-weighted", "euclidean", "clustered", "ngon")
 
@@ -18,10 +19,16 @@ def generate_instance(
     """Build the instance determined by (kind, n, seed).
 
     Coordinates land on a 0.01 grid so all data is exact; weights are
-    integers in [1, wmax].
+    integers in [1, wmax].  gap must be finite, whatever the kind.
     """
     if n < 1:
         raise InstanceError("n must be at least 1")
+    if wmax < 1:
+        raise InstanceError(f"wmax must be at least 1, got {wmax}")
+    try:
+        gap = to_fraction(gap)
+    except ValueError:
+        raise InstanceError(f"gap must be a finite number, got {gap!r}") from None
     rng = random.Random(seed)
     if kind == "line-uniform":
         coords = sorted(Fraction(rng.randrange(0, 10001), 100) for _ in range(n))

@@ -173,8 +173,8 @@ def expand_round_robin(
     return RobotTrack(t, tuple(waypoints[:-1]))
 
 
-def stationary_track(pos: Position, period: Fraction = Fraction(1)) -> RobotTrack:
-    return RobotTrack(period, ((Fraction(0), normalize_position(pos)),))
+def stationary_track(pos: Position) -> RobotTrack:
+    return RobotTrack(Fraction(1), ((Fraction(0), normalize_position(pos)),))
 
 
 def zigzag_track(left: Fraction, right: Fraction) -> RobotTrack:

@@ -19,13 +19,14 @@ made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  That periodic schedule, the one
 returned, is what validate_standard checks, block by block over its
 whole period, with the evaluator's visit rule (evaluate.site_visits).
-The DP runs on integer summaries (start, end, left, right, before3,
-after3, span) with slacks in thirds of L: for L = p/q and D the lcm of
-the coordinate denominators, its junction rule and prune compare
-integers in units of 1/(3qD), where coordinate i is 3q * X[i] with X =
-D * coords and L/3 is p * D.  Fractions appear only at the public API
-(AtomicRep, StateNode.reps, concat, the candidate windows) and in
-realization.
+
+There is one summary form, AtomicRep: a tuple of ints (start, end,
+left, right, before3, after3, span) with the slacks counted in thirds of
+L, so it does not depend on the L being probed.  For L = p/q and D the
+lcm of the coordinate denominators, the junction rule and the prune
+compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
+with X = D * coords and L/3 is p * D.  Fractions appear only in the
+candidate windows, in AtomicRep.t_before / t_after and in realization.
 
 What does not depend on L is built once, not once per probe of the
 window search.  Per Metric: the atomic table, every visiting 4-tuple
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import site_visits
@@ -56,52 +57,43 @@ from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 DEFAULT_STATE_CAP = 200_000
 DEFAULT_PAIR_CAP = 20_000_000  # pre-checked per level; about a minute of work
 
-ZERO, TWO_THIRDS = Fraction(0), Fraction(2, 3)
 
+class AtomicRep(NamedTuple):
+    """Summary of a (concatenated) window schedule: the DP state, the
+    summary pool's key and the public form are this one tuple.
 
-@dataclass(frozen=True)
-class AtomicRep:
-    """Summary of a (concatenated) window schedule at the public API and
-    in realization; the DP runs on its integer form (_summary).
-
-    Site fields are indices or None; t_before / t_after are stored as
-    multiples of the window length L, so they do not depend on the
-    candidate L being probed.  span counts atomic windows.  A schedule
-    that visits nothing has all site fields None, t_before 0 and t_after
-    equal to its whole duration.
+    Site fields are indices or None; before3 / after3 count the travel
+    time available before the first visit and after the last one in
+    thirds of the window length L, so they do not depend on the candidate
+    L being probed.  span counts atomic windows.  A schedule that visits
+    nothing has all site fields None, before3 0 and after3 3 * span.
     """
 
     start: Optional[int]
     end: Optional[int]
     left: Optional[int]
     right: Optional[int]
-    t_before: Fraction
-    t_after: Fraction
+    before3: int
+    after3: int
     span: int
 
     @property
     def visits(self) -> bool:
         return self.start is not None
 
+    @property
+    def t_before(self) -> Fraction:
+        """The slack before the first visit, as a multiple of L."""
+        return Fraction(self.before3, 3)
+
+    @property
+    def t_after(self) -> Fraction:
+        """The slack after the last visit, as a multiple of L."""
+        return Fraction(self.after3, 3)
+
 
 def type_two(span: int = 1) -> AtomicRep:
-    return AtomicRep(None, None, None, None, ZERO, Fraction(span), span)
-
-
-_TRAVEL = type_two()  # one object, so the summary pool maps it to its id by identity
-
-
-def _summary(rep: AtomicRep) -> tuple:
-    """rep as the integer summary (start, end, left, right, before3,
-    after3, span), its slacks counted in thirds of L."""
-    thirds = [divmod(3 * t.numerator, t.denominator) for t in (rep.t_before, rep.t_after)]
-    if thirds[0][1] or thirds[1][1]:
-        raise ValueError(f"slacks of {rep} are not multiples of 1/3")
-    return (rep.start, rep.end, rep.left, rep.right, thirds[0][0], thirds[1][0], rep.span)
-
-
-def _as_rep(key: tuple) -> AtomicRep:
-    return AtomicRep(*key[:4], Fraction(key[4], 3), Fraction(key[5], 3), key[6])
+    return AtomicRep(None, None, None, None, 0, 3 * span, span)
 
 
 def canonical_path_order(
@@ -144,7 +136,7 @@ def _atomic_table(instance: Instance) -> tuple:
                         continue
                     for right, xr in rights:
                         length = (xr - xl) + min((xs - xl) + (xr - xe), (xr - xs) + (xe - xl))
-                        rows.append((3 * length, AtomicRep(s, e, left, right, ZERO, TWO_THIRDS, 1)))
+                        rows.append((3 * length, AtomicRep(s, e, left, right, 0, 2, 1)))
         table = instance.metric._memo.setdefault("atomics", (D, X, tuple(rows), low, high))
     return table
 
@@ -154,7 +146,7 @@ def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     tour fits in L/3, plus the single pure-travel summary."""
     D, _, rows, _, _ = _atomic_table(instance)
     cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
-    return [rep for length3, rep in rows if length3 <= cap] + [_TRAVEL]
+    return [rep for length3, rep in rows if length3 <= cap] + [type_two()]
 
 
 def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
@@ -203,11 +195,11 @@ def concat(
     a: AtomicRep, b: AtomicRep, L: Fraction, coords: Sequence[Fraction]
 ) -> Optional[AtomicRep]:
     """Summary of running a then b, or None when the junction travel does
-    not fit in the available slack.  Slacks must be multiples of 1/3;
-    the DP's integer junction rule decides on the scaled coordinates."""
+    not fit in the available slack: the DP's junction rule on the scaled
+    coordinates."""
     D, X, low, high = _scaled(coords)
-    key = _junction(_summary(a), _summary(b), X, low, high, 3 * L.denominator, L.numerator * D)
-    return None if key is None else _as_rep(key)
+    key = _junction(a, b, X, low, high, 3 * L.denominator, L.numerator * D)
+    return None if key is None else AtomicRep._make(key)
 
 
 # --- the level-doubling decision procedure ---------------------------------
@@ -216,18 +208,13 @@ def concat(
 @dataclass
 class StateNode:
     """One k-robot summary with enough structure to replay the motion:
-    keys are the robots' integer summaries, interned in the instance's
-    summary pool and shared by every probe; reps builds the same as
-    AtomicReps on demand (the API and realization), since a probe keeps
-    only its junction memo and its levels."""
+    reps are the robots' AtomicReps, interned in the instance's summary
+    pool and shared by every probe, which keeps only its junction memo
+    and its levels."""
 
-    keys: tuple[tuple, ...]
+    reps: tuple[AtomicRep, ...]
     level: int
     children: Optional[tuple["StateNode", "StateNode"]] = None
-
-    @property
-    def reps(self) -> tuple[AtomicRep, ...]:
-        return tuple(map(_as_rep, self.keys))
 
     def slots(self) -> list[tuple[AtomicRep, ...]]:
         """Per-window atomic summaries, one tuple of k entries per window."""
@@ -289,7 +276,7 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 
     scored = []
     for node in states:
-        keys, scores = zip(*map(scaled, node.keys))
+        keys, scores = zip(*map(scaled, node.reps))
         scored.append((-sum(scores), keys, node))
     scored.sort(key=lambda item: item[0])
     kept: list[tuple] = []
@@ -300,39 +287,32 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 
 
 class _SummaryPool:
-    """The interned integer summaries of one instance, shared by every
-    probe of a solve, since none depends on L (slacks count thirds of L):
-    the pair loops run on small ints.  pool[i] is summary i and ids its
-    inverse; masks[i] marks the sites of i's level (a span fixes the
-    level) inside i's hull.  The masks read the weight classes, so the
-    pool lives on the Instance, not on its Metric.  atoms maps id(rep) of
-    an AtomicRep to (rep, summary id): identity, not a hash of two
-    Fractions, and holding the rep keeps its id from being reused."""
+    """The interned AtomicReps of one instance, shared by every probe of a
+    solve, since none depends on L (slacks count thirds of L): the pair
+    loops run on small ints.  pool[i] is summary i and ids its inverse;
+    masks[i] marks the sites of i's level (a span fixes the level) inside
+    i's hull.  The masks read the weight classes, so the pool lives on the
+    Instance, not on its Metric.  intern takes _junction's plain tuples
+    and AtomicReps alike (an AtomicRep equals and hashes like its plain
+    tuple) and builds an AtomicRep only for a new summary."""
 
     def __init__(self, instance: Instance):
         self.X = _atomic_table(instance)[1]
         self.level_sites = dict(weight_classes(instance).classes)
-        self.pool: list[tuple] = []
+        self.pool: list[AtomicRep] = []
         self.ids: dict[tuple, int] = {}
         self.masks: list[int] = []
-        self.atoms: dict[int, tuple[AtomicRep, int]] = {}
 
     def intern(self, key: tuple) -> int:
         got = self.ids.get(key)
         if got is None:
             got = self.ids[key] = len(self.pool)
-            self.pool.append(key)
+            self.pool.append(AtomicRep._make(key))
             X = self.X
             sites = () if key[0] is None else self.level_sites.get(key[6].bit_length() - 1, ())
             self.masks.append(sum(1 << bit for bit, s in enumerate(sites)
                                   if X[key[2]] <= X[s] <= X[key[3]]))
         return got
-
-    def atom(self, rep: AtomicRep) -> int:
-        hit = self.atoms.get(id(rep))
-        if hit is None:
-            hit = self.atoms[id(rep)] = (rep, self.intern(_summary(rep)))
-        return hit[1]
 
 
 def _summary_pool(instance: Instance) -> _SummaryPool:
@@ -343,18 +323,19 @@ def _summary_pool(instance: Instance) -> _SummaryPool:
     return pool
 
 
-def construct_schedule(
-    instance: Instance,
-    k: int,
-    L: Fraction,
-    keep_levels: bool = False,
-):
+def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[StandardSchedule]:
     """Decide whether a standard k-robot schedule of window L exists.
 
-    Returns the realized StandardSchedule on yes, None on no.  With
-    keep_levels=True returns (answer, levels) where levels[h] is the list
-    of surviving StateNodes of span 2^h.
+    Returns the realized StandardSchedule on yes, None on no.
     """
+    levels = _levels(instance, k, L)
+    m = len(levels) - 1
+    return _realize(levels[m][0], instance, L, m) if levels[m] else None
+
+
+def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
+    """The DP's levels: levels[h] is the list of surviving StateNodes of
+    span 2^h, up to h = m."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
     D, X, _, low, high = _atomic_table(instance)
@@ -369,7 +350,7 @@ def construct_schedule(
         raise ResourceLimitError(
             f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
         )
-    atom_ids = [summaries.atom(rep) for rep in atoms]
+    atom_ids = [summaries.intern(rep) for rep in atoms]
     full = (1 << len(level_sites.get(0, ()))) - 1
     states: list[StateNode] = []
     for combo in product(atom_ids, repeat=k):
@@ -388,7 +369,7 @@ def construct_schedule(
                 f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
             )
         full = (1 << len(level_sites.get(h, ()))) - 1
-        prev_ids = [tuple(ids[key] for key in node.keys) for node in prev]
+        prev_ids = [tuple(ids[rep] for rep in node.reps) for node in prev]
         joins: dict[tuple[int, int], int] = {}  # per probe, as it reads L; -1: infeasible
         nxt: list[StateNode] = []
         seen = set()
@@ -418,9 +399,7 @@ def construct_schedule(
                             f"more than {DEFAULT_STATE_CAP} states at level {h}"
                         )
         levels.append(_prune(nxt, instance, L))
-
-    answer = _realize(levels[m][0], instance, L, m) if levels[m] else None
-    return (answer, levels) if keep_levels else answer
+    return levels
 
 
 def _realize(node: StateNode, instance: Instance, L: Fraction, m: int) -> StandardSchedule:

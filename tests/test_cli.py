@@ -383,6 +383,46 @@ def test_unreadable_paths_exit_3(tmp_path, capsys):
         assert len(lines) == 1 and lines[0].startswith("invalid input: cannot read ")
 
 
+def test_unwritable_output_paths_exit_3(tmp_path, capsys):
+    """Every file a command writes: a path in a missing directory ends in
+    one line and exit 3, as an unreadable input does."""
+    inst_path, sched_path = tmp_path / "inst.json", tmp_path / "s.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    solve = ("solve", "--instance", inst_path, "--algo", "line-single", "--k", 1)
+    assert run(*solve, "--out-schedule", sched_path) == EXIT_OK
+    evaluate = ("evaluate", "--instance", inst_path, "--schedule", sched_path)
+    nowhere = tmp_path / "missing" / "out"
+    for argv in (
+        ("generate", "--kind", "ngon", "--n", 4, "--out", nowhere),
+        (*solve, "--out-schedule", nowhere),
+        (*solve, "--out-report", nowhere),
+        (*evaluate, "--csv", nowhere),
+        (*evaluate, "--report", nowhere),
+        ("compare", "--instance", inst_path, "--k", 1, "--algos", "line-single", "--csv", nowhere),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_INVALID, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"invalid input: cannot write {nowhere}: ")
+
+
+def test_bad_generate_arguments_exit_3(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    for argv, message in (
+        (("--kind", "line-weighted", "--n", 5, "--wmax", 0), "wmax must be at least 1, got 0"),
+        (("--kind", "euclidean", "--n", 5, "--wmax", -2), "wmax must be at least 1, got -2"),
+        (("--kind", "clustered", "--n", 4, "--gap", "nan"), "gap must be a finite number, got nan"),
+        (("--kind", "clustered", "--n", 4, "--gap", "inf"), "gap must be a finite number, got inf"),
+    ):
+        assert run("generate", *argv, "--out", out) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message}\n"
+        assert not out.exists()
+
+
 def test_doubling_without_feasible_budget_exit_4(tmp_path, capsys, monkeypatch):
     import patrol.metric_scheduler as metric_scheduler
 

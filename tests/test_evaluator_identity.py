@@ -18,6 +18,7 @@ import math
 import random
 from fractions import Fraction
 
+from patrol import evaluate
 from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.instance import euclidean_instance, line_instance, matrix_instance
@@ -146,13 +147,13 @@ def outcome(fn):
         return (type(exc).__name__, str(exc), getattr(exc, "site", None))
 
 
-def assert_identical(schedule, instance, event_cap=2_000_000):
+def assert_identical(schedule, instance):
     def new():
-        rep = max_weighted_latency(schedule, instance, event_cap=event_cap)
+        rep = max_weighted_latency(schedule, instance)
         return repr([row.latency for row in rep.per_site]), rep.max_weighted, rep.argmax_site
 
     def old():
-        lats = reference_latencies(schedule, instance, event_cap)
+        lats = reference_latencies(schedule, instance, evaluate.DEFAULT_EVENT_CAP)
         weighted = [w * lat for w, lat in zip(instance.weights, lats)]
         best = max(instance.sites, key=lambda s: (weighted[s], -s))
         return repr(lats), weighted[best], best
@@ -310,10 +311,12 @@ def test_visit_at_end_of_period_and_full_period_track():
     assert assert_identical(Schedule((waits, track(4, (3, SitePos(0))))), inst) == "ok"
 
 
-def test_overflow_and_unvisited_paths():
+def test_overflow_and_unvisited_paths(monkeypatch):
     inst = line_instance([0, 1, 2, 3, 4], [1] * 5)
     tracks = (zigzag(0, 3, 1), zigzag(1, 4, Fraction(7, 5)), zigzag(2, 4, Fraction(11, 13)))
-    assert assert_identical(Schedule(tracks), inst, event_cap=40) == "PeriodOverflowError"
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluate, "DEFAULT_EVENT_CAP", 40)
+        assert assert_identical(Schedule(tracks), inst) == "PeriodOverflowError"
     assert assert_identical(Schedule(tracks), inst) == "ok"
     # sites 1 and 3 are unvisited; site 1 is reported
     gappy = track(2, (0, SitePos(0)), (1, SitePos(0)))
@@ -322,7 +325,8 @@ def test_overflow_and_unvisited_paths():
     assert assert_identical(Schedule(()), inst) == "UnvisitedSiteError"
     # an overflowing site before an unvisited one raises the overflow
     wider = line_instance([0, 1, 2, 3, 4, 9], [1] * 6)
-    got = assert_identical(Schedule(tracks + (gappy,)), wider, event_cap=40)
+    monkeypatch.setattr(evaluate, "DEFAULT_EVENT_CAP", 40)
+    got = assert_identical(Schedule(tracks + (gappy,)), wider)
     assert got == "PeriodOverflowError"
 
 

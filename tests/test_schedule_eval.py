@@ -147,12 +147,13 @@ def test_combined_period_cap():
         combined_period(sched, m, event_cap=1000)
 
 
-def test_shared_site_incommensurate_periods_over_cap():
+def test_shared_site_incommensurate_periods_over_cap(monkeypatch):
     inst = line_instance([0], [1])
     a = track(Fraction(1009), (0, 0), (1, 0))
     b = track(Fraction(1013, 997), (0, 0))
+    monkeypatch.setattr(evaluate, "DEFAULT_EVENT_CAP", 100)
     with pytest.raises(PeriodOverflowError):
-        max_weighted_latency(Schedule((a, b)), inst, event_cap=100)
+        max_weighted_latency(Schedule((a, b)), inst)
 
 
 def budget_zigzags(q):

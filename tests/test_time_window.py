@@ -9,6 +9,7 @@ from patrol.line_uniform import solve_line_uniform
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
+    _levels,
     candidate_window_lengths,
     concat,
     construct_schedule,
@@ -24,7 +25,7 @@ TWO_THIRDS = Fraction(2, 3)
 
 
 def atomic(s, e, l, r):
-    return AtomicRep(s, e, l, r, Fraction(0), TWO_THIRDS, 1)
+    return AtomicRep(s, e, l, r, 0, 2, 1)
 
 
 # --- atomic enumeration -----------------------------------------------------
@@ -74,7 +75,7 @@ def test_canonical_path_shorter_order():
 def test_concat_travel_travel():
     inst = line_instance([0, 1], [1, 1])
     got = concat(type_two(), type_two(), Fraction(5), inst.metric.coords)
-    assert got == AtomicRep(None, None, None, None, Fraction(0), Fraction(2), 2)
+    assert got == AtomicRep(None, None, None, None, 0, 6, 2)
 
 
 def test_concat_visit_then_visit_feasibility():
@@ -162,7 +163,7 @@ def brute_force_standard_exists(inst, k, L):
         return AtomicRep(
             a.start if a.start is not None else b.start,
             b.end if b.end is not None else a.end,
-            lo, hi, tb, ta, a.span + b.span,
+            lo, hi, int(3 * tb), int(3 * ta), a.span + b.span,
         )
 
     def summary(seq):
@@ -247,7 +248,7 @@ def test_states_realize_and_match_hulls():
     k = 1
     cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
     L = cands[len(cands) // 2]
-    got, levels = construct_schedule(inst, k, L, keep_levels=True)
+    levels = _levels(inst, k, L)
     coords = inst.metric.coords
     rng = random.Random(3)
     for level in levels:
@@ -271,7 +272,7 @@ def test_state_count_bound():
     inst = line_instance([0, 1, 3], [1, "0.5", "0.25"])
     n = inst.n
     for L in [Fraction(3), Fraction(9), Fraction(18)]:
-        _, levels = construct_schedule(inst, 1, L, keep_levels=True)
+        levels = _levels(inst, 1, L)
         for h, level in enumerate(levels):
             reps = {node.reps[0] for node in level}
             assert len(reps) <= n**4 * 4**h * 4
@@ -315,9 +316,10 @@ def test_probes_in_any_order_match_fresh_instances():
             cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
             probed = rng.sample(cands, min(8, len(cands)))
             for L in probed:
-                answer, levels = construct_schedule(inst, k, L, keep_levels=True)
-                want, want_levels = construct_schedule(line_instance(coords, weights), k, L,
-                                                       keep_levels=True)
+                levels = _levels(inst, k, L)
+                want_levels = _levels(line_instance(coords, weights), k, L)
+                answer = construct_schedule(inst, k, L)
+                want = construct_schedule(line_instance(coords, weights), k, L)
                 assert answer == want, (coords, weights, k, L)
                 assert [[node.reps for node in lv] for lv in levels] == [
                     [node.reps for node in lv] for lv in want_levels

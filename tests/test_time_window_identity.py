@@ -55,7 +55,7 @@ def reference_visiting_tuples(coords):
 
 def reference_enumerate(coords, L):
     reps = [
-        AtomicRep(s, e, left, right, Fraction(0), TWO_THIRDS, 1)
+        AtomicRep(s, e, left, right, 0, 2, 1)
         for s, e, left, right in reference_visiting_tuples(coords)
         if 3 * reference_path_length(coords, s, e, left, right) <= L
     ]
@@ -158,9 +158,9 @@ def levels_and_solve(inst, k):
     cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
     levels = []
     for L in cands[:: max(1, len(cands) // 4)]:
-        answer, lv = construct_schedule(inst, k, L, keep_levels=True)
+        lv = time_window._levels(inst, k, L)
         levels.append(
-            (answer is None, [[node.reps for node in level] for level in lv])
+            (not lv[-1], [[node.reps for node in level] for level in lv])
         )
     rep = solve_line_weighted(inst, k)
     solved = (rep.L_accepted, rep.measured_latency, rep.lower_bound,
@@ -376,7 +376,7 @@ def test_validate_standard_matches_reference(dp_cases):
     for inst, k in dp_cases:
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 4)]:
-            _, levels = construct_schedule(inst, k, L, keep_levels=True)
+            levels = time_window._levels(inst, k, L)
             for node in levels[-1]:
                 std = realize_node(node, inst, L)
                 assert validate_standard(std, inst) and reference_validate_standard(std, inst)

@@ -49,7 +49,8 @@ def reference_concat(a, b, L, coords):
     else:
         t_before = Fraction(0)
     t_after = b.t_after if b.visits else a.t_after + b.t_after
-    return AtomicRep(start, end, left, right, t_before, t_after, a.span + b.span)
+    return AtomicRep(start, end, left, right, int(3 * t_before), int(3 * t_after),
+                     a.span + b.span)
 
 
 def reference_extreme(coords, x, y, low):
@@ -206,7 +207,8 @@ def test_integer_dp_matches_fraction_reference():
     for inst, k in junction_cases():
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 8)]:
-            answer, levels = construct_schedule(inst, k, L, keep_levels=True)
+            levels = time_window._levels(inst, k, L)
+            answer = construct_schedule(inst, k, L)
             want_answer, want_levels = reference_levels(inst, k, L)
             assert [[n.reps for n in lv] for lv in levels] == [
                 [n.reps for n in lv] for lv in want_levels
