@@ -1,7 +1,8 @@
 """Command-line front end: generate, solve, evaluate, compare.
 
 Exit codes: 0 success, 2 infeasible or incompatible input, 3 validation
-failure (speed violation or unvisited site), 4 resource cap exceeded.
+failure (speed violation or unvisited site) or a usage error, 4 resource
+cap exceeded.
 A reader that closes standard output early ends the command quietly with 1;
 a failed internal check (a solver bug) ends it with 1 and one line,
 "internal error: ...", on standard error.
@@ -165,8 +166,17 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors exit with EXIT_INVALID, since
+    argparse's own 2 is EXIT_INFEASIBLE here.  Subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="patrol",
         description="multi-robot patrol scheduling: solvers and exact evaluation",
     )

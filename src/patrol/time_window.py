@@ -30,20 +30,23 @@ candidate windows, in AtomicRep.t_before / t_after and in realization.
 
 What does not depend on L is built once, not once per probe of the
 window search.  Per Metric: the atomic table, every visiting 4-tuple
-with its integer-scaled tour length (a probe keeps those that fit; one
-dominates another exactly when they share start and end coordinates and
-its hull contains the other's).  Per Instance: the summary pool, which
-interns each summary once and keeps its hull mask over its weight
-class's sites.  Per probe: the junction memo, the levels and their
-prunes, which read L.
+with its integer-scaled tour length and the half-open range of caps on
+which the atom prune keeps it (one dominates another exactly when they
+share start and end coordinates and its hull contains the other's).
+Per Instance: the summary pool, which interns each summary once, keeps
+its hull mask over its weight class's sites and memoizes every join
+with the one integer compare that decides it at a given L.  Per probe:
+the cap filter over the atoms, that compare per pair, the levels and
+their prunes.  The search probes the decision alone and realizes only
+the window it accepts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import floor, lcm
+from math import floor, gcd, inf, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
@@ -120,12 +123,26 @@ def _scaled(coords: Sequence[Fraction]) -> tuple:
 def _atomic_table(instance: Instance) -> tuple:
     """(D, X, rows, low, high), kept in the Metric's memo, with D, X, low
     and high as in _scaled; the rows are the visiting 4-tuples in product
-    order as (3 * D * canonical tour length, AtomicRep).  The canonical
-    length of s -> e through the extremes l <= s, e <= r is
-    (r - l) + min((s - l) + (r - e), (r - s) + (e - l))."""
+    order as (length3, kill3, AtomicRep), length3 = 3 * D * canonical
+    tour length.  The canonical length of s -> e through the extremes
+    l <= s, e <= r is (r - l) + min((s - l) + (r - e), (r - s) + (e - l)).
+
+    _prune_atomics keeps a row exactly at the caps floor(L * D) in
+    [length3, kill3).  The rows of one coordinate class (start, end, left,
+    right) share a tour, and the first in product order stands for all
+    (the later ones get kill3 = length3).  That first row is dropped once
+    a strictly wider hull over the same ends fits.  Widening a hull by d
+    on either side lengthens both detours by d, so the tour by 2d: the
+    shortest wider hull reaches the nearest coordinate beyond one side,
+    and kill3 is inf when there is none."""
     table = instance.metric._memo.get("atomics")
     if table is None:
         D, X, low, high = _scaled(instance.metric.coords)
+        values = sorted(set(X))
+        steps = [b - a for a, b in zip(values, values[1:])]
+        step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
+        # product order meets a class first at the lowest index of each site
+        lead = [X.index(x) == i for i, x in enumerate(X)]
         rows = []
         for s, xs in enumerate(X):
             for e, xe in enumerate(X):
@@ -134,9 +151,14 @@ def _atomic_table(instance: Instance) -> tuple:
                 for left, xl in enumerate(X):
                     if xl > lo:
                         continue
+                    first = lead[s] and lead[e] and lead[left]
                     for right, xr in rights:
-                        length = (xr - xl) + min((xs - xl) + (xr - xe), (xr - xs) + (xe - xl))
-                        rows.append((3 * length, AtomicRep(s, e, left, right, 0, 2, 1)))
+                        length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
+                                                               (xr - xs) + (xe - xl)))
+                        if first and lead[right]:
+                            widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                            kill3 = length3 + 6 * widen if widen < inf else inf
+                        rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
         table = instance.metric._memo.setdefault("atomics", (D, X, tuple(rows), low, high))
     return table
 
@@ -146,7 +168,7 @@ def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     tour fits in L/3, plus the single pure-travel summary."""
     D, _, rows, _, _ = _atomic_table(instance)
     cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
-    return [rep for length3, rep in rows if length3 <= cap] + [type_two()]
+    return [rep for length3, _, rep in rows if length3 <= cap] + [type_two()]
 
 
 def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
@@ -171,24 +193,23 @@ def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
     return [reps[i] for i in sorted(keep)]
 
 
-def _junction(a: tuple, b: tuple, X, low, high, scale: int, per_third: int) -> Optional[tuple]:
-    """Integer summary of running a then b, or None when the junction
-    travel does not fit: 3q * |X[a.end] - X[b.start]| = scale * gap >
-    (a.after3 + b.before3) * per_third, with per_third = p * D.  The rules
+def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
+    """(key, gap, slack3): the integer summary of running a then b, the
+    scaled travel |X[a.end] - X[b.start]| between them (0 when either is
+    pure travel) and the thirds of L available for it.  None of it reads
+    L: at L = p/q the join fits when 3q * gap <= slack3 * p * D.  The rules
     are span-agnostic, which also makes concatenation associative.
     """
     s, e, lo, hi, before, after, span = a
     s2, e2, lo2, hi2, before2, after2, span2 = b
     if s is None:
         if s2 is None:
-            return (None, None, None, None, 0, after + after2, span + span2)
-        return (s2, e2, lo2, hi2, after + before2, after2, span + span2)
+            return (None, None, None, None, 0, after + after2, span + span2), 0, 0
+        return (s2, e2, lo2, hi2, after + before2, after2, span + span2), 0, 0
     if s2 is None:
-        return (s, e, lo, hi, before, after + after2, span + span2)
-    if scale * abs(X[e] - X[s2]) > (after + before2) * per_third:
-        return None
-    return (s, e2, lo if low[lo] <= low[lo2] else lo2,
-            hi if high[hi] >= high[hi2] else hi2, before, after2, span + span2)
+        return (s, e, lo, hi, before, after + after2, span + span2), 0, 0
+    return ((s, e2, lo if low[lo] <= low[lo2] else lo2, hi if high[hi] >= high[hi2] else hi2,
+             before, after2, span + span2), abs(X[e] - X[s2]), after + before2)
 
 
 def concat(
@@ -198,8 +219,10 @@ def concat(
     not fit in the available slack: the DP's junction rule on the scaled
     coordinates."""
     D, X, low, high = _scaled(coords)
-    key = _junction(a, b, X, low, high, 3 * L.denominator, L.numerator * D)
-    return None if key is None else AtomicRep._make(key)
+    key, gap, slack3 = _junction(a, b, X, low, high)
+    if 3 * L.denominator * gap > slack3 * L.numerator * D:
+        return None
+    return AtomicRep._make(key)
 
 
 # --- the level-doubling decision procedure ---------------------------------
@@ -209,12 +232,13 @@ def concat(
 class StateNode:
     """One k-robot summary with enough structure to replay the motion:
     reps are the robots' AtomicReps, interned in the instance's summary
-    pool and shared by every probe, which keeps only its junction memo
-    and its levels."""
+    pool and shared by every probe, which keeps only its levels; ids are
+    their pool ids."""
 
     reps: tuple[AtomicRep, ...]
     level: int
     children: Optional[tuple["StateNode", "StateNode"]] = None
+    ids: tuple[int, ...] = field(default=(), compare=False)
 
     def slots(self) -> list[tuple[AtomicRep, ...]]:
         """Per-window atomic summaries, one tuple of k entries per window."""
@@ -287,31 +311,51 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 
 
 class _SummaryPool:
-    """The interned AtomicReps of one instance, shared by every probe of a
-    solve, since none depends on L (slacks count thirds of L): the pair
-    loops run on small ints.  pool[i] is summary i and ids its inverse;
-    masks[i] marks the sites of i's level (a span fixes the level) inside
-    i's hull.  The masks read the weight classes, so the pool lives on the
-    Instance, not on its Metric.  intern takes _junction's plain tuples
-    and AtomicReps alike (an AtomicRep equals and hashes like its plain
-    tuple) and builds an AtomicRep only for a new summary."""
+    """The interned AtomicReps of one instance and their joins, shared by
+    every probe of a solve, since none depends on L (slacks count thirds
+    of L): the pair loops run on small ints.  pool[i] is summary i and ids
+    its inverse; masks[i] marks the sites of i's level (a span fixes the
+    level) inside i's hull, kept per (span, left, right) in hulls.
+    joins[a, b] is _junction's (id, gap, slack3) for summaries a then b,
+    so a probe decides a pair with one integer compare.  atoms holds
+    (length3, kill3, id) for each atomic table row that _prune_atomics
+    keeps at some cap, in table order, and travel is the pure-travel
+    atom's id.  The masks read the weight classes, so the pool lives on
+    the Instance, not on its Metric.  intern takes _junction's plain
+    tuples and AtomicReps alike (an AtomicRep equals and hashes like its
+    plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
-        self.X = _atomic_table(instance)[1]
+        self.D, self.X, rows, self.low, self.high = _atomic_table(instance)
         self.level_sites = dict(weight_classes(instance).classes)
         self.pool: list[AtomicRep] = []
         self.ids: dict[tuple, int] = {}
         self.masks: list[int] = []
+        self.hulls: dict[tuple[int, int, int], int] = {}
+        self.joins: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.atoms = [(length3, kill3, self.intern(rep))
+                      for length3, kill3, rep in rows if length3 < kill3]
+        self.travel = self.intern(type_two())
 
     def intern(self, key: tuple) -> int:
         got = self.ids.get(key)
         if got is None:
             got = self.ids[key] = len(self.pool)
-            self.pool.append(AtomicRep._make(key))
-            X = self.X
-            sites = () if key[0] is None else self.level_sites.get(key[6].bit_length() - 1, ())
-            self.masks.append(sum(1 << bit for bit, s in enumerate(sites)
-                                  if X[key[2]] <= X[s] <= X[key[3]]))
+            self.pool.append(key if type(key) is AtomicRep else AtomicRep._make(key))
+            _, _, left, right, _, _, span = key
+            mask = 0 if left is None else self.hulls.get((span, left, right))
+            if mask is None:
+                X = self.X
+                sites = self.level_sites.get(span.bit_length() - 1, ())
+                mask = self.hulls[span, left, right] = sum(
+                    1 << bit for bit, s in enumerate(sites) if X[left] <= X[s] <= X[right])
+            self.masks.append(mask)
+        return got
+
+    def join(self, a: int, b: int) -> tuple[int, int, int]:
+        """Compute and keep joins[a, b]."""
+        key, gap, slack3 = _junction(self.pool[a], self.pool[b], self.X, self.low, self.high)
+        got = self.joins[a, b] = (self.intern(key), gap, slack3)
         return got
 
 
@@ -323,14 +367,29 @@ def _summary_pool(instance: Instance) -> _SummaryPool:
     return pool
 
 
+def _atom_ids(instance: Instance, L: Fraction) -> list[int]:
+    """Pool ids of _prune_atomics(enumerate_atomics(instance, L), X), in
+    order: the rows whose cap range holds floor(L * D), then pure travel."""
+    summaries = _summary_pool(instance)
+    cap = L.numerator * summaries.D // L.denominator
+    return [i for length3, kill3, i in summaries.atoms if length3 <= cap < kill3] + [
+        summaries.travel]
+
+
 def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[StandardSchedule]:
     """Decide whether a standard k-robot schedule of window L exists.
 
     Returns the realized StandardSchedule on yes, None on no.
     """
-    levels = _levels(instance, k, L)
-    m = len(levels) - 1
-    return _realize(levels[m][0], instance, L, m) if levels[m] else None
+    node = _decide(instance, k, L)
+    return None if node is None else _realize(node, instance, L, node.level)
+
+
+def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
+    """construct_schedule without the realization: the first top-level
+    node, or None."""
+    top = _levels(instance, k, L)[-1]
+    return top[0] if top else None
 
 
 def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
@@ -338,27 +397,24 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     span 2^h, up to h = m."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
-    D, X, _, low, high = _atomic_table(instance)
-    scale, per_third = 3 * L.denominator, L.numerator * D
-    m = weight_classes(instance).m
     summaries = _summary_pool(instance)
-    pool, ids, masks, level_sites = (summaries.pool, summaries.ids, summaries.masks,
-                                     summaries.level_sites)
+    pool, masks, joins = summaries.pool, summaries.masks, summaries.joins
+    scale, per_third = 3 * L.denominator, L.numerator * summaries.D
+    m = weight_classes(instance).m
 
-    atoms = _prune_atomics(enumerate_atomics(instance, L), X)
-    if len(atoms) ** k > DEFAULT_PAIR_CAP:
+    atom_ids = _atom_ids(instance, L)
+    if len(atom_ids) ** k > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(
-            f"{len(atoms)}^{k} atomic combinations exceed the pair cap"
+            f"{len(atom_ids)}^{k} atomic combinations exceed the pair cap"
         )
-    atom_ids = [summaries.intern(rep) for rep in atoms]
-    full = (1 << len(level_sites.get(0, ()))) - 1
+    full = (1 << len(summaries.level_sites.get(0, ()))) - 1
     states: list[StateNode] = []
     for combo in product(atom_ids, repeat=k):
         mask = 0
         for i in combo:
             mask |= masks[i]
         if mask == full:
-            states.append(StateNode(tuple(pool[i] for i in combo), 0))
+            states.append(StateNode(tuple(pool[i] for i in combo), 0, ids=combo))
     states = _prune(states, instance, L)
     levels = [states]
 
@@ -368,22 +424,16 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
             raise ResourceLimitError(
                 f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
             )
-        full = (1 << len(level_sites.get(h, ()))) - 1
-        prev_ids = [tuple(ids[rep] for rep in node.reps) for node in prev]
-        joins: dict[tuple[int, int], int] = {}  # per probe, as it reads L; -1: infeasible
+        full = (1 << len(summaries.level_sites.get(h, ()))) - 1
         nxt: list[StateNode] = []
         seen = set()
-        for left, lids in zip(prev, prev_ids):
-            for right, rids in zip(prev, prev_ids):
+        for left in prev:
+            for right in prev:
                 out = []
                 mask = 0
-                for pair in zip(lids, rids):
-                    ic = joins.get(pair)
-                    if ic is None:
-                        key = _junction(pool[pair[0]], pool[pair[1]], X, low, high,
-                                        scale, per_third)
-                        ic = joins[pair] = -1 if key is None else summaries.intern(key)
-                    if ic < 0:
+                for pair in zip(left.ids, right.ids):
+                    ic, gap, slack3 = joins.get(pair) or summaries.join(*pair)
+                    if scale * gap > slack3 * per_third:
                         break
                     mask |= masks[ic]
                     out.append(ic)
@@ -393,7 +443,7 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
                         continue
                     seen.add(out)
                     nxt.append(StateNode(tuple(pool[i] for i in out), h,
-                                         children=(left, right)))
+                                         children=(left, right), ids=out))
                     if len(nxt) > DEFAULT_STATE_CAP:
                         raise ResourceLimitError(
                             f"more than {DEFAULT_STATE_CAP} states at level {h}"
@@ -543,20 +593,29 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     d = (2/3 + j) * L for up to 2^m pure-travel windows in between.
     More junction values than DEFAULT_STATE_CAP raise ResourceLimitError."""
     D, X, rows, _, _ = _atomic_table(instance)
-    values = {Fraction(length3, D) for length3 in {length3 for length3, _ in rows}}
     gaps = {b - a for a in X for b in X if a < b}
     budgets = 2**weight_classes(instance).m + 1
     if len(gaps) * budgets > DEFAULT_STATE_CAP:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
-    # a gap g / D over a budget of (2/3 + hops) windows
-    values.update(Fraction(3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
+    # tour fits length3 / D, and a gap g / D over a budget of (2/3 + hops)
+    # windows, as reduced (numerator, denominator) pairs
+    values = {(length3, D) for length3 in {length3 for length3, _, _ in rows}}
+    values.update((3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
+    reduced = set()
+    for num, den in values:
+        d = gcd(num, den)
+        reduced.add((num // d, den // d))
     # int / int division rounds correctly, so it is monotone: only equal
-    # floats fall through to the exact comparison; past the double range
-    # it overflows, and the exact sort is left
+    # floats need the exact comparison; past the double range it
+    # overflows, and the exact sort is left
     try:
-        return sorted(values, key=lambda q: (q.numerator / q.denominator, q))
+        keyed = sorted((num / den, num, den) for num, den in reduced)
     except OverflowError:
-        return sorted(values)
+        return sorted(Fraction(num, den) for num, den in reduced)
+    out = [Fraction(num, den) for _, num, den in keyed]
+    if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+        out.sort(key=lambda q: (q.numerator / q.denominator, q))
+    return out
 
 
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
@@ -594,10 +653,11 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
-    _, best = smallest_accepted(0, len(candidates) - 1,
-                                lambda i: construct_schedule(instance, k, candidates[i]))
-    if best is None:
+    i, node = smallest_accepted(0, len(candidates) - 1,
+                                lambda i: _decide(instance, k, candidates[i]))
+    if node is None:
         raise AssertionError("the largest candidate window must be schedulable")
+    best = _realize(node, instance, candidates[i], node.level)
 
     schedule = cyclify(best, instance)
     if not _blocks_met(best, schedule, instance):

@@ -423,6 +423,29 @@ def test_bad_generate_arguments_exit_3(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_usage_errors_exit_3_without_traceback(tmp_path):
+    """What the argument parser rejects exits 3, not argparse's 2, which
+    here means infeasible: "-inf" reads as an option, not as --gap's value,
+    and solve needs --instance."""
+    src = str(Path(patrol.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = tmp_path / "inst.json"
+    for argv, message in (
+        (["generate", "--kind", "clustered", "--n", "4", "--gap", "-inf", "--out", str(out)],
+         "patrol generate: error: argument --gap: expected one argument"),
+        (["solve", "--algo", "metric", "--k", "2"],
+         "patrol solve: error: the following arguments are required: --instance"),
+    ):
+        done = subprocess.run([sys.executable, "-m", "patrol.cli", *argv], env=env,
+                              capture_output=True, timeout=60)
+        err = done.stderr.decode().splitlines()
+        assert done.returncode == EXIT_INVALID
+        assert done.stdout == b"" and "Traceback" not in done.stderr.decode()
+        assert err[0].startswith("usage: ") and err[-1] == message
+        assert not out.exists()
+
+
 def test_doubling_without_feasible_budget_exit_4(tmp_path, capsys, monkeypatch):
     import patrol.metric_scheduler as metric_scheduler
 

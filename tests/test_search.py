@@ -108,18 +108,20 @@ LINE_CASES += [(n, 2, 2, seed) for n in (2, 3) for seed in (1, 2, 3)]
 @pytest.mark.parametrize("n, wmax, k, seed", LINE_CASES)
 def test_line_weighted_probes_match_original_loop(monkeypatch, n, wmax, k, seed):
     inst = generate_instance("line-weighted", n, seed, wmax=wmax)
-    construct = time_window.construct_schedule
+    decide = time_window._decide
     probes = []
 
     def spy(instance, k, L, *caps):
-        answer = construct(instance, k, L, *caps)
+        answer = decide(instance, k, L, *caps)
         probes.append((L, answer is not None))
         return answer
 
-    monkeypatch.setattr(time_window, "construct_schedule", spy)
+    # the solver probes the decision alone; construct_schedule decides
+    # through the same name, so the reference loop's probes land here too
+    monkeypatch.setattr(time_window, "_decide", spy)
     report = solve_line_weighted(inst, k)
     solver_probes, probes[:] = list(probes), []
-    L, schedule = reference_search(inst, k, spy)
+    L, schedule = reference_search(inst, k, time_window.construct_schedule)
     assert solver_probes == probes
     assert report.L_accepted == L
     assert dump_schedule(report.schedule) == dump_schedule(schedule)

@@ -1,9 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+from patrol import time_window
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.fixtures import cooperative_line_instance
+from patrol.generate import generate_instance
 from patrol.instance import Instance, line_instance, round_weights_dyadic
 from patrol.line_uniform import solve_line_uniform
 from patrol.schedule import dump_schedule
@@ -326,6 +329,68 @@ def test_probes_in_any_order_match_fresh_instances():
                 ]
                 probes += 1
     assert probes > 60
+
+
+def test_one_solve_joins_each_pair_once(monkeypatch):
+    """The join table outlives a probe: over all probes of a solve, no
+    pair of summaries goes through _junction twice."""
+    junction = time_window._junction
+    joined = Counter()
+
+    def spy(a, b, *scaled):
+        joined[a, b] += 1
+        return junction(a, b, *scaled)
+
+    monkeypatch.setattr(time_window, "_junction", spy)
+    for k, n in ((1, 5), (2, 4)):
+        for seed in range(1, 5):
+            joined.clear()
+            solve_line_weighted(generate_instance("line-weighted", n, seed, wmax=2), k)
+            assert max(joined.values(), default=1) == 1, (k, n, seed)
+
+
+def tight_joins(inst, L, levels):
+    """Joins on consecutive levels' state pairs whose junction compare
+    holds with equality at L."""
+    pool = time_window._summary_pool(inst)
+    scale, per_third = 3 * L.denominator, L.numerator * pool.D
+    tight = 0
+    for prev in levels[:-1]:
+        for left, right in product(prev, repeat=2):
+            for pair in zip(left.ids, right.ids):
+                if pair in pool.joins:
+                    _, gap, slack3 = pool.joins[pair]
+                    tight += gap > 0 and scale * gap == slack3 * per_third
+    return tight
+
+
+def test_junction_candidates_after_other_windows_match_fresh_instances():
+    """At a junction candidate L* = 3g / (D (2 + 3h)), where a pair's
+    compare can hold with equality, and at the candidate just below it,
+    the levels read from a join table filled at other windows are those
+    of a fresh instance."""
+    tight = probes = 0
+    for k, n, wmax in ((1, 5, 4), (1, 4, 8), (2, 3, 4)):
+        for seed in range(1, 5):
+            inst = generate_instance("line-weighted", n, seed, wmax=wmax)
+            D, X, _, _, _ = time_window._atomic_table(inst)
+            budgets = range(2**round_weights_dyadic(inst)[0].m + 1)
+            junctions = {Fraction(3 * (b - a), D * (2 + 3 * h))
+                         for a in X for b in X if a < b for h in budgets}
+            cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
+            solve_line_weighted(inst, k)
+            for i, L_star in enumerate(cands[1:], start=1):
+                if L_star not in junctions:
+                    continue
+                for L in (L_star, cands[i - 1]):
+                    levels = _levels(inst, k, L)
+                    want = _levels(generate_instance("line-weighted", n, seed, wmax=wmax), k, L)
+                    assert [[node.reps for node in lv] for lv in levels] == [
+                        [node.reps for node in lv] for lv in want
+                    ], (k, n, seed, L)
+                    probes += 1
+                tight += tight_joins(inst, L_star, _levels(inst, k, L_star))
+    assert probes > 300 and tight > 0, (probes, tight)
 
 
 def test_candidate_order_when_candidates_share_a_float():

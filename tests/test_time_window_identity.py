@@ -15,6 +15,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import inf
 
 import pytest
 
@@ -107,20 +108,19 @@ def reference_candidates(instance):
 
 @pytest.fixture
 def reference_atomics(monkeypatch):
-    """construct_schedule and solve_line_weighted on the original
-    enumeration, prune and candidate list.  construct_schedule prunes the
-    list it has just enumerated, so the prune reads that instance's
-    coordinates; every atomic has equal slacks, so the original prune's
-    result does not depend on the L it is given."""
-    last = {}
+    """The DP's atom lookup and solve_line_weighted's candidate list on
+    the original enumeration, prune and candidate code.  The lookup
+    interns the original atomics in the instance's summary pool, as the
+    DP works on pool ids; every atomic has equal slacks, so the original
+    prune's result does not depend on the L it is given."""
 
-    def enumerate_(instance, L):
-        last["coords"] = instance.metric.coords
-        return reference_enumerate(instance.metric.coords, L)
+    def atom_ids(instance, L):
+        coords = instance.metric.coords
+        pool = time_window._summary_pool(instance)
+        return [pool.intern(rep)
+                for rep in reference_prune(reference_enumerate(coords, L), coords, Fraction(1))]
 
-    monkeypatch.setattr(time_window, "enumerate_atomics", enumerate_)
-    monkeypatch.setattr(time_window, "_prune_atomics",
-                        lambda reps, scaled: reference_prune(reps, last["coords"], Fraction(1)))
+    monkeypatch.setattr(time_window, "_atom_ids", atom_ids)
     monkeypatch.setattr(time_window, "candidate_window_lengths",
                         lambda instance, k: reference_candidates(instance))
 
@@ -147,6 +147,25 @@ def test_atomics_and_prune_match_reference():
             assert pruned == reference_prune(got, coords, L)
             lists += 1
     assert lists > 400
+
+
+def test_atom_table_matches_enumerate_and_prune():
+    """The DP's atoms, read from the per-instance table by cap range, are
+    the pruned enumeration: at every candidate window, at each row's
+    length3 / D and kill3 / D, where a row enters and leaves, and one cap
+    below each."""
+    windows = 0
+    for inst in sweep(1, 60, 6, 4):
+        D, X, rows, _, _ = time_window._atomic_table(inst)
+        pool = time_window._summary_pool(inst)
+        caps = {cap for length3, kill3, _ in rows for cap in (length3, kill3) if cap != inf}
+        Ls = set(candidate_window_lengths(inst, 1))
+        Ls.update(Fraction(c, D) for cap in caps for c in (cap, cap - 1))
+        for L in Ls:
+            want = time_window._prune_atomics(enumerate_atomics(inst, L), X)
+            assert [pool.pool[i] for i in time_window._atom_ids(inst, L)] == want, (inst, L)
+            windows += 1
+    assert windows > 1000
 
 
 def test_candidates_match_reference():
