@@ -44,12 +44,6 @@ class RobotPlan:
     def depot_weight(self) -> Fraction:
         return Fraction(1, 2**self.depot_class)
 
-    def sites(self) -> list[int]:
-        out: list[int] = []
-        for t in self.trees:
-            out.extend(t.vertices)
-        return sorted(out)
-
 
 @dataclass(frozen=True)
 class RobotAssignment:
@@ -65,7 +59,6 @@ class MetricSolveDetails:
 
     assignment: Optional[RobotAssignment]
     trail: tuple[tuple[Fraction, bool], ...]
-    classes: Optional[WeightClasses]
 
 
 def k_robot_assignment(
@@ -215,7 +208,7 @@ def solve_metric_detailed(
             L_accepted=Fraction(0),
             lower_bound=Fraction(0),
         )
-        return report, MetricSolveDetails(None, (), None)
+        return report, MetricSolveDetails(None, ())
 
     classes = weight_classes(instance)
     start = _closest_positive_distance(instance)
@@ -259,7 +252,7 @@ def solve_metric_detailed(
             tighter = report_at(hi, refined)
             if tighter.measured_latency <= report.measured_latency:
                 report, assignment = tighter, refined
-    return report, MetricSolveDetails(assignment, tuple(trail), classes)
+    return report, MetricSolveDetails(assignment, tuple(trail))
 
 
 def lower_bound_metric(instance: Instance, k: int) -> Fraction:

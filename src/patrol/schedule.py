@@ -52,14 +52,14 @@ Position = Union[SitePos, CoordPos, EdgePos]
 
 def normalize_position(pos: Position) -> Position:
     if isinstance(pos, EdgePos):
+        if not 0 <= pos.frac <= 1:
+            raise ScheduleFormatError(f"edge fraction out of range: {pos.frac}")
         if pos.frac == 0:
             return SitePos(pos.a)
         if pos.frac == 1:
             return SitePos(pos.b)
         if pos.a > pos.b:
             return EdgePos(pos.b, pos.a, 1 - pos.frac)
-        if not 0 < pos.frac < 1:
-            raise ScheduleFormatError(f"edge fraction out of range: {pos.frac}")
     return pos
 
 
@@ -206,14 +206,22 @@ def _pos_to_json(pos: Position) -> dict:
     return {"edge": [pos.a, pos.b], "frac": format_fraction(pos.frac)}
 
 
+def _site_from_json(value) -> int:
+    """A site id, which JSON must spell as an integer: int() would read
+    2.9 as site 2, true as site 1 and "1" as site 1."""
+    if type(value) is not int:
+        raise ScheduleFormatError(f"site id must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def _pos_from_json(doc: dict) -> Position:
     if "site" in doc:
-        return SitePos(int(doc["site"]))
+        return SitePos(_site_from_json(doc["site"]))
     if "coord" in doc:
         return CoordPos(to_fraction(doc["coord"]))
     if "edge" in doc:
-        a, b = doc["edge"]
-        return normalize_position(EdgePos(int(a), int(b), to_fraction(doc["frac"])))
+        a, b = (_site_from_json(v) for v in doc["edge"])
+        return normalize_position(EdgePos(a, b, to_fraction(doc["frac"])))
     raise ScheduleFormatError(f"unknown position: {doc}")
 
 
@@ -256,7 +264,7 @@ def load_schedule(data: bytes | str) -> Schedule:
                 tracks.append(
                     RoundRobinTrack(
                         tuple(
-                            tuple(tuple(int(v) for v in p) for p in tree["paths"])
+                            tuple(tuple(_site_from_json(v) for v in p) for p in tree["paths"])
                             for tree in robot["trees"]
                         )
                     )

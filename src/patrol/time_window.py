@@ -127,7 +127,7 @@ def _atomic_table(instance: Instance) -> tuple:
     tour length.  The canonical length of s -> e through the extremes
     l <= s, e <= r is (r - l) + min((s - l) + (r - e), (r - s) + (e - l)).
 
-    _prune_atomics keeps a row exactly at the caps floor(L * D) in
+    The atom prune keeps a row exactly at the caps floor(L * D) in
     [length3, kill3).  The rows of one coordinate class (start, end, left,
     right) share a tour, and the first in product order stands for all
     (the later ones get kill3 = length3).  That first row is dropped once
@@ -169,28 +169,6 @@ def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     D, _, rows, _, _ = _atomic_table(instance)
     cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
     return [rep for length3, _, rep in rows if length3 <= cap] + [type_two()]
-
-
-def _prune_atomics(reps: list[AtomicRep], X: Sequence[int]) -> list[AtomicRep]:
-    """The first rep of each undominated class, in the given order: per
-    (start, end) group, hulls sorted by left end, then right end descending,
-    are maximal when they reach further right than all before them (the
-    2-D maxima of Kung, Luccio and Preparata)."""
-    groups: dict = {}
-    for i, r in enumerate(reps):
-        if r.start is None:
-            ends, hull = None, (0, 0)
-        else:
-            ends, hull = (X[r.start], X[r.end]), (X[r.left], X[r.right])
-        groups.setdefault(ends, {}).setdefault(hull, i)
-    keep = []
-    for hulls in groups.values():
-        reach = None
-        for lo, hi in sorted(hulls, key=lambda h: (h[0], -h[1])):
-            if reach is None or hi > reach:
-                keep.append(hulls[lo, hi])
-                reach = hi
-    return [reps[i] for i in sorted(keep)]
 
 
 def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
@@ -318,7 +296,7 @@ class _SummaryPool:
     level) inside i's hull, kept per (span, left, right) in hulls.
     joins[a, b] is _junction's (id, gap, slack3) for summaries a then b,
     so a probe decides a pair with one integer compare.  atoms holds
-    (length3, kill3, id) for each atomic table row that _prune_atomics
+    (length3, kill3, id) for each atomic table row that the atom prune
     keeps at some cap, in table order, and travel is the pure-travel
     atom's id.  The masks read the weight classes, so the pool lives on
     the Instance, not on its Metric.  intern takes _junction's plain
@@ -368,8 +346,8 @@ def _summary_pool(instance: Instance) -> _SummaryPool:
 
 
 def _atom_ids(instance: Instance, L: Fraction) -> list[int]:
-    """Pool ids of _prune_atomics(enumerate_atomics(instance, L), X), in
-    order: the rows whose cap range holds floor(L * D), then pure travel."""
+    """Pool ids of the DP's atoms at window L, in table order: the rows
+    whose cap range holds floor(L * D), then pure travel."""
     summaries = _summary_pool(instance)
     cap = L.numerator * summaries.D // L.denominator
     return [i for length3, kill3, i in summaries.atoms if length3 <= cap < kill3] + [

@@ -9,14 +9,6 @@ from itertools import combinations
 from math import ceil
 
 from patrol.evaluate import max_weighted_latency, validate_speed
-from patrol.fixtures import (
-    alternate_pairing_schedule,
-    cooperative_hand_schedule,
-    cooperative_line_instance,
-    disjoint_zigzag_schedule,
-    square_two_robot_loop,
-    unit_square_instance,
-)
 from patrol.instance import line_instance, round_weights_dyadic
 from patrol.line_uniform import solve_line_single_weighted, solve_line_uniform, single_zigzag_value
 from patrol.metric_core import mst, tree_cover
@@ -30,6 +22,14 @@ from patrol.time_window import (
     validate_standard,
 )
 from conftest import random_euclidean_instance, random_line_coords, random_line_instance
+from scenarios import (
+    alternate_pairing_schedule,
+    cooperative_hand_schedule,
+    cooperative_line_instance,
+    disjoint_zigzag_schedule,
+    square_two_robot_loop,
+    unit_square_instance,
+)
 
 TOL = Fraction(1, 10**9)
 BETA = 4

@@ -17,9 +17,10 @@ from patrol.cli import (
     EXIT_RESOURCE,
     main,
 )
-from patrol.fixtures import cooperative_line_instance
 from patrol.instance import dump_instance, line_instance, load_instance
 from patrol.rationals import to_fraction
+from scenarios import cooperative_line_instance
+from test_schedule_eval import NON_INTEGER_SITE_IDS, site_id_documents
 
 
 def run(*argv):
@@ -354,6 +355,8 @@ def test_evaluate_out_of_range_site_exit_3(tmp_path, capsys):
         ({"site": -1}, "site -1 is out of range 0..3"),
         ({"site": 4}, "site 4 is out of range 0..3"),
         ({"edge": [2, 9], "frac": "0.5"}, "site 9 is out of range 0..3"),
+        ({"edge": [1, 2], "frac": "1.5"}, "edge fraction out of range: 3/2"),
+        ({"edge": [2, 1], "frac": "1.5"}, "edge fraction out of range: 3/2"),
     ]
     for bad, message in cases:
         write_site_schedule(sched_path, {"site": 0}, bad)
@@ -361,6 +364,22 @@ def test_evaluate_out_of_range_site_exit_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
+
+
+def test_evaluate_non_integer_site_ids_exit_3(tmp_path, capsys):
+    """A site id spelled 2.9, true or "1" is refused, not read as another
+    site and measured."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(cooperative_line_instance()))
+    sched_path = tmp_path / "s.json"
+    for site in NON_INTEGER_SITE_IDS:
+        for doc in site_id_documents(site):
+            sched_path.write_text(json.dumps(doc))
+            assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_INVALID
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"invalid input: site id must be a JSON integer, got {json.dumps(site)}\n")
 
 
 def test_unreadable_paths_exit_3(tmp_path, capsys):

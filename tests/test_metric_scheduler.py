@@ -56,8 +56,9 @@ def check_assignment_invariants(assignment: RobotAssignment, inst: Instance):
             if idx > 0:  # peeled trees live inside the depot ball
                 for v in tree.vertices:
                     assert metric.distance(v, depot) <= radius
-        for v in plan.sites():  # depot weight is maximal for the robot
-            assert class_of(classes, v) >= plan.depot_class
+        for tree in plan.trees:  # depot weight is maximal for the robot
+            for v in tree.vertices:
+                assert class_of(classes, v) >= plan.depot_class
     assert sorted(seen) == list(inst.sites)
     for i, a in enumerate(assignment.robots):
         for b in assignment.robots[i + 1 :]:

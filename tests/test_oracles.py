@@ -6,12 +6,6 @@ import pytest
 
 from patrol.errors import ResourceLimitError
 from patrol.evaluate import max_weighted_latency
-from patrol.fixtures import (
-    alternate_pairing_schedule,
-    cooperative_hand_schedule,
-    cooperative_line_instance,
-    disjoint_zigzag_schedule,
-)
 from patrol.instance import line_instance
 from patrol.metric_core import mst
 from patrol.oracles import (
@@ -22,6 +16,12 @@ from patrol.oracles import (
     exact_tree_cover,
 )
 from conftest import random_euclidean_instance, random_line_coords
+from scenarios import (
+    alternate_pairing_schedule,
+    cooperative_hand_schedule,
+    cooperative_line_instance,
+    disjoint_zigzag_schedule,
+)
 
 
 def exhaustive_interval_cover(points, k):

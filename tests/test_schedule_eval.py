@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -17,7 +18,6 @@ from patrol.evaluate import (
     position_distance,
     validate_speed,
 )
-from patrol.fixtures import square_two_robot_loop, unit_square_instance
 from patrol.instance import line_instance, matrix_instance
 from patrol.schedule import (
     CoordPos,
@@ -28,9 +28,11 @@ from patrol.schedule import (
     SitePos,
     dump_schedule,
     load_schedule,
+    normalize_position,
     stationary_track,
     zigzag_track,
 )
+from scenarios import square_two_robot_loop, unit_square_instance
 
 
 def shift_track(track: RobotTrack, delta: Fraction) -> RobotTrack:
@@ -311,3 +313,47 @@ def test_track_validation_errors():
         RobotTrack(Fraction(2), ((Fraction(1), CoordPos(Fraction(0))), (Fraction(1), CoordPos(Fraction(1)))))
     with pytest.raises(ScheduleFormatError):
         RobotTrack(Fraction(1), ((Fraction(0), CoordPos(Fraction(0))), (Fraction(2), CoordPos(Fraction(0)))))
+
+
+# JSON spellings of a site id that int() used to coerce (2.9 to 2, true
+# to 1, "1" to 1), and two it rejected with a different message
+NON_INTEGER_SITE_IDS = (2.9, 1.0, 1e2, True, False, "1", None, [1])
+
+
+def site_id_documents(site):
+    """One schedule document per place a schedule names a site: a site
+    position, either end of an edge, and a round-robin path."""
+    def waypoint(pos):
+        return {"robots": [{"period": "4", "waypoints": [{"t": "0", "pos": pos}]}]}
+
+    return [
+        waypoint({"site": site}),
+        waypoint({"edge": [site, 0], "frac": "1/2"}),
+        waypoint({"edge": [0, site], "frac": "1/2"}),
+        {"robots": [{"kind": "round_robin", "trees": [{"paths": [[0, site]]}]}]},
+    ]
+
+
+def test_site_ids_must_be_json_integers():
+    for site in NON_INTEGER_SITE_IDS:
+        for doc in site_id_documents(site):
+            with pytest.raises(ScheduleFormatError) as err:
+                load_schedule(json.dumps(doc))
+            assert str(err.value) == f"site id must be a JSON integer, got {json.dumps(site)}"
+    for doc in site_id_documents(1):
+        load_schedule(json.dumps(doc))
+
+
+def test_edge_fraction_range_checked_in_either_direction():
+    for a, b in ((1, 2), (2, 1)):
+        for frac in ("1.5", "-1/2", "2"):
+            doc = {"robots": [{"period": "4", "waypoints": [
+                {"t": "0", "pos": {"edge": [a, b], "frac": frac}}]}]}
+            with pytest.raises(ScheduleFormatError) as err:
+                load_schedule(json.dumps(doc))
+            assert str(err.value) == f"edge fraction out of range: {Fraction(frac)}"
+        with pytest.raises(ScheduleFormatError):
+            normalize_position(EdgePos(a, b, Fraction(3, 2)))
+    assert normalize_position(EdgePos(2, 1, Fraction(1, 4))) == EdgePos(1, 2, Fraction(3, 4))
+    assert normalize_position(EdgePos(2, 1, Fraction(1))) == SitePos(1)
+    assert normalize_position(EdgePos(2, 1, Fraction(0))) == SitePos(2)

@@ -5,7 +5,6 @@ from itertools import product
 
 from patrol import time_window
 from patrol.evaluate import max_weighted_latency, validate_speed
-from patrol.fixtures import cooperative_line_instance
 from patrol.generate import generate_instance
 from patrol.instance import Instance, line_instance, round_weights_dyadic
 from patrol.line_uniform import solve_line_uniform
@@ -23,6 +22,7 @@ from patrol.time_window import (
     validate_standard,
 )
 from conftest import realize_node
+from scenarios import cooperative_line_instance
 
 TWO_THIRDS = Fraction(2, 3)
 

@@ -8,7 +8,10 @@ atomics survive (or in their order), in the candidate list, in the DP
 levels built on the atomics, or in a solve shows up here.  The k-robot
 state prune is held to its original float-prefiltered copy the same way,
 and validate_standard, which reads visits from the evaluator, to its
-original Fraction visit rule on the schedule before reversal.
+original Fraction visit rule on the schedule before reversal.  The
+integer atom prune that later ran on every probe is kept here too, held
+to the original, and the cap ranges of the solver's atomic table are
+held to it.
 """
 
 import random
@@ -88,6 +91,30 @@ def reference_prune(reps, coords, L):
     return kept
 
 
+def integer_prune_atomics(reps, X):
+    """The atom prune on integer coordinates X, as the solver ran it per
+    probe before its atomic table carried each row's cap range.  It keeps
+    the first rep of each undominated class, in the given order: per
+    (start, end) group, hulls sorted by left end, then right end descending,
+    are maximal when they reach further right than all before them (the
+    2-D maxima of Kung, Luccio and Preparata)."""
+    groups = {}
+    for i, r in enumerate(reps):
+        if r.start is None:
+            ends, hull = None, (0, 0)
+        else:
+            ends, hull = (X[r.start], X[r.end]), (X[r.left], X[r.right])
+        groups.setdefault(ends, {}).setdefault(hull, i)
+    keep = []
+    for hulls in groups.values():
+        reach = None
+        for lo, hi in sorted(hulls, key=lambda h: (h[0], -h[1])):
+            if reach is None or hi > reach:
+                keep.append(hulls[lo, hi])
+                reach = hi
+    return [reps[i] for i in sorted(keep)]
+
+
 def reference_candidates(instance):
     coords = instance.metric.coords
     n = instance.n
@@ -143,7 +170,7 @@ def test_atomics_and_prune_match_reference():
         for L in candidate_window_lengths(inst, 1)[::3] + [Fraction(0)]:
             got = enumerate_atomics(inst, L)
             assert got == reference_enumerate(coords, L)
-            pruned = time_window._prune_atomics(got, time_window._atomic_table(inst)[1])
+            pruned = integer_prune_atomics(got, time_window._atomic_table(inst)[1])
             assert pruned == reference_prune(got, coords, L)
             lists += 1
     assert lists > 400
@@ -162,7 +189,7 @@ def test_atom_table_matches_enumerate_and_prune():
         Ls = set(candidate_window_lengths(inst, 1))
         Ls.update(Fraction(c, D) for cap in caps for c in (cap, cap - 1))
         for L in Ls:
-            want = time_window._prune_atomics(enumerate_atomics(inst, L), X)
+            want = integer_prune_atomics(enumerate_atomics(inst, L), X)
             assert [pool.pool[i] for i in time_window._atom_ids(inst, L)] == want, (inst, L)
             windows += 1
     assert windows > 1000

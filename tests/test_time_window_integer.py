@@ -29,6 +29,7 @@ from patrol.time_window import (
     cyclify,
     enumerate_atomics,
 )
+from test_time_window_identity import integer_prune_atomics
 
 # --- the frozen Fraction level loop -------------------------------------------
 
@@ -129,7 +130,7 @@ def reference_levels(instance, k, L):
     classes, _ = round_weights_dyadic(instance)
     level_sites = dict(classes.classes)
     m = classes.m
-    atoms = time_window._prune_atomics(
+    atoms = integer_prune_atomics(
         enumerate_atomics(instance, L), time_window._atomic_table(instance)[1]
     )
     states = [
