@@ -40,8 +40,7 @@ from .instance import Instance, Metric
 from .rationals import format_fraction, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
 
-VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute, on coordinates/distances
-SPEED_TOL = VISIT_TOL
+VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
 
 DEFAULT_EVENT_CAP = 2_000_000
 
@@ -176,16 +175,25 @@ def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
     return [a + b for a, b in zip(points, points[1:])]
 
 
-def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
-    """Check every leg (and the wraparound leg) against unit speed, in the
-    integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*SPEED_TOL)."""
+def _expanded_legs(schedule: Schedule, metric: Metric) -> tuple:
+    """(expanded schedule, U, each track's _legs in unit 1/U, lazily in track
+    order) once the site ids are checked: what validate_speed and
+    site_visits both start from."""
     _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
-    unit, line = _unit(schedule, metric), metric.variant == "line"
-    tol = floor(unit * SPEED_TOL) if line else unit * SPEED_TOL
+    unit = _unit(schedule, metric)
+    return schedule, unit, (_legs(track, metric, unit) for track in schedule.robots)
+
+
+def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
+    """Check every leg (and the wraparound leg) against unit speed, in the
+    integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL)."""
+    _, unit, legs = _expanded_legs(schedule, metric)
+    line = metric.variant == "line"
+    tol = floor(unit * VISIT_TOL) if line else unit * VISIT_TOL
     violations = []
-    for r, track in enumerate(schedule.robots):
-        for i, (t0, p0, t1, p1) in enumerate(_legs(track, metric, unit)):
+    for r, track in enumerate(legs):
+        for i, (t0, p0, t1, p1) in enumerate(track):
             d = abs(p1 - p0) if line else position_distance(p0, p1, metric) * unit
             if d - (t1 - t0) > tol:
                 violations.append(SpeedViolation(r, i, Fraction(d, unit), Fraction(t1 - t0, unit)))
@@ -283,10 +291,8 @@ def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], lis
     unit 1/U, with the site coordinates and, on the line, the pass-through
     factor (module docstring) folded in, each track's period, and each
     track's _track_visits, all ints in that unit."""
-    _check_site_ids(schedule, metric.n)
-    schedule = schedule.expanded(metric)
-    unit, line = _unit(schedule, metric), metric.variant == "line"
-    legs = [_legs(t, metric, unit) for t in schedule.robots]
+    schedule, unit, legs = _expanded_legs(schedule, metric)
+    legs, line = list(legs), metric.variant == "line"
     if line:  # the site coordinates' denominators, then the pass-through factor
         m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
         m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)

@@ -18,9 +18,10 @@ def ngon_instance(n: int) -> Instance:
     return euclidean_instance(pts, [1] * n)
 
 
-def clustered_instance(n: int, gap=10, spread="0.1", weights=None) -> Instance:
-    """Two tight clusters of n/2 sites each, `gap` apart."""
-    gap, spread = to_fraction(gap), to_fraction(spread)
+def clustered_instance(n: int, gap=10, weights=None) -> Instance:
+    """Two tight clusters of n/2 sites each, 0.1 apart within a cluster
+    and `gap` apart."""
+    gap, spread = to_fraction(gap), to_fraction("0.1")
     half = n // 2
     pts = [(float(i * spread), 0.0) for i in range(half)]
     pts += [(float(gap + i * spread), 0.0) for i in range(n - half)]

@@ -36,7 +36,7 @@ class Metric:
     does, without building a Fraction.  _memo keeps what solvers derive
     from the metric alone: metric_core.tree_cover per (sorted sites, t)
     and the time-window atomic table under "atomics"; it takes no part
-    in equality, hashing or repr.
+    in equality, hashing or repr.  A Metric validates itself when built.
     """
 
     variant: str
@@ -44,6 +44,9 @@ class Metric:
     matrix: tuple[tuple[Fraction, ...], ...] | None = None
     points: tuple[tuple[float, ...], ...] | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def n(self) -> int:
@@ -234,14 +237,11 @@ def load_instance(data: bytes | str) -> Instance:
         mtype = metric_doc["type"]
         payload = metric_doc["data"]
         if mtype == "line":
-            metric = Metric("line", coords=tuple(to_fraction(x) for x in payload))
+            fields = {"coords": tuple(to_fraction(x) for x in payload)}
         elif mtype == "matrix":
-            metric = Metric(
-                "matrix",
-                matrix=tuple(tuple(to_fraction(x) for x in row) for row in payload),
-            )
+            fields = {"matrix": tuple(tuple(to_fraction(x) for x in row) for row in payload)}
         elif mtype == "euclidean":
-            metric = Metric("euclidean", points=_points(payload))
+            fields = {"points": _points(payload)}
         else:
             raise InstanceError(f"unknown metric type: {mtype}")
         weights = tuple(to_fraction(w) for w in doc["weights"])
@@ -250,8 +250,7 @@ def load_instance(data: bytes | str) -> Instance:
         raise
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise InstanceError(f"malformed instance: {exc}") from exc
-    metric.validate()
-    return Instance(metric=metric, weights=weights, kind=kind, names=names)
+    return Instance(metric=Metric(mtype, **fields), weights=weights, kind=kind, names=names)
 
 
 def dump_instance(instance: Instance) -> str:
@@ -286,7 +285,6 @@ def matrix_instance(matrix: Sequence[Sequence], weights: Sequence) -> Instance:
     metric = Metric(
         "matrix", matrix=tuple(tuple(to_fraction(x) for x in row) for row in matrix)
     )
-    metric.validate()
     return Instance(metric=metric, weights=tuple(to_fraction(w) for w in weights))
 
 
@@ -299,5 +297,4 @@ def _points(points: Sequence[Sequence[float]]) -> tuple[tuple[float, ...], ...]:
 
 def euclidean_instance(points: Sequence[Sequence[float]], weights: Sequence) -> Instance:
     metric = Metric("euclidean", points=_points(points))
-    metric.validate()
     return Instance(metric=metric, weights=tuple(to_fraction(w) for w in weights))

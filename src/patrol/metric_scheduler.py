@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .errors import ResourceLimitError
 from .instance import Instance, Metric, WeightClasses, weight_classes
 from .metric_core import TREE_COVER_BETA, Tree, mst, partition_tour, tree_cover, tree_to_tour
-from .oracles import OracleBudget, exact_tree_cover
+from .oracles import MAX_K, exact_tree_cover
 from .report import SolveReport, build_report
 from .schedule import (
     RoundRobinTrack,
@@ -270,7 +270,7 @@ def lower_bound_metric(instance: Instance, k: int) -> Fraction:
         return Fraction(0)
 
     def cover_value(sites: Sequence[int]) -> Fraction:
-        if len(sites) <= 10 and k <= OracleBudget().max_k:
+        if len(sites) <= 10 and k <= MAX_K:
             return exact_tree_cover(sites, instance.metric, k)
         return tree_cover(sites, instance.metric, k).max_length / TREE_COVER_BETA
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, isnan, nan
@@ -22,42 +21,22 @@ from .metric_core import mst
 from .rationals import to_fraction
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_sites: int = 20
-    max_k: int = 3
-    timeout: Optional[float] = None  # seconds; None: PATROL_ORACLE_BUDGET_SECS or 120
-
-    def check_sites(self, n: int, limit: int) -> None:
-        if n > min(limit, self.max_sites):
-            raise ResourceLimitError(f"oracle budget: {n} sites exceeds {limit}")
-
-    def deadline(self) -> float:
-        if self.timeout is not None:
-            return time.monotonic() + self.timeout
-        text = os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120")
-        try:
-            timeout = float(text)
-        except ValueError:
-            timeout = nan
-        if isnan(timeout):
-            raise ValueError(f"PATROL_ORACLE_BUDGET_SECS is not a number: {text!r}")
-        return time.monotonic() + timeout
+INTERVAL_COVER_MAX_SITES = 20
+TREE_COVER_MAX_SITES = 12
+MAX_K = 3  # robots in the slotted-motion search and in the metric bound's exact covers
 
 
-def exact_interval_cover(
-    points: Sequence, k: int, budget: Optional[OracleBudget] = None
-) -> Fraction:
+def exact_interval_cover(points: Sequence, k: int) -> Fraction:
     """Minimum over covers of sorted points by <= k intervals of the max
     interval length; O(n^2 k) dynamic program over contiguous groups."""
-    budget = budget or OracleBudget()
     pts = [to_fraction(p) for p in points]
     if not pts:
         raise ValueError("no points")
     if any(b < a for a, b in zip(pts, pts[1:])):
         raise ValueError("points must be sorted ascending")
-    budget.check_sites(len(pts), 20)
     n = len(pts)
+    if n > INTERVAL_COVER_MAX_SITES:
+        raise ResourceLimitError(f"oracle budget: {n} sites exceeds {INTERVAL_COVER_MAX_SITES}")
     if k >= n:
         return Fraction(0)
     INF = pts[-1] - pts[0] + 1
@@ -88,21 +67,16 @@ def enumerate_partitions(items: Sequence[int], max_parts: int):
             yield [[first]] + sub
 
 
-def exact_tree_cover(
-    sites: Sequence[int],
-    metric: Metric,
-    t: int,
-    budget: Optional[OracleBudget] = None,
-) -> Fraction:
+def exact_tree_cover(sites: Sequence[int], metric: Metric, t: int) -> Fraction:
     """Exact t-min-max tree cover value: the minimum over all partitions
     of the sites into <= t parts of the maximum per-part MST length.
 
     Subset DP over bitmasks with memoized per-subset MST lengths.
     """
-    budget = budget or OracleBudget()
     sites = sorted(sites)
     n = len(sites)
-    budget.check_sites(n, 12)
+    if n > TREE_COVER_MAX_SITES:
+        raise ResourceLimitError(f"oracle budget: {n} sites exceeds {TREE_COVER_MAX_SITES}")
     if t >= n:
         return Fraction(0)
     full = (1 << n) - 1
@@ -141,7 +115,7 @@ def exact_line_weighted_opt(
     k: int,
     granularity: int = 1,
     upper_start: Optional[Fraction] = None,
-    budget: Optional[OracleBudget] = None,
+    timeout: Optional[float] = None,
 ) -> tuple[Fraction, Fraction]:
     """Search over slotted robot motions on the integer-scaled line.
 
@@ -156,13 +130,22 @@ def exact_line_weighted_opt(
     the largest candidate that fails, a lower bound only over the slotted
     class.  upper_start must be a value known to be achievable (defaults
     to the full-span zigzag bound, which the slotted class always admits).
+    The search gives up after timeout seconds, by default
+    PATROL_ORACLE_BUDGET_SECS.
     """
-    budget = budget or OracleBudget()
     if not instance.is_line():
         raise ValueError("line instances only")
-    if k > budget.max_k or instance.n > 4:
+    if k > MAX_K or instance.n > 4:
         raise ResourceLimitError("slotted-motion search is limited to n<=4, small k")
-    deadline = budget.deadline()
+    if timeout is None:
+        text = os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120")
+        try:
+            timeout = float(text)
+        except ValueError:
+            timeout = nan
+        if isnan(timeout):
+            raise ValueError(f"PATROL_ORACLE_BUDGET_SECS is not a number: {text!r}")
+    deadline = time.monotonic() + timeout
 
     coords = list(instance.metric.coords)
     denom = 1

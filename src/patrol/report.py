@@ -24,10 +24,13 @@ class SolveReport:
     schedule: Schedule
     L_accepted: Fraction
     lower_bound: Fraction
-    measured_latency: Fraction
     latency: LatencyReport
     algo: str
     k: int
+
+    @property
+    def measured_latency(self) -> Fraction:
+        return self.latency.max_weighted
 
     @property
     def ratio(self) -> Optional[Fraction]:
@@ -35,9 +38,9 @@ class SolveReport:
             return self.measured_latency / self.lower_bound
         return Fraction(1) if self.measured_latency == 0 else None
 
-    def to_json_dict(self, seconds: float | None = None) -> dict:
+    def to_json_dict(self, seconds: float) -> dict:
         ratio = self.ratio
-        doc = {
+        return {
             "algo": self.algo,
             "k": self.k,
             "L_accepted": format_fraction(self.L_accepted),
@@ -45,10 +48,8 @@ class SolveReport:
             "measured": format_fraction(self.measured_latency),
             "ratio": None if ratio is None else float(ratio),
             "latency": self.latency.to_json_dict(),
+            "seconds": seconds,
         }
-        if seconds is not None:
-            doc["seconds"] = seconds
-        return doc
 
 
 def build_report(
@@ -67,13 +68,11 @@ def build_report(
     violations = validate_speed(schedule, instance.metric)
     if violations:
         raise AssertionError(f"solver produced an invalid schedule: {violations[0]}")
-    latency = max_weighted_latency(schedule, instance)
     return SolveReport(
         schedule=schedule,
         L_accepted=L_accepted,
         lower_bound=lower_bound,
-        measured_latency=latency.max_weighted,
-        latency=latency,
+        latency=max_weighted_latency(schedule, instance),
         algo=algo,
         k=k,
     )

@@ -51,10 +51,13 @@ Position = Union[SitePos, CoordPos, EdgePos]
 
 
 def normalize_position(pos: Position) -> Position:
+    """pos with an edge fraction checked to lie in [0, 1]; an edge position
+    at either end, or on an edge from a site to itself, reads as that site,
+    and any other as EdgePos(a, b, frac) with a < b."""
     if isinstance(pos, EdgePos):
         if not 0 <= pos.frac <= 1:
             raise ScheduleFormatError(f"edge fraction out of range: {pos.frac}")
-        if pos.frac == 0:
+        if pos.frac == 0 or pos.a == pos.b:
             return SitePos(pos.a)
         if pos.frac == 1:
             return SitePos(pos.b)

@@ -95,8 +95,8 @@ class AtomicRep(NamedTuple):
         return Fraction(self.after3, 3)
 
 
-def type_two(span: int = 1) -> AtomicRep:
-    return AtomicRep(None, None, None, None, 0, 3 * span, span)
+def type_two() -> AtomicRep:
+    return AtomicRep(None, None, None, None, 0, 3, 1)
 
 
 def canonical_path_order(
@@ -360,7 +360,7 @@ def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[Stan
     Returns the realized StandardSchedule on yes, None on no.
     """
     node = _decide(instance, k, L)
-    return None if node is None else _realize(node, instance, L, node.level)
+    return None if node is None else _realize(node, instance, L)
 
 
 def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
@@ -430,12 +430,12 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     return levels
 
 
-def _realize(node: StateNode, instance: Instance, L: Fraction, m: int) -> StandardSchedule:
+def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedule:
     coords = instance.metric.coords
     slots = node.slots()  # [window][robot]
     tracks = tuple(_realize_track([slot[r] for slot in slots], coords, L)
                    for r in range(len(node.reps)))
-    return StandardSchedule(window=L, levels=m, robot_waypoints=tracks)
+    return StandardSchedule(window=L, levels=node.level, robot_waypoints=tracks)
 
 
 def _realize_track(
@@ -635,7 +635,7 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
                                 lambda i: _decide(instance, k, candidates[i]))
     if node is None:
         raise AssertionError("the largest candidate window must be schedulable")
-    best = _realize(node, instance, candidates[i], node.level)
+    best = _realize(node, instance, candidates[i])
 
     schedule = cyclify(best, instance)
     if not _blocks_met(best, schedule, instance):

@@ -47,5 +47,4 @@ def random_matrix_instance(rng: random.Random, n: int, wchoices=(1, 2)) -> Insta
 
 def realize_node(node, instance: Instance, L: Fraction):
     """Replay any time-window DP node into explicit motion."""
-    levels = node.reps[0].span.bit_length() - 1
-    return _realize(node, instance, L, levels)
+    return _realize(node, instance, L)

@@ -17,8 +17,9 @@ from patrol.cli import (
     EXIT_RESOURCE,
     main,
 )
-from patrol.instance import dump_instance, line_instance, load_instance
+from patrol.instance import dump_instance, line_instance, load_instance, matrix_instance
 from patrol.rationals import to_fraction
+from patrol.schedule import SitePos, load_schedule
 from scenarios import cooperative_line_instance
 from test_schedule_eval import NON_INTEGER_SITE_IDS, site_id_documents
 
@@ -364,6 +365,28 @@ def test_evaluate_out_of_range_site_exit_3(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"invalid input: {message}\n"
+
+
+def test_evaluate_edge_from_a_site_to_itself_is_that_site(tmp_path, capsys):
+    """A robot parked at {"edge": [1, 1], "frac": "0.5"}, distance 0 from
+    site 1, stands on site 1: it loads as SitePos(1) and is measured as a
+    robot parked at {"site": 1}."""
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(dump_instance(matrix_instance([[0, 1], [1, 0]], [1, 1])))
+    sched_path = tmp_path / "s.json"
+    outputs = []
+    for parked in ({"site": 1}, {"edge": [1, 1], "frac": "0.5"}):
+        text = json.dumps({"robots": [
+            {"period": "2", "waypoints": [{"t": "0", "pos": {"site": 0}},
+                                          {"t": "1", "pos": {"site": 1}}]},
+            {"period": "1", "waypoints": [{"t": "0", "pos": parked}]},
+        ]})
+        assert load_schedule(text).robots[1].waypoints == ((0, SitePos(1)),)
+        sched_path.write_text(text)
+        assert run("evaluate", "--instance", inst_path, "--schedule", sched_path) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert json.loads(outputs[0])["per_site"][1]["latency"] == "0"
+    assert outputs[1] == outputs[0]
 
 
 def test_evaluate_non_integer_site_ids_exit_3(tmp_path, capsys):

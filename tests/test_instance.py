@@ -7,6 +7,7 @@ import pytest
 
 from patrol.errors import InstanceError
 from patrol.instance import (
+    Metric,
     dump_instance,
     euclidean_instance,
     line_instance,
@@ -33,6 +34,13 @@ def test_load_line_instance():
 def test_load_single_site():
     inst = load_instance(doc("line", [5], [1], kind="line"))
     assert inst.n == 1
+
+
+def test_metric_without_sites_rejected_when_built():
+    """A Metric validates itself, so no constructor builds a 0-site one."""
+    for build in (lambda: line_instance([], []), lambda: Metric("line", coords=())):
+        with pytest.raises(InstanceError, match="at least one site"):
+            build()
 
 
 def test_load_asymmetric_matrix_rejected():

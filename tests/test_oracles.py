@@ -9,7 +9,6 @@ from patrol.evaluate import max_weighted_latency
 from patrol.instance import line_instance
 from patrol.metric_core import mst
 from patrol.oracles import (
-    OracleBudget,
     enumerate_partitions,
     exact_interval_cover,
     exact_line_weighted_opt,
@@ -141,10 +140,9 @@ def test_slotted_search_single_point():
 
 
 def test_budget_env_override(monkeypatch):
-    budget = OracleBudget(timeout=0.0)
     inst = cooperative_line_instance()
     with pytest.raises(ResourceLimitError, match="timed out"):
-        exact_line_weighted_opt(inst, 2, upper_start=Fraction(12), budget=budget)
+        exact_line_weighted_opt(inst, 2, upper_start=Fraction(12), timeout=0.0)
 
 
 def test_budget_env_variable(monkeypatch):

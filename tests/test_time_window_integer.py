@@ -170,7 +170,7 @@ def reference_levels(instance, k, L):
                     seen.add(tuple(out))
                     nxt.append(RefNode(reps, h, children=(left, right)))
         levels.append(reference_prune(nxt, coords, L))
-    answer = time_window._realize(levels[m][0], instance, L, m) if levels[m] else None
+    answer = time_window._realize(levels[m][0], instance, L) if levels[m] else None
     return answer, levels
 
 
