@@ -175,25 +175,22 @@ def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
     return [a + b for a, b in zip(points, points[1:])]
 
 
-def _expanded_legs(schedule: Schedule, metric: Metric) -> tuple:
-    """(expanded schedule, U, each track's _legs in unit 1/U, lazily in track
-    order) once the site ids are checked: what validate_speed and
-    site_visits both start from."""
+def _expanded(schedule: Schedule, metric: Metric) -> tuple[Schedule, int]:
+    """The expanded schedule and its unit U, once the site ids are checked."""
     _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
-    unit = _unit(schedule, metric)
-    return schedule, unit, (_legs(track, metric, unit) for track in schedule.robots)
+    return schedule, _unit(schedule, metric)
 
 
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     """Check every leg (and the wraparound leg) against unit speed, in the
     integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL)."""
-    _, unit, legs = _expanded_legs(schedule, metric)
+    schedule, unit = _expanded(schedule, metric)
     line = metric.variant == "line"
     tol = floor(unit * VISIT_TOL) if line else unit * VISIT_TOL
     violations = []
-    for r, track in enumerate(legs):
-        for i, (t0, p0, t1, p1) in enumerate(track):
+    for r, track in enumerate(schedule.robots):
+        for i, (t0, p0, t1, p1) in enumerate(_legs(track, metric, unit)):
             d = abs(p1 - p0) if line else position_distance(p0, p1, metric) * unit
             if d - (t1 - t0) > tol:
                 violations.append(SpeedViolation(r, i, Fraction(d, unit), Fraction(t1 - t0, unit)))
@@ -291,8 +288,9 @@ def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], lis
     unit 1/U, with the site coordinates and, on the line, the pass-through
     factor (module docstring) folded in, each track's period, and each
     track's _track_visits, all ints in that unit."""
-    schedule, unit, legs = _expanded_legs(schedule, metric)
-    legs, line = list(legs), metric.variant == "line"
+    schedule, unit = _expanded(schedule, metric)
+    line = metric.variant == "line"
+    legs = [_legs(t, metric, unit) for t in schedule.robots]
     if line:  # the site coordinates' denominators, then the pass-through factor
         m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
         m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)

@@ -115,7 +115,6 @@ def exact_line_weighted_opt(
     k: int,
     granularity: int = 1,
     upper_start: Optional[Fraction] = None,
-    timeout: Optional[float] = None,
 ) -> tuple[Fraction, Fraction]:
     """Search over slotted robot motions on the integer-scaled line.
 
@@ -130,21 +129,19 @@ def exact_line_weighted_opt(
     the largest candidate that fails, a lower bound only over the slotted
     class.  upper_start must be a value known to be achievable (defaults
     to the full-span zigzag bound, which the slotted class always admits).
-    The search gives up after timeout seconds, by default
-    PATROL_ORACLE_BUDGET_SECS.
+    The search gives up after PATROL_ORACLE_BUDGET_SECS seconds.
     """
     if not instance.is_line():
         raise ValueError("line instances only")
     if k > MAX_K or instance.n > 4:
         raise ResourceLimitError("slotted-motion search is limited to n<=4, small k")
-    if timeout is None:
-        text = os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120")
-        try:
-            timeout = float(text)
-        except ValueError:
-            timeout = nan
-        if isnan(timeout):
-            raise ValueError(f"PATROL_ORACLE_BUDGET_SECS is not a number: {text!r}")
+    text = os.environ.get("PATROL_ORACLE_BUDGET_SECS", "120")
+    try:
+        timeout = float(text)
+    except ValueError:
+        timeout = nan
+    if isnan(timeout):
+        raise ValueError(f"PATROL_ORACLE_BUDGET_SECS is not a number: {text!r}")
     deadline = time.monotonic() + timeout
 
     coords = list(instance.metric.coords)

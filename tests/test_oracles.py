@@ -141,8 +141,9 @@ def test_slotted_search_single_point():
 
 def test_budget_env_override(monkeypatch):
     inst = cooperative_line_instance()
+    monkeypatch.setenv("PATROL_ORACLE_BUDGET_SECS", "0")
     with pytest.raises(ResourceLimitError, match="timed out"):
-        exact_line_weighted_opt(inst, 2, upper_start=Fraction(12), timeout=0.0)
+        exact_line_weighted_opt(inst, 2, upper_start=Fraction(12))
 
 
 def test_budget_env_variable(monkeypatch):
