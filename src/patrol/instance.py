@@ -22,6 +22,7 @@ from .errors import InstanceError
 from .rationals import float_to_fraction, format_fraction, to_fraction
 
 TRIANGLE_TOL = 1e-9
+_METRIC_DATA = {"line": "coords", "matrix": "matrix", "euclidean": "points"}
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,8 @@ class Metric:
     does, without building a Fraction.  _memo keeps what solvers derive
     from the metric alone: metric_core.tree_cover per (sorted sites, t)
     and the time-window atomic table under "atomics"; it takes no part
-    in equality, hashing or repr.  A Metric validates itself when built.
+    in equality, hashing or repr.  A Metric validates itself when built,
+    its variant and that variant's data field first.
     """
 
     variant: str
@@ -80,6 +82,11 @@ class Metric:
         return self.distance(i, j)
 
     def validate(self) -> None:
+        data = _METRIC_DATA.get(self.variant)
+        if data is None:
+            raise InstanceError(f"unknown metric type: {self.variant}")
+        if getattr(self, data) is None:
+            raise InstanceError(f"a {self.variant} metric needs its {data}")
         n = self.n
         if n < 1:
             raise InstanceError("metric must cover at least one site")

@@ -34,11 +34,21 @@ with its integer-scaled tour length and the half-open range of caps on
 which the atom prune keeps it (one dominates another exactly when they
 share start and end coordinates and its hull contains the other's).
 Per Instance: the summary pool, which interns each summary once, keeps
-its hull mask over its weight class's sites and memoizes every join
-with the one integer compare that decides it at a given L.  Per probe:
-the cap filter over the atoms, that compare per pair, the levels and
-their prunes.  The search probes the decision alone and realizes only
-the window it accepts.
+its hull mask over its weight class's sites and the two ints its prune
+score is made of, and memoizes every join with the one integer compare
+that decides it at a given L.  Per probe, level by level:
+
+- level 0: the cap filter over the atoms and the covering k-tuples of
+  them, ranked by score; no tuple of pruned atoms dominates another, so
+  the ranking is the prune;
+- each level above: only the pairs whose hulls can reach the level's
+  outermost sites are joined, one compare each;
+- middle levels: the covering joins are pruned by dominance;
+- the top level (level m, or level 0 when m = 0): only the state the
+  prune would rank first is kept, since the decision reads no other.
+
+The search probes the decision alone and realizes only the window it
+accepts.
 """
 
 from __future__ import annotations
@@ -250,7 +260,9 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
     1/(3qD): a coordinate is 3q * X[i] and a slack of before3 thirds of
     L is before3 * p * D.  States are scanned by decreasing total slack
     plus hull width, a linear extension of dominance, so exactly one
-    state per undominated summary is kept.
+    state per undominated summary is kept.  _levels runs it on the
+    middle levels only; it ranks level 0 and picks the top level's first
+    state by the same score.
     """
     D, X, _, _, _ = _atomic_table(instance)
     scale, per_third = 3 * L.denominator, L.numerator * D
@@ -295,7 +307,10 @@ class _SummaryPool:
     its inverse; masks[i] marks the sites of i's level (a span fixes the
     level) inside i's hull, kept per (span, left, right) in hulls.
     joins[a, b] is _junction's (id, gap, slack3) for summaries a then b,
-    so a probe decides a pair with one integer compare.  atoms holds
+    so a probe decides a pair with one integer compare.  slack3s[i]
+    (before3 + after3) and widths[i] (the scaled hull width, 0 for pure
+    travel) are i's terms of _prune's scan score, which is per_third *
+    slack3 + scale * width at a given L.  atoms holds
     (length3, kill3, id) for each atomic table row that the atom prune
     keeps at some cap, in table order, and travel is the pure-travel
     atom's id.  The masks read the weight classes, so the pool lives on
@@ -309,6 +324,8 @@ class _SummaryPool:
         self.pool: list[AtomicRep] = []
         self.ids: dict[tuple, int] = {}
         self.masks: list[int] = []
+        self.slack3s: list[int] = []
+        self.widths: list[int] = []
         self.hulls: dict[tuple[int, int, int], int] = {}
         self.joins: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.atoms = [(length3, kill3, self.intern(rep))
@@ -320,14 +337,16 @@ class _SummaryPool:
         if got is None:
             got = self.ids[key] = len(self.pool)
             self.pool.append(key if type(key) is AtomicRep else AtomicRep._make(key))
-            _, _, left, right, _, _, span = key
+            _, _, left, right, before3, after3, span = key
+            X = self.X
             mask = 0 if left is None else self.hulls.get((span, left, right))
             if mask is None:
-                X = self.X
                 sites = self.level_sites.get(span.bit_length() - 1, ())
                 mask = self.hulls[span, left, right] = sum(
                     1 << bit for bit, s in enumerate(sites) if X[left] <= X[s] <= X[right])
             self.masks.append(mask)
+            self.slack3s.append(before3 + after3)
+            self.widths.append(0 if left is None else X[right] - X[left])
         return got
 
     def join(self, a: int, b: int) -> tuple[int, int, int]:
@@ -372,7 +391,10 @@ def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
 
 def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     """The DP's levels: levels[h] is the list of surviving StateNodes of
-    span 2^h, up to h = m."""
+    span 2^h, up to h = m, in _prune's order, except that the top level
+    holds at most one state, _prune's first.  Every distinct covering
+    join of a level, the top one included, counts against
+    DEFAULT_STATE_CAP."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
     summaries = _summary_pool(instance)
@@ -385,16 +407,28 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
         raise ResourceLimitError(
             f"{len(atom_ids)}^{k} atomic combinations exceed the pair cap"
         )
+    slack3s, widths = summaries.slack3s, summaries.widths
+
+    def score(ids) -> int:
+        """_prune's scan score of a state, from the pool's score terms."""
+        return (per_third * sum([slack3s[i] for i in ids])
+                + scale * sum([widths[i] for i in ids]))
+
     full = (1 << len(summaries.level_sites.get(0, ()))) - 1
-    states: list[StateNode] = []
+    combos = []
     for combo in product(atom_ids, repeat=k):
         mask = 0
         for i in combo:
             mask |= masks[i]
         if mask == full:
-            states.append(StateNode(tuple(pool[i] for i in combo), 0, ids=combo))
-    states = _prune(states, instance, L)
-    levels = [states]
+            combos.append(combo)
+    # the atoms are pruned by class and hull and share the slacks (0, 2),
+    # so no k-tuple of them dominates another: ranking is the prune
+    if m == 0:
+        combos = [max(combos, key=score)] if combos else []
+    else:
+        combos.sort(key=score, reverse=True)
+    levels = [[StateNode(tuple(pool[i] for i in combo), 0, ids=combo) for combo in combos]]
 
     for h in range(1, m + 1):
         prev = levels[-1]
@@ -402,11 +436,14 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
             raise ResourceLimitError(
                 f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
             )
-        full = (1 << len(summaries.level_sites.get(h, ()))) - 1
+        sites = summaries.level_sites.get(h, ())
+        full = (1 << len(sites)) - 1
+        partners = _partners(prev, sites, pool, summaries.X)
         nxt: list[StateNode] = []
         seen = set()
-        for left in prev:
-            for right in prev:
+        best, best_score = None, -1  # below every score
+        for left, rights in zip(prev, partners):
+            for right in rights:
                 out = []
                 mask = 0
                 for pair in zip(left.ids, right.ids):
@@ -420,14 +457,45 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
                     if mask != full or out in seen:
                         continue
                     seen.add(out)
-                    nxt.append(StateNode(tuple(pool[i] for i in out), h,
-                                         children=(left, right), ids=out))
-                    if len(nxt) > DEFAULT_STATE_CAP:
+                    if len(seen) > DEFAULT_STATE_CAP:
                         raise ResourceLimitError(
                             f"more than {DEFAULT_STATE_CAP} states at level {h}"
                         )
-        levels.append(_prune(nxt, instance, L))
+                    if h < m:
+                        nxt.append(StateNode(tuple(pool[i] for i in out), h,
+                                             children=(left, right), ids=out))
+                    else:  # the top level keeps _prune's first state only
+                        got = score(out)
+                        if got > best_score:
+                            best, best_score = (out, left, right), got
+        if h < m:
+            levels.append(_prune(nxt, instance, L))
+        else:
+            levels.append([] if best is None else [StateNode(
+                tuple(pool[i] for i in best[0]), h, children=best[1:], ids=best[0])])
     return levels
+
+
+def _partners(prev: list[StateNode], sites, pool, X) -> list[list[StateNode]]:
+    """Per state of prev, the states of prev it may be joined with, in
+    prev's order.  A join's hull spans its parts' hulls, so a pair fills
+    the next level's mask only if some robot of either state reaches its
+    leftmost site and some robot its rightmost: each state is tagged with
+    bit 1 (reaches left) and bit 2 (reaches right), and partners together
+    hold both bits.  With no sites at that level every pair qualifies."""
+    if not sites:
+        return [prev] * len(prev)
+    lo, hi = min(X[s] for s in sites), max(X[s] for s in sites)
+    tags = []
+    for node in prev:
+        tag = 0
+        for i in node.ids:
+            rep = pool[i]
+            if rep.left is not None:
+                tag |= (X[rep.left] <= lo) | (X[rep.right] >= hi) << 1
+        tags.append(tag)
+    by_tag = [[node for node, other in zip(prev, tags) if tag | other == 3] for tag in range(4)]
+    return [by_tag[tag] for tag in tags]
 
 
 def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedule:

@@ -43,6 +43,18 @@ def test_metric_without_sites_rejected_when_built():
             build()
 
 
+def test_metric_variant_and_its_data_checked_first():
+    """An unknown variant is not measured as Euclidean, and a known one
+    without its data field is an InstanceError, not a TypeError."""
+    with pytest.raises(InstanceError, match="unknown metric type: bogus"):
+        Metric("bogus", points=((0.0,), (3.0,)))
+    for variant, data in (("line", "coords"), ("matrix", "matrix"), ("euclidean", "points")):
+        with pytest.raises(InstanceError, match=f"a {variant} metric needs its {data}"):
+            Metric(variant)
+    with pytest.raises(InstanceError, match="needs its coords"):
+        Metric("line", points=((0.0,), (3.0,)))
+
+
 def test_load_asymmetric_matrix_rejected():
     with pytest.raises(InstanceError, match="asymmetric"):
         load_instance(doc("matrix", [[0, 1], [2, 0]], [1, 1]))

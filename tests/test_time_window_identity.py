@@ -28,6 +28,7 @@ from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
     StandardSchedule,
+    StateNode,
     candidate_window_lengths,
     construct_schedule,
     enumerate_atomics,
@@ -317,18 +318,59 @@ def exact_score(node, coords, L):
     )
 
 
-def test_state_prune_matches_reference(monkeypatch):
-    """The same kept states and the same answers.  The order may differ
-    only among states of equal exact score, which the original ranked by
-    rounding noise in its float sums; on this sweep that moves one k=1
-    list (denominator 100, no change in its first state) and five k=2
-    lists."""
-    prune = time_window._prune
-    calls = []
+def prune_inputs(instance, k, L):
+    """Yield every list the level loop gave _prune when it pruned each
+    level in full: level 0's covering atom tuples, then per level the
+    distinct covering joins of all pairs of the previous level's kept
+    states, in pair order.  The solver ranks level 0 without the scan,
+    keeps one state of the top level and skips pairs that cannot cover a
+    level, so it builds only some of these lists; this loop builds them
+    all, on the library's atoms, junction rule and masks."""
+    pool = time_window._summary_pool(instance)
+    scale, per_third = 3 * L.denominator, L.numerator * pool.D
+    classes = round_weights_dyadic(instance)[0]
+    level_sites = dict(classes.classes)
 
-    def spy(states, instance, L):
-        calls.append((list(states), instance, L))
-        return prune(states, instance, L)
+    def covering(nodes, h):
+        full = (1 << len(level_sites.get(h, ()))) - 1
+        out, seen = [], set()
+        for ids, children in nodes:
+            mask = 0
+            for i in ids:
+                mask |= pool.masks[i]
+            if mask == full and ids not in seen:
+                seen.add(ids)
+                out.append(StateNode(tuple(pool.pool[i] for i in ids), h, children, ids))
+        return out
+
+    states = covering(((combo, None) for combo in product(
+        time_window._atom_ids(instance, L), repeat=k)), 0)
+    for h in range(1, classes.m + 1):
+        yield states
+        prev = time_window._prune(states, instance, L)
+        joined = []
+        for left, right in product(prev, repeat=2):
+            out = []
+            for a, b in zip(left.ids, right.ids):
+                key, gap, slack3 = time_window._junction(
+                    pool.pool[a], pool.pool[b], pool.X, pool.low, pool.high)
+                if scale * gap > slack3 * per_third:
+                    break
+                out.append(pool.intern(key))
+            else:
+                joined.append((tuple(out), (left, right)))
+        states = covering(joined, h)
+    yield states
+
+
+def test_state_prune_matches_reference(monkeypatch):
+    """The same kept states and the same answers, on every list the
+    level loop pruned when it pruned every level in full (prune_inputs).
+    The order may differ only among states of equal exact score, which
+    the original ranked by rounding noise in its float sums; on this
+    sweep that moves one k=1 list (denominator 100, no change in its
+    first state) and five k=2 lists."""
+    prune = time_window._prune
 
     def reference(states, instance, L):
         return reference_state_prune(states, instance.metric.coords, L)
@@ -338,17 +380,16 @@ def test_state_prune_matches_reference(monkeypatch):
         coords = inst.metric.coords
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 6)]:
-            calls.clear()
-            monkeypatch.setattr(time_window, "_prune", spy)
             answer = construct_schedule(inst, k, L)
             monkeypatch.setattr(time_window, "_prune", reference)
             assert (answer is None) == (construct_schedule(inst, k, L) is None)
-            for states, instance, L_ in calls:
-                got = prune(states, instance, L_)
-                want = reference(states, instance, L_)
+            monkeypatch.setattr(time_window, "_prune", prune)
+            for states in prune_inputs(inst, k, L):
+                got = prune(states, inst, L)
+                want = reference(states, inst, L)
                 assert sorted(map(id, got)) == sorted(map(id, want))
-                assert [exact_score(n, coords, L_) for n in got] == [
-                    exact_score(n, coords, L_) for n in want
+                assert [exact_score(n, coords, L) for n in got] == [
+                    exact_score(n, coords, L) for n in want
                 ]
                 lists += 1
     assert lists > 600
@@ -416,14 +457,16 @@ def without_window(node, instance, L, robot, window):
 
 
 def test_validate_standard_matches_reference(dp_cases):
-    """Every top-level DP node of the sweep, realized as it is and with
-    each visiting window dropped in turn, gets the original's answer."""
+    """Every kept top-level node of the full level loop (prune_inputs),
+    realized as it is and with each visiting window dropped in turn, gets
+    the original's answer."""
     answers = Counter()
     for inst, k in dp_cases:
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 4)]:
-            levels = time_window._levels(inst, k, L)
-            for node in levels[-1]:
+            *_, last = prune_inputs(inst, k, L)
+            top = time_window._prune(last, inst, L)
+            for node in top:
                 std = realize_node(node, inst, L)
                 assert validate_standard(std, inst) and reference_validate_standard(std, inst)
                 answers["node"] += 1

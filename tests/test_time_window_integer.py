@@ -11,14 +11,18 @@ realized schedules.
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from typing import Optional
 
+import pytest
+
 from patrol import time_window
 from patrol.cli import EXIT_OK, main
+from patrol.errors import ResourceLimitError
 from patrol.instance import line_instance, round_weights_dyadic
 from patrol.rationals import to_fraction
 from patrol.schedule import dump_schedule
@@ -29,7 +33,12 @@ from patrol.time_window import (
     cyclify,
     enumerate_atomics,
 )
-from test_time_window_identity import integer_prune_atomics
+from test_time_window_identity import (
+    exact_score,
+    integer_prune_atomics,
+    prune_inputs,
+    reference_state_prune,
+)
 
 # --- the frozen Fraction level loop -------------------------------------------
 
@@ -202,22 +211,115 @@ def realized(answer, instance):
 
 
 def test_integer_dp_matches_fraction_reference():
-    """Equal kept levels (node.reps in order), answers and realized
-    schedules at about eight candidate windows per case."""
+    """Equal kept levels (node.reps in order) below the top, the top
+    level's one state equal to the reference's first, and equal answers
+    and realized schedules at about eight candidate windows per case."""
     probes = yes = 0
     for inst, k in junction_cases():
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 8)]:
-            levels = time_window._levels(inst, k, L)
+            *levels, top = time_window._levels(inst, k, L)
             answer = construct_schedule(inst, k, L)
-            want_answer, want_levels = reference_levels(inst, k, L)
+            want_answer, (*want_levels, want_top) = reference_levels(inst, k, L)
             assert [[n.reps for n in lv] for lv in levels] == [
                 [n.reps for n in lv] for lv in want_levels
             ], (inst, k, L)
+            assert [n.reps for n in top] == [n.reps for n in want_top[:1]], (inst, k, L)
             assert realized(answer, inst) == realized(want_answer, inst)
             probes += 1
             yes += answer is not None
     assert probes > 200 and 0 < yes < probes
+
+
+def rank_cases():
+    """k=1 up to n=6 with weights to 4, k=2 up to n=4 with weights to 2,
+    k=3 up to n=3 with weights to 2; at each k some instance has
+    coincident sites and some has more than one weight level."""
+    cases = [(inst, 1) for inst in sweep(30, 30, 6, 4)]
+    cases += [(inst, 2) for inst in sweep(33, 12, 4, 2)]
+    cases += [(inst, 3) for inst in sweep(32, 5, 3, 2)]
+    for k in (1, 2, 3):
+        assert any(len(set(inst.metric.coords)) < inst.n for inst, kk in cases if kk == k)
+        assert any(round_weights_dyadic(inst)[0].m for inst, kk in cases if kk == k)
+    return cases
+
+
+def rank_probes():
+    """(instance, k, L) at about four candidate windows per case."""
+    for inst, k in rank_cases():
+        cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
+        for L in cands[:: max(1, len(cands) // 4)]:
+            yield inst, k, L
+
+
+def test_level_zero_is_ranked_not_pruned():
+    """No k-tuple of pruned atoms dominates another: the frozen prune keeps
+    every covering atom tuple, and the solver's level 0 is those tuples
+    stably sorted by exact score (its first one alone when level 0 is the
+    top).  The frozen prune's own order agrees up to ties in exact score,
+    which it ranks by float rounding."""
+    probes = 0
+    for inst, k, L in rank_probes():
+        coords = inst.metric.coords
+        covering = next(prune_inputs(inst, k, L))
+        ranked = sorted(covering, key=lambda n: -exact_score(n, coords, L))
+        want = reference_state_prune(covering, coords, L)
+        assert sorted(map(id, want)) == sorted(map(id, covering)), (inst, k, L)
+        assert [exact_score(n, coords, L) for n in want] == [
+            exact_score(n, coords, L) for n in ranked]
+        levels = time_window._levels(inst, k, L)
+        if len(levels) == 1:
+            ranked = ranked[:1]
+        assert [n.reps for n in levels[0]] == [n.reps for n in ranked], (inst, k, L)
+        probes += 1
+    assert probes > 150
+
+
+def test_reach_filter_skips_only_pairs_that_cannot_cover():
+    """Every pair of a level's states that the reach filter does not
+    offer for joining has a robot whose Fraction join fails, or joins
+    whose hulls miss a site of the next level."""
+    skipped = Counter()
+    for inst, k, L in rank_probes():
+        coords = inst.metric.coords
+        level_sites = dict(round_weights_dyadic(inst)[0].classes)
+        pool = time_window._summary_pool(inst)
+        levels = time_window._levels(inst, k, L)
+        for h, prev in enumerate(levels[:-1], start=1):
+            targets = level_sites.get(h, ())
+            partners = time_window._partners(prev, targets, pool.pool, pool.X)
+            for left, offered in zip(prev, partners):
+                offered = set(map(id, offered))
+                for right in prev:
+                    if id(right) in offered:
+                        continue
+                    reps = [reference_concat(a, b, L, coords)
+                            for a, b in zip(left.reps, right.reps)]
+                    assert None in reps or not reference_covers(reps, coords, targets)
+                    skipped[k] += 1
+    assert all(skipped[k] > 50 for k in (1, 2, 3)), skipped
+
+
+def test_state_cap_trips_where_the_full_level_loop_did(monkeypatch):
+    """DEFAULT_STATE_CAP counts a level's distinct covering joins.  The
+    top level keeps one of them and the reach filter skips pairs, yet a
+    cap one below a level's count in the full level loop (prune_inputs)
+    trips at the first level whose count exceeds it, with the message of
+    that loop, and a cap at the largest count never trips."""
+    trips = Counter()
+    for inst, k, L in list(rank_probes()):  # candidate lists read the cap too
+        counts = [len(states) for states in prune_inputs(inst, k, L)][1:]
+        for cap in sorted(set(counts) - {0}):
+            monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", cap - 1)
+            h = next(h for h, count in enumerate(counts, start=1) if count >= cap)
+            message = f"^more than {cap - 1} states at level {h}$"
+            with pytest.raises(ResourceLimitError, match=message):
+                time_window._levels(inst, k, L)
+            trips["top" if h == len(counts) else "middle"] += 1
+        if counts:
+            monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", max(counts))
+            time_window._levels(inst, k, L)
+    assert trips["top"] > 40 and trips["middle"] > 15, trips
 
 
 def test_concat_adapter_matches_fraction_reference():
