@@ -33,6 +33,7 @@ from .generate import KINDS, generate_instance
 from .instance import Instance, dump_instance, load_instance
 from .line_uniform import solve_line_single_weighted, solve_line_uniform
 from .metric_scheduler import baseline_cover_schedule, solve_metric
+from .rationals import to_float
 from .report import SolveReport
 from .schedule import dump_schedule, load_schedule
 from .time_window import solve_line_weighted
@@ -148,9 +149,9 @@ def cmd_compare(args) -> int:
         rows.append(
             [
                 algo,
-                float(report.measured_latency),
-                float(report.lower_bound),
-                "" if ratio is None else float(ratio),
+                to_float(report.measured_latency),
+                to_float(report.lower_bound),
+                "" if ratio is None else to_float(ratio),
                 round(elapsed, 6),
             ]
         )

@@ -37,7 +37,7 @@ from math import floor, gcd, lcm
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import format_fraction, to_fraction
+from .rationals import format_fraction, to_float, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
@@ -57,8 +57,8 @@ class SpeedViolation:
         return self.distance - self.duration
 
     def __str__(self) -> str:
-        return (f"robot {self.robot} leg {self.leg}: distance {float(self.distance):g} "
-                f"in time {float(self.duration):g} (excess {float(self.excess):g})")
+        return (f"robot {self.robot} leg {self.leg}: distance {to_float(self.distance):g} "
+                f"in time {to_float(self.duration):g} (excess {to_float(self.excess):g})")
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ class LatencyReport:
         writer = csv.writer(buf)
         writer.writerow(["site", "latency", "weight", "weighted"])
         for s in self.per_site:
-            writer.writerow([s.site, float(s.latency), float(s.weight), float(s.weighted)])
+            writer.writerow([s.site, *map(to_float, (s.latency, s.weight, s.weighted))])
         return buf.getvalue()
 
 

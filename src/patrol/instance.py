@@ -35,10 +35,9 @@ class Metric:
     from math.dist read through its shortest decimal repr (not its exact
     binary value).  distance_key(i, j) orders pairs exactly as distance
     does, without building a Fraction.  _memo keeps what solvers derive
-    from the metric alone: metric_core.tree_cover per (sorted sites, t)
-    and the time-window atomic table under "atomics"; it takes no part
-    in equality, hashing or repr.  A Metric validates itself when built,
-    its variant and that variant's data field first.
+    from the metric alone, metric_core.tree_cover per (sorted sites, t);
+    it takes no part in equality, hashing or repr.  A Metric validates
+    itself when built, its variant and that variant's data field first.
     """
 
     variant: str
@@ -129,8 +128,9 @@ class Instance:
 
     _memo keeps what solvers derive from the whole instance: the weight
     classes of weight_classes() under "dyadic", shared by the time-window
-    solver, the metric solver and its lower bound; it takes no part in
-    equality, hashing or repr.
+    solver, the metric solver and its lower bound, and the time-window
+    summary pool (its atomic table included) under "summaries"; it takes
+    no part in equality, hashing or repr.
     """
 
     metric: Metric
@@ -200,10 +200,12 @@ def round_weights_dyadic(instance: Instance) -> tuple[WeightClasses, list[Fracti
     rounded: list[Fraction] = []
     exponents: list[int] = []
     for w in instance.weights:
+        # the largest j with p << j <= q, for p / q = w / scale <= 1
         scaled = w / scale
-        j = 0
-        while Fraction(1, 2 ** (j + 1)) >= scaled:
-            j += 1
+        p, q = scaled.numerator, scaled.denominator
+        j = q.bit_length() - p.bit_length()
+        if p << j > q:
+            j -= 1
         exponents.append(j)
         rounded.append(Fraction(1, 2**j))
     m = max(exponents)

@@ -13,7 +13,8 @@ Numbers are read and written on integers.  A plain ASCII decimal
 format_fraction writes) is read as its integer digits times a power of
 ten; any other text goes to Fraction(text), so each Python version keeps
 its own rules and error messages for those.  A decimal is written by
-scaling the numerator to the denominator's power of ten.
+scaling the numerator to the denominator's power of ten, and a number
+past int()'s digit limit or the double range raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 from fractions import Fraction
 from math import isfinite, log2
 from typing import Callable, Optional, Union
+
+from .errors import ResourceLimitError
 
 Real = Union[int, float, str, Fraction]
 
@@ -106,19 +109,31 @@ def format_fraction(value: Real) -> str:
     is of the form 2^a*5^b, otherwise "p/q"."""
     f = value if type(value) is Fraction else to_fraction(value)
     num, den = f.numerator, f.denominator
-    if den == 1:
-        return str(num)
-    twos = (den & -den).bit_length() - 1
-    odd = den >> twos
-    # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
-    fives = int(odd.bit_length() / _LOG2_5)
-    if 5**fives != odd:
-        return f"{num}/{den}"
-    # num / den = num * 5^(shift-fives) * 2^(shift-twos) / 10^shift, and the
-    # last of its shift decimals is not 0: num is prime to den
-    shift = max(twos, fives)
-    digits = str(abs(num) * (5 ** (shift - fives) << (shift - twos))).rjust(shift + 1, "0")
+    try:
+        if den == 1:
+            return str(num)
+        twos = (den & -den).bit_length() - 1
+        odd = den >> twos
+        # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
+        fives = int(odd.bit_length() / _LOG2_5)
+        if 5**fives != odd:
+            return f"{num}/{den}"
+        # num / den = num * 5^(shift-fives) * 2^(shift-twos) / 10^shift, and
+        # the last of its shift decimals is not 0: num is prime to den
+        shift = max(twos, fives)
+        digits = str(abs(num) * (5 ** (shift - fives) << (shift - twos))).rjust(shift + 1, "0")
+    except ValueError:  # only str(int) raises it: past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ResourceLimitError(f"a number over {limit} digits cannot be written") from None
     return f"{'-' if num < 0 else ''}{digits[:-shift]}.{digits[-shift:]}"
+
+
+def to_float(value: Fraction) -> float:
+    """float(value), or ResourceLimitError past the double range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ResourceLimitError("a number past the double range cannot be written") from None
 
 
 def smallest_accepted(lo: int, hi: int, probe: Callable) -> tuple:

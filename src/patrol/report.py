@@ -8,7 +8,7 @@ from typing import Optional
 
 from .evaluate import LatencyReport, max_weighted_latency, validate_speed
 from .instance import Instance
-from .rationals import format_fraction
+from .rationals import format_fraction, to_float
 from .schedule import Schedule
 
 
@@ -46,7 +46,7 @@ class SolveReport:
             "L_accepted": format_fraction(self.L_accepted),
             "lower_bound": format_fraction(self.lower_bound),
             "measured": format_fraction(self.measured_latency),
-            "ratio": None if ratio is None else float(ratio),
+            "ratio": None if ratio is None else to_float(ratio),
             "latency": self.latency.to_json_dict(),
             "seconds": seconds,
         }

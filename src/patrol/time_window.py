@@ -28,15 +28,15 @@ compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
 with X = D * coords and L/3 is p * D.  Fractions appear only in the
 candidate windows, in AtomicRep.t_before / t_after and in realization.
 
-What does not depend on L is built once, not once per probe of the
-window search.  Per Metric: the atomic table, every visiting 4-tuple
-with its integer-scaled tour length and the half-open range of caps on
-which the atom prune keeps it (one dominates another exactly when they
-share start and end coordinates and its hull contains the other's).
-Per Instance: the summary pool, which interns each summary once, keeps
-its hull mask over its weight class's sites and the two ints its prune
-score is made of, and memoizes every join with the one integer compare
-that decides it at a given L.  Per probe, level by level:
+What does not depend on L is built once per Instance, not once per
+probe of the window search, in its summary pool: the atomic table
+(every visiting 4-tuple with its integer-scaled tour length and the
+half-open range of caps on which the atom prune keeps it; one dominates
+another exactly when they share start and end coordinates and its hull
+contains the other's), each summary interned once with its hull mask
+over its weight class's sites and the two ints its score is made of,
+and every join with the one integer compare that decides it at a given
+L.  A DP state is its summaries' pool ids.  Per probe, level by level:
 
 - level 0: the cap filter over the atoms and the covering k-tuples of
   them, ranked by score; no tuple of pruned atoms dominates another, so
@@ -53,7 +53,7 @@ accepts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd, inf, lcm
@@ -130,55 +130,12 @@ def _scaled(coords: Sequence[Fraction]) -> tuple:
     return D, X, tuple(zip(X, range(len(X)))), tuple(zip(X, range(0, -len(X), -1)))
 
 
-def _atomic_table(instance: Instance) -> tuple:
-    """(D, X, rows, low, high), kept in the Metric's memo, with D, X, low
-    and high as in _scaled; the rows are the visiting 4-tuples in product
-    order as (length3, kill3, AtomicRep), length3 = 3 * D * canonical
-    tour length.  The canonical length of s -> e through the extremes
-    l <= s, e <= r is (r - l) + min((s - l) + (r - e), (r - s) + (e - l)).
-
-    The atom prune keeps a row exactly at the caps floor(L * D) in
-    [length3, kill3).  The rows of one coordinate class (start, end, left,
-    right) share a tour, and the first in product order stands for all
-    (the later ones get kill3 = length3).  That first row is dropped once
-    a strictly wider hull over the same ends fits.  Widening a hull by d
-    on either side lengthens both detours by d, so the tour by 2d: the
-    shortest wider hull reaches the nearest coordinate beyond one side,
-    and kill3 is inf when there is none."""
-    table = instance.metric._memo.get("atomics")
-    if table is None:
-        D, X, low, high = _scaled(instance.metric.coords)
-        values = sorted(set(X))
-        steps = [b - a for a, b in zip(values, values[1:])]
-        step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
-        # product order meets a class first at the lowest index of each site
-        lead = [X.index(x) == i for i, x in enumerate(X)]
-        rows = []
-        for s, xs in enumerate(X):
-            for e, xe in enumerate(X):
-                lo, hi = min(xs, xe), max(xs, xe)
-                rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
-                for left, xl in enumerate(X):
-                    if xl > lo:
-                        continue
-                    first = lead[s] and lead[e] and lead[left]
-                    for right, xr in rights:
-                        length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
-                                                               (xr - xs) + (xe - xl)))
-                        if first and lead[right]:
-                            widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
-                            kill3 = length3 + 6 * widen if widen < inf else inf
-                        rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
-        table = instance.metric._memo.setdefault("atomics", (D, X, tuple(rows), low, high))
-    return table
-
-
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     """All single-window summaries: every visiting 4-tuple whose canonical
     tour fits in L/3, plus the single pure-travel summary."""
-    D, _, rows, _, _ = _atomic_table(instance)
-    cap = floor(L * D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
-    return [rep for length3, _, rep in rows if length3 <= cap] + [type_two()]
+    summaries = _summary_pool(instance)
+    cap = floor(L * summaries.D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
+    return [rep for length3, _, rep in summaries.rows if length3 <= cap] + [type_two()]
 
 
 def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
@@ -219,19 +176,18 @@ def concat(
 @dataclass
 class StateNode:
     """One k-robot summary with enough structure to replay the motion:
-    reps are the robots' AtomicReps, interned in the instance's summary
-    pool and shared by every probe, which keeps only its levels; ids are
-    their pool ids."""
+    ids are the pool ids of the robots' AtomicReps, interned in the
+    instance's summary pool and shared by every probe, which keeps only
+    its levels."""
 
-    reps: tuple[AtomicRep, ...]
+    ids: tuple[int, ...]
     level: int
     children: Optional[tuple["StateNode", "StateNode"]] = None
-    ids: tuple[int, ...] = field(default=(), compare=False)
 
-    def slots(self) -> list[tuple[AtomicRep, ...]]:
-        """Per-window atomic summaries, one tuple of k entries per window."""
+    def slots(self) -> list[tuple[int, ...]]:
+        """Per-window atomic summaries as pool ids, k per window."""
         if self.level == 0:
-            return [self.reps]
+            return [self.ids]
         left, right = self.children
         return left.slots() + right.slots()
 
@@ -259,23 +215,23 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
     of one span are identical.  Lengths are integers in units of
     1/(3qD): a coordinate is 3q * X[i] and a slack of before3 thirds of
     L is before3 * p * D.  States are scanned by decreasing total slack
-    plus hull width, a linear extension of dominance, so exactly one
-    state per undominated summary is kept.  _levels runs it on the
-    middle levels only; it ranks level 0 and picks the top level's first
-    state by the same score.
+    plus hull width (the pool's ranking), a linear extension of
+    dominance, so exactly one state per undominated summary is kept.
+    _levels runs it on the middle levels only; it ranks level 0 and
+    picks the top level's first state by the same score.
     """
-    D, X, _, _, _ = _atomic_table(instance)
-    scale, per_third = 3 * L.denominator, L.numerator * D
+    summaries = _summary_pool(instance)
+    pool, X = summaries.pool, summaries.X
+    scale, per_third = 3 * L.denominator, L.numerator * summaries.D
+    score = summaries.ranking(L)
 
-    def scaled(key):
-        """(start, end, left, right, before, after), None for pure travel,
-        and the summary's share of the scan score."""
-        s, e, lo, hi, before, after, _ = key
+    def scaled(i):
+        """Summary i's (start, end, left, right, before, after) or None."""
+        s, e, lo, hi, before, after, _ = pool[i]
         if s is None:
-            return None, after * per_third
-        lo, hi = scale * X[lo], scale * X[hi]
-        before, after = before * per_third, after * per_third
-        return (scale * X[s], scale * X[e], lo, hi, before, after), before + after + hi - lo
+            return None
+        return (scale * X[s], scale * X[e], scale * X[lo], scale * X[hi],
+                before * per_third, after * per_third)
 
     def dominates(xs, ys) -> bool:
         for a, b in zip(xs, ys):
@@ -288,10 +244,7 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
                 return False
         return True
 
-    scored = []
-    for node in states:
-        keys, scores = zip(*map(scaled, node.reps))
-        scored.append((-sum(scores), keys, node))
+    scored = [(-score(node.ids), tuple(map(scaled, node.ids)), node) for node in states]
     scored.sort(key=lambda item: item[0])
     kept: list[tuple] = []
     for _, keys, node in scored:
@@ -301,25 +254,61 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 
 
 class _SummaryPool:
-    """The interned AtomicReps of one instance and their joins, shared by
-    every probe of a solve, since none depends on L (slacks count thirds
-    of L): the pair loops run on small ints.  pool[i] is summary i and ids
-    its inverse; masks[i] marks the sites of i's level (a span fixes the
-    level) inside i's hull, kept per (span, left, right) in hulls.
-    joins[a, b] is _junction's (id, gap, slack3) for summaries a then b,
-    so a probe decides a pair with one integer compare.  slack3s[i]
-    (before3 + after3) and widths[i] (the scaled hull width, 0 for pure
-    travel) are i's terms of _prune's scan score, which is per_third *
-    slack3 + scale * width at a given L.  atoms holds
-    (length3, kill3, id) for each atomic table row that the atom prune
-    keeps at some cap, in table order, and travel is the pure-travel
-    atom's id.  The masks read the weight classes, so the pool lives on
-    the Instance, not on its Metric.  intern takes _junction's plain
-    tuples and AtomicReps alike (an AtomicRep equals and hashes like its
-    plain tuple) and builds an AtomicRep only for a new plain tuple."""
+    """The per-instance tables of the DP, shared by every probe of a
+    solve, since none depends on L (slacks count thirds of L): the pair
+    loops run on small ints.  D, X, low and high are as in _scaled.
+
+    rows are the atomic table: the visiting 4-tuples in product order as
+    (length3, kill3, AtomicRep), length3 = 3 * D * canonical tour length.
+    The canonical length of s -> e through the extremes l <= s, e <= r is
+    (r - l) + min((s - l) + (r - e), (r - s) + (e - l)).  The atom prune
+    keeps a row exactly at the caps floor(L * D) in [length3, kill3).  The
+    rows of one coordinate class (start, end, left, right) share a tour,
+    and the first in product order stands for all (the later ones get
+    kill3 = length3).  That first row is dropped once a strictly wider
+    hull over the same ends fits.  Widening a hull by d on either side
+    lengthens both detours by d, so the tour by 2d: the shortest wider
+    hull reaches the nearest coordinate beyond one side, and kill3 is inf
+    when there is none.
+
+    pool[i] is the interned summary i and ids its inverse; masks[i] marks
+    the sites of i's level (a span fixes the level) inside i's hull, kept
+    per (span, left, right) in hulls.  joins[a, b] is _junction's (id,
+    gap, slack3) for summaries a then b, so a probe decides a pair with
+    one integer compare.  slack3s[i] (before3 + after3) and widths[i]
+    (the scaled hull width, 0 for pure travel) are i's terms of the score
+    ranking(L) returns.  atoms holds (length3, kill3, id) for each row
+    that the atom prune keeps at some cap, in table order, and travel is
+    the pure-travel atom's id.  The masks read the weight classes, so the
+    pool lives on the Instance, not on its Metric.  intern takes
+    _junction's plain tuples and AtomicReps alike (an AtomicRep equals and
+    hashes like its plain tuple) and builds an AtomicRep only for a new
+    plain tuple."""
 
     def __init__(self, instance: Instance):
-        self.D, self.X, rows, self.low, self.high = _atomic_table(instance)
+        self.D, self.X, self.low, self.high = _scaled(instance.metric.coords)
+        X = self.X
+        values = sorted(set(X))
+        steps = [b - a for a, b in zip(values, values[1:])]
+        step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
+        # product order meets a class first at the lowest index of each site
+        lead = [X.index(x) == i for i, x in enumerate(X)]
+        self.rows = rows = []
+        for s, xs in enumerate(X):
+            for e, xe in enumerate(X):
+                lo, hi = min(xs, xe), max(xs, xe)
+                rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
+                for left, xl in enumerate(X):
+                    if xl > lo:
+                        continue
+                    first = lead[s] and lead[e] and lead[left]
+                    for right, xr in rights:
+                        length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
+                                                               (xr - xs) + (xe - xl)))
+                        if first and lead[right]:
+                            widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                            kill3 = length3 + 6 * widen if widen < inf else inf
+                        rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
         self.level_sites = dict(weight_classes(instance).classes)
         self.pool: list[AtomicRep] = []
         self.ids: dict[tuple, int] = {}
@@ -354,6 +343,14 @@ class _SummaryPool:
         key, gap, slack3 = _junction(self.pool[a], self.pool[b], self.X, self.low, self.high)
         got = self.joins[a, b] = (self.intern(key), gap, slack3)
         return got
+
+    def ranking(self, L: Fraction):
+        """The scan score at window L of a state's ids, total slack plus
+        hull width in units of 1/(3qD): per_third * slack3 + scale * width."""
+        scale, per_third = 3 * L.denominator, L.numerator * self.D
+        slack3s, widths = self.slack3s, self.widths
+        return lambda ids: (per_third * sum([slack3s[i] for i in ids])
+                            + scale * sum([widths[i] for i in ids]))
 
 
 def _summary_pool(instance: Instance) -> _SummaryPool:
@@ -400,20 +397,15 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     summaries = _summary_pool(instance)
     pool, masks, joins = summaries.pool, summaries.masks, summaries.joins
     scale, per_third = 3 * L.denominator, L.numerator * summaries.D
+    score = summaries.ranking(L)
     m = weight_classes(instance).m
 
     atom_ids = _atom_ids(instance, L)
-    if len(atom_ids) ** k > DEFAULT_PAIR_CAP:
+    # a visiting atom and pure travel make the base >= 2: k past the cap's bits is over it
+    if len(atom_ids) ** min(k, DEFAULT_PAIR_CAP.bit_length()) > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(
             f"{len(atom_ids)}^{k} atomic combinations exceed the pair cap"
         )
-    slack3s, widths = summaries.slack3s, summaries.widths
-
-    def score(ids) -> int:
-        """_prune's scan score of a state, from the pool's score terms."""
-        return (per_third * sum([slack3s[i] for i in ids])
-                + scale * sum([widths[i] for i in ids]))
-
     full = (1 << len(summaries.level_sites.get(0, ()))) - 1
     combos = []
     for combo in product(atom_ids, repeat=k):
@@ -428,7 +420,7 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
         combos = [max(combos, key=score)] if combos else []
     else:
         combos.sort(key=score, reverse=True)
-    levels = [[StateNode(tuple(pool[i] for i in combo), 0, ids=combo) for combo in combos]]
+    levels = [[StateNode(combo, 0) for combo in combos]]
 
     for h in range(1, m + 1):
         prev = levels[-1]
@@ -462,8 +454,7 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
                             f"more than {DEFAULT_STATE_CAP} states at level {h}"
                         )
                     if h < m:
-                        nxt.append(StateNode(tuple(pool[i] for i in out), h,
-                                             children=(left, right), ids=out))
+                        nxt.append(StateNode(out, h, children=(left, right)))
                     else:  # the top level keeps _prune's first state only
                         got = score(out)
                         if got > best_score:
@@ -471,8 +462,7 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
         if h < m:
             levels.append(_prune(nxt, instance, L))
         else:
-            levels.append([] if best is None else [StateNode(
-                tuple(pool[i] for i in best[0]), h, children=best[1:], ids=best[0])])
+            levels.append([] if best is None else [StateNode(best[0], h, children=best[1:])])
     return levels
 
 
@@ -499,10 +489,10 @@ def _partners(prev: list[StateNode], sites, pool, X) -> list[list[StateNode]]:
 
 
 def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedule:
-    coords = instance.metric.coords
+    coords, pool = instance.metric.coords, _summary_pool(instance).pool
     slots = node.slots()  # [window][robot]
-    tracks = tuple(_realize_track([slot[r] for slot in slots], coords, L)
-                   for r in range(len(node.reps)))
+    tracks = tuple(_realize_track([pool[slot[r]] for slot in slots], coords, L)
+                   for r in range(len(node.ids)))
     return StandardSchedule(window=L, levels=node.level, robot_waypoints=tracks)
 
 
@@ -569,11 +559,11 @@ def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
     of 2^j windows, over the whole period 2D of the cyclified schedule
     (both halves) and by the evaluator's visit rule."""
-    return _blocks_met(std, cyclify(std, instance), instance)
+    return _blocks_met(std, cyclify(std), instance)
 
 
 def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance) -> bool:
-    """validate_standard on schedule = cyclify(std, instance).  Visits are
+    """validate_standard on schedule = cyclify(std).  Visits are
     site_visits' ints in the unit 1/U, so with P = 2D * U block b is
     [b * P, (b + 1) * P] once visit times are scaled by 2^(m+1-j).  A
     stationary track covers its sites at all times."""
@@ -608,7 +598,7 @@ def _every_block_met(spans: Sequence[tuple[int, int]], block: int, blocks: int) 
     return True
 
 
-def cyclify(std: StandardSchedule, instance: Instance) -> Schedule:
+def cyclify(std: StandardSchedule) -> Schedule:
     """Infinite periodic schedule: run the standard schedule, then its
     time reversal, with period twice the duration.  Each site's visit gap
     at most doubles relative to its window spacing."""
@@ -638,14 +628,15 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     visiting-window tours (3 * tour length) and junction travel budgets
     d = (2/3 + j) * L for up to 2^m pure-travel windows in between.
     More junction values than DEFAULT_STATE_CAP raise ResourceLimitError."""
-    D, X, rows, _, _ = _atomic_table(instance)
+    summaries = _summary_pool(instance)
+    D, X = summaries.D, summaries.X
     gaps = {b - a for a in X for b in X if a < b}
     budgets = 2**weight_classes(instance).m + 1
     if len(gaps) * budgets > DEFAULT_STATE_CAP:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
     # tour fits length3 / D, and a gap g / D over a budget of (2/3 + hops)
     # windows, as reduced (numerator, denominator) pairs
-    values = {(length3, D) for length3 in {length3 for length3, _, _ in rows}}
+    values = {(length3, D) for length3 in {length3 for length3, _, _ in summaries.rows}}
     values.update((3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
     reduced = set()
     for num, den in values:
@@ -705,7 +696,7 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
         raise AssertionError("the largest candidate window must be schedulable")
     best = _realize(node, instance, candidates[i])
 
-    schedule = cyclify(best, instance)
+    schedule = cyclify(best)
     if not _blocks_met(best, schedule, instance):
         raise AssertionError("accepted schedule violates its visit windows")
     return build_report(

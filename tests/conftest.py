@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 from patrol.instance import Instance, euclidean_instance, line_instance, matrix_instance
-from patrol.time_window import _realize
+from patrol.time_window import _realize, _summary_pool
 
 
 def random_line_coords(rng: random.Random, n: int, hi: int = 2000) -> list[Fraction]:
@@ -48,3 +48,9 @@ def random_matrix_instance(rng: random.Random, n: int, wchoices=(1, 2)) -> Insta
 def realize_node(node, instance: Instance, L: Fraction):
     """Replay any time-window DP node into explicit motion."""
     return _realize(node, instance, L)
+
+
+def node_reps(node, instance: Instance):
+    """A time-window DP node's AtomicReps, read from its pool ids."""
+    pool = _summary_pool(instance).pool
+    return tuple(pool[i] for i in node.ids)

@@ -218,7 +218,7 @@ def test_criterion_7_time_window_dp():
                 if std is not None:
                     break
             assert std is not None and validate_standard(std, inst)
-            sched = cyclify(std, inst)
+            sched = cyclify(std)
             _, rounded = round_weights_dyadic(inst)
             lat = max_weighted_latency(sched, inst)
             for s in inst.sites:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -643,3 +644,61 @@ def test_malformed_oracle_budget_variable_leaves_commands_working(tmp_path):
                               capture_output=True, timeout=60)
         assert done.returncode == EXIT_OK, done.stderr.decode()
         assert b"Traceback" not in done.stderr
+
+
+def test_huge_k_trips_the_pair_cap_at_once(tmp_path, capsys):
+    """A k past the pair cap's bit length trips line-weighted's level-0
+    cap without raising the atom count to the k-th power, which took
+    about 8 s per command at k = 10^7 (and needs about 430 MB at 10^9)."""
+    inst_path = tmp_path / "inst.json"
+    run("generate", "--kind", "line-weighted", "--n", 4, "--seed", 1, "--wmax", 2,
+        "--out", inst_path)
+    capsys.readouterr()
+    started = time.perf_counter()
+    for argv in (("solve", "--algo", "line-weighted"),
+                 ("compare", "--algos", "line-weighted,metric")):
+        assert run(*argv, "--instance", inst_path, "--k", 10**7) == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"resource cap: 11^{10**7} atomic combinations exceed the pair cap\n")
+    assert time.perf_counter() - started < 3
+
+
+def test_numbers_past_the_writers_limits_exit_4(tmp_path, capsys):
+    """A lower bound whose digits are past int()'s digit limit, and a
+    ratio, a latency or a speed violation's distance past the double
+    range, end in one resource-cap line and exit 4 from every command
+    that writes them."""
+    wide, far = tmp_path / "wide.json", tmp_path / "far.json"
+    wide.write_text(json.dumps({"kind": "line", "metric": {"type": "line", "data": list(range(30))},
+                                "weights": [1] + ["1e-4000"] * 29}))
+    far.write_text(json.dumps({"kind": "line", "metric": {"type": "line", "data": [0, 1, 2]},
+                               "weights": [1, "1e-4300", "1e-4300"]}))
+    sched_path = tmp_path / "s.json"
+    digits = "resource cap: a number over 4300 digits cannot be written\n"
+    double = "resource cap: a number past the double range cannot be written\n"
+    for argv, message in (
+        (("solve", "--instance", wide, "--algo", "metric", "--k", 1), digits),
+        (("compare", "--instance", wide, "--k", 1, "--algos", "metric"), double),
+        (("solve", "--instance", far, "--algo", "metric", "--k", 1), double),
+        (("compare", "--instance", far, "--k", 1, "--algos", "metric"), double),
+    ):
+        assert run(*argv) == EXIT_RESOURCE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message, argv
+    # a latency past the double range, written exactly but not as a float
+    long = tmp_path / "long.json"
+    long.write_text(dump_instance(line_instance([0, Fraction(10**400)], [1, 1])))
+    assert run("solve", "--instance", long, "--algo", "line-single", "--k", 1,
+               "--out-schedule", sched_path) == EXIT_OK
+    fast = tmp_path / "fast.json"
+    write_site_schedule(fast, {"site": 0}, {"site": 1})
+    for argv in (("evaluate", "--instance", long, "--schedule", sched_path,
+                  "--csv", tmp_path / "lat.csv"),
+                 ("compare", "--instance", long, "--k", 1, "--algos", "line-single"),
+                 ("evaluate", "--instance", long, "--schedule", fast)):
+        capsys.readouterr()
+        assert run(*argv) == EXIT_RESOURCE, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == double, argv

@@ -39,7 +39,7 @@ def test_every_accepted_window_realizes_validly():
             if std is None:
                 continue
             assert validate_standard(std, inst)
-            sched = cyclify(std, inst)
+            sched = cyclify(std)
             assert validate_speed(sched, inst.metric) == []
             lat = max_weighted_latency(sched, inst)
             for s in inst.sites:

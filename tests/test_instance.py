@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,43 @@ def test_rounding_idempotent():
     again_inst = line_instance([0, 1, 2], rounded)
     _, rounded2 = round_weights_dyadic(again_inst)
     assert rounded2 == rounded
+
+
+def reference_exponent(scaled):
+    """The original rounding: the first j with 1/2^(j+1) below scaled."""
+    j = 0
+    while Fraction(1, 2 ** (j + 1)) >= scaled:
+        j += 1
+    return j
+
+
+def test_rounding_matches_the_halving_loop():
+    """Random weights and every exact power of two with its neighbours
+    round to the exponents of the original halving loop."""
+    rng = random.Random(41)
+    weights = [Fraction(rng.randint(1, 2 ** rng.randint(1, 60)),
+                        rng.randint(1, 2 ** rng.randint(1, 60))) for _ in range(10000)]
+    weights += [Fraction(1, 2**j) + d for j in range(80)
+                for d in (0, Fraction(1, 2**90), -Fraction(1, 2**90))]
+    weights += [Fraction(2**j) for j in range(80)]
+    for chunk in range(0, len(weights), 500):
+        group = weights[chunk:chunk + 500]
+        classes, rounded = round_weights_dyadic(line_instance(range(len(group)), group))
+        scale = max(group)
+        want = [reference_exponent(w / scale) for w in group]
+        assert rounded == [Fraction(1, 2**j) for j in want]
+        assert classes.m == max(want)
+
+
+def test_rounding_tiny_weights_is_fast():
+    """1e-4000 is 13,287 halvings below 1; the halving loop took 0.3 s per
+    site to count them."""
+    inst = load_instance(doc("line", list(range(100)), [1] + ["1e-4000"] * 99, kind="line"))
+    started = time.perf_counter()
+    classes, rounded = round_weights_dyadic(inst)
+    assert time.perf_counter() - started < 1
+    assert classes.m == 13287 and rounded[1] == Fraction(1, 2**13287)
+
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "nan", "-inf"])

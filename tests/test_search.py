@@ -98,7 +98,7 @@ def reference_search(instance, k, construct):
     if best is None:
         best = probe(hi)
     assert validate_standard(best, instance)
-    return best.window, cyclify(best, instance)
+    return best.window, cyclify(best)
 
 
 LINE_CASES = [(n, wmax, 1, seed) for n in range(2, 7) for wmax in (2, 4) for seed in (1, 2)]

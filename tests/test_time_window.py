@@ -21,7 +21,7 @@ from patrol.time_window import (
     type_two,
     validate_standard,
 )
-from conftest import realize_node
+from conftest import node_reps, realize_node
 from scenarios import cooperative_line_instance
 
 TWO_THIRDS = Fraction(2, 3)
@@ -256,10 +256,10 @@ def test_states_realize_and_match_hulls():
     rng = random.Random(3)
     for level in levels:
         for node in level:
-            if rng.random() > 0.3 or not node.reps[0].visits:
+            if rng.random() > 0.3 or not node_reps(node, inst)[0].visits:
                 continue
             std = realize_node(node, inst, L)
-            for rep, wps in zip(node.reps, std.robot_waypoints):
+            for rep, wps in zip(node_reps(node, inst), std.robot_waypoints):
                 xs = [x for _, x in wps]
                 assert xs[0] == coords[rep.start]
                 assert min(xs) == coords[rep.left]
@@ -277,7 +277,7 @@ def test_state_count_bound():
     for L in [Fraction(3), Fraction(9), Fraction(18)]:
         levels = _levels(inst, 1, L)
         for h, level in enumerate(levels):
-            reps = {node.reps[0] for node in level}
+            reps = {node_reps(node, inst)[0] for node in level}
             assert len(reps) <= n**4 * 4**h * 4
 
 
@@ -290,9 +290,9 @@ def solved(inst, k):
 
 
 def test_instances_sharing_a_metric_solve_like_fresh_ones():
-    """The atomic table lives on the Metric, the summary pool and its
-    weight-class masks on the Instance: a second weight vector over the
-    same metric must not see the first one's masks."""
+    """The atomic table, the summary pool and its weight-class masks live
+    on the Instance: a second weight vector over the same metric must not
+    see the first one's masks."""
     for k, coords in ((1, [0, 2, Fraction(7, 2), 6]), (2, [0, 2, Fraction(7, 2)])):
         first = line_instance(coords, [1] * len(coords))
         solved(first, k)
@@ -301,12 +301,12 @@ def test_instances_sharing_a_metric_solve_like_fresh_ones():
             shared = Instance(metric=first.metric, weights=tuple(map(Fraction, weights)),
                               kind="line")
             assert solved(shared, k) == solved(line_instance(coords, weights), k), (k, weights)
-            assert shared.metric._memo["atomics"] is first.metric._memo["atomics"]
+            assert shared._memo["summaries"] is not first._memo["summaries"]
 
 
 def test_probes_in_any_order_match_fresh_instances():
     """construct_schedule at shuffled windows on one instance gives the
-    answers and levels (node.reps, in order) of a fresh instance per
+    answers and levels (their reps, in order) of a fresh instance per
     window."""
     rng = random.Random(7)
     probes = 0
@@ -320,12 +320,13 @@ def test_probes_in_any_order_match_fresh_instances():
             probed = rng.sample(cands, min(8, len(cands)))
             for L in probed:
                 levels = _levels(inst, k, L)
-                want_levels = _levels(line_instance(coords, weights), k, L)
+                fresh = line_instance(coords, weights)
+                want_levels = _levels(fresh, k, L)
                 answer = construct_schedule(inst, k, L)
                 want = construct_schedule(line_instance(coords, weights), k, L)
                 assert answer == want, (coords, weights, k, L)
-                assert [[node.reps for node in lv] for lv in levels] == [
-                    [node.reps for node in lv] for lv in want_levels
+                assert [[node_reps(node, inst) for node in lv] for lv in levels] == [
+                    [node_reps(node, fresh) for node in lv] for lv in want_levels
                 ]
                 probes += 1
     assert probes > 60
@@ -373,7 +374,8 @@ def test_junction_candidates_after_other_windows_match_fresh_instances():
     for k, n, wmax in ((1, 5, 4), (1, 4, 8), (2, 3, 4)):
         for seed in range(1, 5):
             inst = generate_instance("line-weighted", n, seed, wmax=wmax)
-            D, X, _, _, _ = time_window._atomic_table(inst)
+            pool = time_window._summary_pool(inst)
+            D, X = pool.D, pool.X
             budgets = range(2**round_weights_dyadic(inst)[0].m + 1)
             junctions = {Fraction(3 * (b - a), D * (2 + 3 * h))
                          for a in X for b in X if a < b for h in budgets}
@@ -384,9 +386,10 @@ def test_junction_candidates_after_other_windows_match_fresh_instances():
                     continue
                 for L in (L_star, cands[i - 1]):
                     levels = _levels(inst, k, L)
-                    want = _levels(generate_instance("line-weighted", n, seed, wmax=wmax), k, L)
-                    assert [[node.reps for node in lv] for lv in levels] == [
-                        [node.reps for node in lv] for lv in want
+                    fresh = generate_instance("line-weighted", n, seed, wmax=wmax)
+                    want = _levels(fresh, k, L)
+                    assert [[node_reps(node, inst) for node in lv] for lv in levels] == [
+                        [node_reps(node, fresh) for node in lv] for lv in want
                     ], (k, n, seed, L)
                     probes += 1
                 tight += tight_joins(inst, L_star, _levels(inst, k, L_star))
@@ -431,7 +434,7 @@ def test_cyclify_seam_continuity_and_gap_bound():
                 break
         assert std is not None
         assert validate_standard(std, inst)
-        sched = cyclify(std, inst)
+        sched = cyclify(std)
         assert validate_speed(sched, inst.metric) == []
         classes, rounded = round_weights_dyadic(inst)
         lat = max_weighted_latency(sched, inst)

@@ -36,7 +36,7 @@ from patrol.time_window import (
     type_two,
     validate_standard,
 )
-from conftest import realize_node
+from conftest import node_reps, realize_node
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -171,7 +171,7 @@ def test_atomics_and_prune_match_reference():
         for L in candidate_window_lengths(inst, 1)[::3] + [Fraction(0)]:
             got = enumerate_atomics(inst, L)
             assert got == reference_enumerate(coords, L)
-            pruned = integer_prune_atomics(got, time_window._atomic_table(inst)[1])
+            pruned = integer_prune_atomics(got, time_window._summary_pool(inst).X)
             assert pruned == reference_prune(got, coords, L)
             lists += 1
     assert lists > 400
@@ -184,8 +184,8 @@ def test_atom_table_matches_enumerate_and_prune():
     below each."""
     windows = 0
     for inst in sweep(1, 60, 6, 4):
-        D, X, rows, _, _ = time_window._atomic_table(inst)
         pool = time_window._summary_pool(inst)
+        D, X, rows = pool.D, pool.X, pool.rows
         caps = {cap for length3, kill3, _ in rows for cap in (length3, kill3) if cap != inf}
         Ls = set(candidate_window_lengths(inst, 1))
         Ls.update(Fraction(c, D) for cap in caps for c in (cap, cap - 1))
@@ -207,7 +207,7 @@ def levels_and_solve(inst, k):
     for L in cands[:: max(1, len(cands) // 4)]:
         lv = time_window._levels(inst, k, L)
         levels.append(
-            (not lv[-1], [[node.reps for node in level] for level in lv])
+            (not lv[-1], [[node_reps(node, inst) for node in level] for level in lv])
         )
     rep = solve_line_weighted(inst, k)
     solved = (rep.L_accepted, rep.measured_latency, rep.lower_bound,
@@ -236,12 +236,12 @@ def test_table_leaves_metric_identity_alone():
     twin = line_instance([Fraction(1, 3), 2, 2, Fraction(5, 7)], [1, 2, 3, 4])
     before = (hash(inst.metric), repr(inst.metric), dump_instance(inst))
     enumerate_atomics(inst, Fraction(10))
-    assert "atomics" in inst.metric._memo and not twin.metric._memo
+    assert "summaries" in inst._memo and not twin._memo and not inst.metric._memo
     assert inst.metric == twin.metric and inst == twin
     assert (hash(inst.metric), repr(inst.metric), dump_instance(inst)) == before
-    table = time_window._atomic_table(inst)
-    assert time_window._atomic_table(inst) is table
-    assert time_window._atomic_table(twin) is not table
+    table = time_window._summary_pool(inst)
+    assert time_window._summary_pool(inst) is table
+    assert time_window._summary_pool(twin) is not table
 
 
 # --- the k-robot state prune against its float-prefiltered original ---------
@@ -277,12 +277,13 @@ def reference_maybe_dominates(ka, kb):
     return True
 
 
-def reference_state_prune(states, coords, L):
+def reference_state_prune(states, instance, L):
     """The original k-robot prune: a float score order, a float prefilter,
     then exact Fraction dominance."""
+    coords = instance.metric.coords
     keyed = []
     for node in states:
-        keys = tuple(reference_float_key(coords, L, r) for r in node.reps)
+        keys = tuple(reference_float_key(coords, L, r) for r in node_reps(node, instance))
         score = sum(k[6] + k[5] + (k[4] - k[3] if k[0] else 0.0) for k in keys)
         keyed.append((score, keys, node))
     keyed.sort(key=lambda item: -item[0])
@@ -290,7 +291,8 @@ def reference_state_prune(states, coords, L):
     def covered(kx, x, ky, y):
         return all(
             reference_maybe_dominates(a, b) for a, b in zip(kx, ky)
-        ) and all(reference_dominates(coords, L, a, b) for a, b in zip(x.reps, y.reps))
+        ) and all(reference_dominates(coords, L, a, b)
+                  for a, b in zip(node_reps(x, instance), node_reps(y, instance)))
 
     kept = []
     for _, keys, node in keyed:
@@ -311,10 +313,11 @@ def state_cases():
     return cases
 
 
-def exact_score(node, coords, L):
+def exact_score(node, instance, L):
+    coords = instance.metric.coords
     return sum(
         (r.t_before + r.t_after) * L + (coords[r.right] - coords[r.left] if r.visits else 0)
-        for r in node.reps
+        for r in node_reps(node, instance)
     )
 
 
@@ -340,7 +343,7 @@ def prune_inputs(instance, k, L):
                 mask |= pool.masks[i]
             if mask == full and ids not in seen:
                 seen.add(ids)
-                out.append(StateNode(tuple(pool.pool[i] for i in ids), h, children, ids))
+                out.append(StateNode(ids, h, children))
         return out
 
     states = covering(((combo, None) for combo in product(
@@ -371,25 +374,20 @@ def test_state_prune_matches_reference(monkeypatch):
     sweep that moves one k=1 list (denominator 100, no change in its
     first state) and five k=2 lists."""
     prune = time_window._prune
-
-    def reference(states, instance, L):
-        return reference_state_prune(states, instance.metric.coords, L)
-
     lists = 0
     for inst, k in state_cases():
-        coords = inst.metric.coords
         cands = [c for c in candidate_window_lengths(inst, k) if c > 0]
         for L in cands[:: max(1, len(cands) // 6)]:
             answer = construct_schedule(inst, k, L)
-            monkeypatch.setattr(time_window, "_prune", reference)
+            monkeypatch.setattr(time_window, "_prune", reference_state_prune)
             assert (answer is None) == (construct_schedule(inst, k, L) is None)
             monkeypatch.setattr(time_window, "_prune", prune)
             for states in prune_inputs(inst, k, L):
                 got = prune(states, inst, L)
-                want = reference(states, inst, L)
+                want = reference_state_prune(states, inst, L)
                 assert sorted(map(id, got)) == sorted(map(id, want))
-                assert [exact_score(n, coords, L) for n in got] == [
-                    exact_score(n, coords, L) for n in want
+                assert [exact_score(n, inst, L) for n in got] == [
+                    exact_score(n, inst, L) for n in want
                 ]
                 lists += 1
     assert lists > 600
@@ -446,10 +444,10 @@ def reference_validate_standard(std, instance):
 
 def without_window(node, instance, L, robot, window):
     """node realized with one visiting window of one robot made pure travel."""
-    slots = node.slots()
+    slots, pool = node.slots(), time_window._summary_pool(instance).pool
     tracks = []
-    for r in range(len(node.reps)):
-        mine = [slot[r] for slot in slots]
+    for r in range(len(node.ids)):
+        mine = [pool[slot[r]] for slot in slots]
         if r == robot:
             mine[window] = type_two()
         tracks.append(time_window._realize_track(mine, instance.metric.coords, L))
@@ -471,8 +469,8 @@ def test_validate_standard_matches_reference(dp_cases):
                 assert validate_standard(std, inst) and reference_validate_standard(std, inst)
                 answers["node"] += 1
                 for w, slot in enumerate(node.slots()):
-                    for r, rep in enumerate(slot):
-                        if rep.visits:
+                    for r, i in enumerate(slot):
+                        if time_window._summary_pool(inst).pool[i].visits:
                             std = without_window(node, inst, L, r, w)
                             got = validate_standard(std, inst)
                             assert got == reference_validate_standard(std, inst), (inst, k, L, r, w)

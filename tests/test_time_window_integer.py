@@ -28,11 +28,13 @@ from patrol.rationals import to_fraction
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
+    StandardSchedule,
     candidate_window_lengths,
     construct_schedule,
     cyclify,
     enumerate_atomics,
 )
+from conftest import node_reps
 from test_time_window_identity import (
     exact_score,
     integer_prune_atomics,
@@ -140,7 +142,7 @@ def reference_levels(instance, k, L):
     level_sites = dict(classes.classes)
     m = classes.m
     atoms = integer_prune_atomics(
-        enumerate_atomics(instance, L), time_window._atomic_table(instance)[1]
+        enumerate_atomics(instance, L), time_window._summary_pool(instance).X
     )
     states = [
         RefNode(tuple(combo), 0, atoms=tuple(combo))
@@ -179,8 +181,16 @@ def reference_levels(instance, k, L):
                     seen.add(tuple(out))
                     nxt.append(RefNode(reps, h, children=(left, right)))
         levels.append(reference_prune(nxt, coords, L))
-    answer = time_window._realize(levels[m][0], instance, L) if levels[m] else None
+    answer = reference_realize(levels[m][0], coords, L) if levels[m] else None
     return answer, levels
+
+
+def reference_realize(node, coords, L):
+    """A RefNode replayed into motion, one _realize_track per robot."""
+    slots = node.slots()
+    return StandardSchedule(L, node.level, tuple(
+        time_window._realize_track([slot[r] for slot in slots], coords, L)
+        for r in range(len(node.reps))))
 
 
 def sweep(seed, count, n_max, wmax):
@@ -206,12 +216,12 @@ def junction_cases():
     return cases
 
 
-def realized(answer, instance):
-    return None if answer is None else dump_schedule(cyclify(answer, instance))
+def realized(answer):
+    return None if answer is None else dump_schedule(cyclify(answer))
 
 
 def test_integer_dp_matches_fraction_reference():
-    """Equal kept levels (node.reps in order) below the top, the top
+    """Equal kept levels (their reps in order) below the top, the top
     level's one state equal to the reference's first, and equal answers
     and realized schedules at about eight candidate windows per case."""
     probes = yes = 0
@@ -221,11 +231,12 @@ def test_integer_dp_matches_fraction_reference():
             *levels, top = time_window._levels(inst, k, L)
             answer = construct_schedule(inst, k, L)
             want_answer, (*want_levels, want_top) = reference_levels(inst, k, L)
-            assert [[n.reps for n in lv] for lv in levels] == [
+            assert [[node_reps(n, inst) for n in lv] for lv in levels] == [
                 [n.reps for n in lv] for lv in want_levels
             ], (inst, k, L)
-            assert [n.reps for n in top] == [n.reps for n in want_top[:1]], (inst, k, L)
-            assert realized(answer, inst) == realized(want_answer, inst)
+            assert [node_reps(n, inst) for n in top] == [n.reps for n in want_top[:1]], (
+                inst, k, L)
+            assert realized(answer) == realized(want_answer)
             probes += 1
             yes += answer is not None
     assert probes > 200 and 0 < yes < probes
@@ -260,17 +271,17 @@ def test_level_zero_is_ranked_not_pruned():
     which it ranks by float rounding."""
     probes = 0
     for inst, k, L in rank_probes():
-        coords = inst.metric.coords
         covering = next(prune_inputs(inst, k, L))
-        ranked = sorted(covering, key=lambda n: -exact_score(n, coords, L))
-        want = reference_state_prune(covering, coords, L)
+        ranked = sorted(covering, key=lambda n: -exact_score(n, inst, L))
+        want = reference_state_prune(covering, inst, L)
         assert sorted(map(id, want)) == sorted(map(id, covering)), (inst, k, L)
-        assert [exact_score(n, coords, L) for n in want] == [
-            exact_score(n, coords, L) for n in ranked]
+        assert [exact_score(n, inst, L) for n in want] == [
+            exact_score(n, inst, L) for n in ranked]
         levels = time_window._levels(inst, k, L)
         if len(levels) == 1:
             ranked = ranked[:1]
-        assert [n.reps for n in levels[0]] == [n.reps for n in ranked], (inst, k, L)
+        assert [node_reps(n, inst) for n in levels[0]] == [
+            node_reps(n, inst) for n in ranked], (inst, k, L)
         probes += 1
     assert probes > 150
 
@@ -293,8 +304,8 @@ def test_reach_filter_skips_only_pairs_that_cannot_cover():
                 for right in prev:
                     if id(right) in offered:
                         continue
-                    reps = [reference_concat(a, b, L, coords)
-                            for a, b in zip(left.reps, right.reps)]
+                    reps = [reference_concat(a, b, L, coords) for a, b in
+                            zip(node_reps(left, inst), node_reps(right, inst))]
                     assert None in reps or not reference_covers(reps, coords, targets)
                     skipped[k] += 1
     assert all(skipped[k] > 50 for k in (1, 2, 3)), skipped
