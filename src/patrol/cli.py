@@ -95,8 +95,9 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     report = run_solver(instance, args.algo, args.k, refine=args.refine)
     elapsed = time.perf_counter() - started
-    if args.out_schedule:
-        _write(args.out_schedule, dump_schedule(report.schedule))
+    # every text is built before any file is written, so a number that
+    # cannot be written leaves no file behind
+    schedule_text = dump_schedule(report.schedule) if args.out_schedule else None
     doc = report.to_json_dict(seconds=elapsed)
     doc["config"] = {
         "instance": args.instance,
@@ -106,6 +107,8 @@ def cmd_solve(args) -> int:
         "threads": args.threads,
     }
     text = json.dumps(doc, indent=2)
+    if args.out_schedule:
+        _write(args.out_schedule, schedule_text)
     if args.out_report:
         _write(args.out_report, text)
     print(text)
@@ -126,10 +129,11 @@ def cmd_evaluate(args) -> int:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
     doc = json.dumps(latency.to_json_dict(), indent=2)
+    table = latency.to_csv() if args.csv else None  # built before any file is written
     if args.report:
         _write(args.report, doc)
     if args.csv:
-        _write(args.csv, latency.to_csv())
+        _write(args.csv, table)
     print(doc)
     return EXIT_OK
 

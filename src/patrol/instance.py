@@ -35,9 +35,12 @@ class Metric:
     from math.dist read through its shortest decimal repr (not its exact
     binary value).  distance_key(i, j) orders pairs exactly as distance
     does, without building a Fraction.  _memo keeps what solvers derive
-    from the metric alone, metric_core.tree_cover per (sorted sites, t);
-    it takes no part in equality, hashing or repr.  A Metric validates
-    itself when built, its variant and that variant's data field first.
+    from the metric alone: each Euclidean distance, converted once and
+    kept under the int i * n + j for its pair i <= j; metric_core.mst per
+    (sorted sites, "mst"); and metric_core.tree_cover per (sorted sites,
+    t).  It takes no part in equality, hashing or repr.  A Metric
+    validates itself when built, its variant and that variant's data
+    field first.
     """
 
     variant: str
@@ -62,7 +65,12 @@ class Metric:
             return abs(self.coords[i] - self.coords[j])
         if self.variant == "matrix":
             return self.matrix[i][j]
-        return float_to_fraction(math.dist(self.points[i], self.points[j]))
+        points = self.points
+        pair = i * len(points) + j if i <= j else j * len(points) + i
+        d = self._memo.get(pair)
+        if d is None:  # setdefault: threads racing here all get one object
+            d = self._memo.setdefault(pair, float_to_fraction(math.dist(points[i], points[j])))
+        return d
 
     def distance_key(self, i: int, j: int):
         """A key whose order, ties included, is exactly that of distance(i, j).

@@ -12,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import dist, lcm
 from typing import Optional, Sequence
 
 from .instance import Metric
@@ -34,14 +34,17 @@ class Tree:
         total = sum((e[2] for e in edges), Fraction(0))
         return Tree(tuple(vertices), tuple(edges), total)
 
-    def adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for i, j, _ in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        for v in adj:
-            adj[v].sort()
-        return adj
+
+def _adjacency(vertices: Sequence[int], edges: Sequence[tuple[int, int, Fraction]]
+               ) -> dict[int, list[int]]:
+    """Each vertex's sorted neighbours along the edges."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for i, j, _ in edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    for v in adj:
+        adj[v].sort()
+    return adj
 
 
 @dataclass(frozen=True)
@@ -68,21 +71,44 @@ def mst(sites: Sequence[int], metric: Metric) -> Tree:
     is exactly the length order.  One O(n^2) Prim/Jarnik pass from the
     lowest site keeps only each outside site's cheapest edge into the
     tree; the n - 1 chosen edges come back in that order, and only they
-    get an exact length.  Repeated ids are spanned once: vertices is the
-    sorted input, edges join its distinct ids.
+    get an exact length.  The key function is bound once per pass:
+    math.dist over the points on a Euclidean metric, which is what
+    distance_key computes there, and distance_key otherwise.  Repeated
+    ids are spanned once: vertices is the sorted input, edges join its
+    distinct ids.  Each sorted site tuple's tree is computed once per
+    Metric and kept in its private memo, so repeated calls return the
+    same Tree object.
     """
-    sites = sorted(sites)
+    sites = tuple(sorted(sites))
     if not sites:
         raise ValueError("mst of an empty site set")
-    key = metric.distance_key
+    memo_key = (sites, "mst")
+    tree = metric._memo.get(memo_key)
+    if tree is None:  # setdefault: threads racing here all get one object
+        tree = metric._memo.setdefault(memo_key, _prim(sites, metric))
+    return tree
+
+
+def _prim(sites: tuple[int, ...], metric: Metric) -> Tree:
+    """mst without the memo, over sorted non-empty sites."""
+    if metric.variant == "euclidean":
+        points = metric.points
+
+        def keys(v: int, ws) -> list:
+            p = points[v]
+            return [dist(p, points[w]) for w in ws]
+    else:
+        key = metric.distance_key
+
+        def keys(v: int, ws) -> list:
+            return [key(v, w) for w in ws]
     root, *rest = dict.fromkeys(sites)
-    best = {v: (key(root, v), root, v) for v in rest}  # cheapest edge into the tree
+    best = {v: (d, root, v) for v, d in zip(rest, keys(root, rest))}  # cheapest edge into the tree
     chosen = []
     while best:
         v = min(best, key=best.__getitem__)
         chosen.append(best.pop(v))
-        for w, edge in best.items():
-            d = key(v, w)  # keys are symmetric
+        for (w, edge), d in zip(best.items(), keys(v, best)):  # keys are symmetric
             if d <= edge[0]:
                 cand = (d, v, w) if v < w else (d, w, v)
                 if cand < edge:
@@ -91,9 +117,9 @@ def mst(sites: Sequence[int], metric: Metric) -> Tree:
     return Tree.build(sites, [(a, b, metric.distance(a, b)) for _, a, b in chosen])
 
 
-def _preorder(tree: Tree, start: int) -> tuple[int, ...]:
-    """Depth-first preorder of start's component, lowest-index child first."""
-    adj = tree.adjacency()
+def _preorder(adj: dict[int, list[int]], start: int) -> tuple[int, ...]:
+    """Depth-first preorder of start's component in a forest given by its
+    adjacency, lowest-index child first."""
     order: list[int] = []
     seen = {start}
     stack = [start]
@@ -122,7 +148,7 @@ def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
     """
     if start not in tree.vertices:
         raise ValueError(f"start {start} is not a vertex of the tree")
-    order = _preorder(tree, start)
+    order = _preorder(_adjacency(tree.vertices, tree.edges), start)
     return Tour(order, _walk_lengths(order, metric)[1][-1])
 
 
@@ -205,8 +231,8 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
         """(M, [(walk, steps, prefix in units of 1/M)]) of the components
         at probe j, in order of their lowest sites."""
         if kept not in regimes:
-            kept_edges = [e for e, th in zip(base.edges, thresholds) if th <= j]
-            forest = Tree.build(base.vertices, kept_edges)
+            forest = _adjacency(base.vertices,
+                                [e for e, th in zip(base.edges, thresholds) if th <= j])
             seen: set[int] = set()
             comps = []
             for v in base.vertices:

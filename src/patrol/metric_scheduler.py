@@ -144,18 +144,24 @@ def single_robot_schedule(
 
 
 def _closest_positive_distance(instance: Instance) -> Optional[Fraction]:
-    """The smallest positive distance over all pairs: a running minimum of
-    the positive Metric.distance_key values, converted once.  All pairs,
-    not one site per position: a matrix within TRIANGLE_TOL may have
-    d(0,1) = 0 and d(1,2) < d(0,2)."""
-    key = instance.metric.distance_key
-    best = pair = None
-    for i in instance.sites:
-        for j in range(i + 1, instance.n):
-            d = key(i, j)
-            if d > 0 and (best is None or d < best):
-                best, pair = d, (i, j)
-    return None if pair is None else instance.metric.distance(*pair)
+    """The smallest positive distance over all pairs.
+
+    Euclidean and line metrics read it off mst(all sites), which the
+    metric's memo keeps for the covers of all sites (the baseline's and
+    lower_bound_metric's).  There, distance 0 means equal points or
+    coordinates, so it is transitive: once Kruskal's order (the same
+    MST) has joined the coincident sites by zero edges, the components
+    are exactly the groups of equal positions.  The first positive pair
+    in that order, a globally smallest positive pair, then joins two
+    components, so it is an MST edge, and no positive MST edge is
+    shorter.  A matrix is scanned over all pairs, since one valid only
+    within TRIANGLE_TOL may have d(0,1) = d(1,2) = 0 < d(0,2): its zeros
+    need not be transitive."""
+    metric = instance.metric
+    if metric.variant == "matrix":
+        return min((d for i, row in enumerate(metric.matrix) for d in row[i + 1:] if d > 0),
+                   default=None)
+    return min((d for _, _, d in mst(instance.sites, metric).edges if d > 0), default=None)
 
 
 def _position_groups(instance: Instance) -> list[int]:

@@ -702,3 +702,25 @@ def test_numbers_past_the_writers_limits_exit_4(tmp_path, capsys):
         assert run(*argv) == EXIT_RESOURCE, argv
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == double, argv
+
+
+def test_exit_4_leaves_no_earlier_output_file(tmp_path, capsys):
+    """A command that ends in exit 4 on a number it cannot write writes no
+    file at all, not even the ones whose text could be written."""
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"kind": "line", "metric": {"type": "line", "data": list(range(30))},
+                                "weights": [1] + ["1e-4000"] * 29}))
+    sched, report = tmp_path / "s.json", tmp_path / "r.json"
+    assert run("solve", "--instance", wide, "--algo", "metric", "--k", 1,
+               "--out-schedule", sched, "--out-report", report) == EXIT_RESOURCE
+    assert not sched.exists() and not report.exists()
+    # a latency past the double range: the JSON report is exact, the CSV is not
+    long = tmp_path / "long.json"
+    long.write_text(dump_instance(line_instance([0, Fraction(10**400)], [1, 1])))
+    assert run("solve", "--instance", long, "--algo", "line-single", "--k", 1,
+               "--out-schedule", sched) == EXIT_OK
+    table = tmp_path / "t.csv"
+    assert run("evaluate", "--instance", long, "--schedule", sched,
+               "--report", report, "--csv", table) == EXIT_RESOURCE
+    assert not report.exists() and not table.exists()
+    assert capsys.readouterr().err.count("resource cap:") == 2
