@@ -33,8 +33,7 @@ class Metric:
     n x n entries), or "euclidean" (data = n points in R^d).  Line and
     matrix data are exact Fractions; a Euclidean distance is the double
     from math.dist read through its shortest decimal repr (not its exact
-    binary value).  distance_key(i, j) orders pairs exactly as distance
-    does, without building a Fraction.  _memo keeps what solvers derive
+    binary value).  _memo keeps what solvers derive
     from the metric alone: each Euclidean distance, converted once and
     kept under the int i * n + j for its pair i <= j; metric_core.mst per
     (sorted sites, "mst"); and metric_core.tree_cover per (sorted sites,
@@ -71,22 +70,6 @@ class Metric:
         if d is None:  # setdefault: threads racing here all get one object
             d = self._memo.setdefault(pair, float_to_fraction(math.dist(points[i], points[j])))
         return d
-
-    def distance_key(self, i: int, j: int):
-        """A key whose order, ties included, is exactly that of distance(i, j).
-
-        Euclidean: the math.dist double itself.  distance() reads a
-        double x through its shortest round-tripping repr, and that read
-        is strictly increasing in x: for doubles x < y, every decimal
-        that rounds to x lies below every decimal that rounds to y
-        (round-to-nearest is monotone), so repr(x) < repr(y) as exact
-        decimals, while equal doubles give equal reprs.  Line and matrix:
-        the exact distance.  Callers compare keys and build a Fraction
-        only for a pair they keep.
-        """
-        if self.variant == "euclidean":
-            return math.dist(self.points[i], self.points[j])
-        return self.distance(i, j)
 
     def validate(self) -> None:
         data = _METRIC_DATA.get(self.variant)

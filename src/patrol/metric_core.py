@@ -67,17 +67,21 @@ def mst(sites: Sequence[int], metric: Metric) -> Tree:
 
     Edges are ordered by (length, i, j) with i < j, a strict total order
     (so the tree is unique and deterministic even when distances tie,
-    including distance 0), compared on Metric.distance_key, whose order
-    is exactly the length order.  One O(n^2) Prim/Jarnik pass from the
+    including distance 0).  Lengths are compared on a key bound once per
+    pass: Metric.distance on line and matrix metrics, and on Euclidean
+    ones the math.dist double itself.  Its order, ties included, is
+    exactly that of the length: Metric.distance reads a double x through
+    its shortest round-tripping repr, and that read is strictly
+    increasing in x, since for doubles x < y every decimal that rounds
+    to x lies below every decimal that rounds to y (round-to-nearest is
+    monotone), so repr(x) < repr(y) as exact decimals, while equal
+    doubles give equal reprs.  One O(n^2) Prim/Jarnik pass from the
     lowest site keeps only each outside site's cheapest edge into the
     tree; the n - 1 chosen edges come back in that order, and only they
-    get an exact length.  The key function is bound once per pass:
-    math.dist over the points on a Euclidean metric, which is what
-    distance_key computes there, and distance_key otherwise.  Repeated
-    ids are spanned once: vertices is the sorted input, edges join its
-    distinct ids.  Each sorted site tuple's tree is computed once per
-    Metric and kept in its private memo, so repeated calls return the
-    same Tree object.
+    get an exact length.  Repeated ids are spanned once: vertices is the
+    sorted input, edges join its distinct ids.  Each sorted site tuple's
+    tree is computed once per Metric and kept in its private memo, so
+    repeated calls return the same Tree object.
     """
     sites = tuple(sorted(sites))
     if not sites:
@@ -98,7 +102,7 @@ def _prim(sites: tuple[int, ...], metric: Metric) -> Tree:
             p = points[v]
             return [dist(p, points[w]) for w in ws]
     else:
-        key = metric.distance_key
+        key = metric.distance
 
         def keys(v: int, ws) -> list:
             return [key(v, w) for w in ws]
