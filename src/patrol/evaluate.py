@@ -13,7 +13,9 @@ waypoint coordinate (speed checks read no site and leave the sites out).
 Line latencies multiply U by the pass-through factor, the lcm of
 dx // gcd(dx, dt) over moving legs, so that each pass-through time
 t0 + dt*|c - x0|/dx is an integer.  The tolerances become
-floor(U * 1e-9), exact on int keys; only outputs become Fractions.
+floor(U * 1e-9), exact on int keys.  A per-site row holds its latency
+and weighted latency as ints in lowest terms, and a Fraction is built
+only where one is read: the report's max, or a row's property.
 site_visits is the one visit rule: the latencies here and the
 time-window check of an accepted schedule both read it.
 
@@ -34,10 +36,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd, lcm
+from typing import NamedTuple
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import format_fraction, to_float, to_fraction
+from .rationals import format_fraction, format_ratio, to_float, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
@@ -61,16 +64,33 @@ class SpeedViolation:
                 f"in time {to_float(self.duration):g} (excess {to_float(self.excess):g})")
 
 
-@dataclass(frozen=True)
-class SiteLatency:
+class SiteLatency(NamedTuple):
+    """One site's row: its latency num/den and weighted latency wnum/wden,
+    each in lowest terms with a positive denominator.  Rows compare by
+    value; .latency and .weighted build their Fraction when read."""
+
     site: int
-    latency: Fraction
     weight: Fraction
-    weighted: Fraction
+    num: int
+    den: int
+    wnum: int
+    wden: int
+
+    @property
+    def latency(self) -> Fraction:
+        return Fraction(self.num, self.den)
+
+    @property
+    def weighted(self) -> Fraction:
+        return Fraction(self.wnum, self.wden)
 
 
 @dataclass(frozen=True)
 class LatencyReport:
+    """Per-site rows (ints, see SiteLatency) and the one Fraction a report
+    always reads: the max weighted latency, at the first (smallest) site
+    that reaches it."""
+
     per_site: tuple[SiteLatency, ...]
     max_weighted: Fraction
     argmax_site: int
@@ -83,8 +103,8 @@ class LatencyReport:
             "max_weighted": format_fraction(self.max_weighted),
             "argmax_site": self.argmax_site,
             "per_site": [
-                {"site": s.site, "latency": format_fraction(s.latency),
-                 "weight": format_fraction(s.weight), "weighted": format_fraction(s.weighted)}
+                {"site": s.site, "latency": format_ratio(s.num, s.den),
+                 "weight": format_fraction(s.weight), "weighted": format_ratio(s.wnum, s.wden)}
                 for s in self.per_site
             ],
         }
@@ -309,7 +329,9 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     Each site is analyzed over the least common period of the robots
     that actually visit it, so a site served by one robot never needs a
     common-period unroll.  Visits, gaps and periods are site_visits' ints
-    in the unit 1/U; each latency is Fraction(gap, U).  Each jointly
+    in the unit 1/U; each latency is gap/U and each weighted latency its
+    product with the weight, both reduced on ints, and the running argmax
+    compares them by cross-multiplication.  Each jointly
     served site's unroll, then their running total, must stay within
     DEFAULT_EVENT_CAP visit events, else PeriodOverflowError; every site
     is checked before any site is unrolled.
@@ -321,8 +343,11 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
         if not served:
             raise UnvisitedSiteError(s, _name(instance, s))
         # a site one robot serves repeats with its period; only joint sites unroll
-        total = lcm(*(period for period, _ in served))
-        events = sum(total // period * len(visits) for period, visits in served)
+        if len(served) == 1:
+            total, events = served[0][0], len(served[0][1])
+        else:
+            total = lcm(*(period for period, _ in served))
+            events = sum(total // period * len(visits) for period, visits in served)
         if events > DEFAULT_EVENT_CAP:
             raise PeriodOverflowError(
                 f"site {s} needs {events} visit events over the common period; "
@@ -334,12 +359,19 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
                                       f"visit events in total; cap is {DEFAULT_EVENT_CAP}")
         checked.append((s, served, total))
 
-    rows = []
+    rows, best = [], None
     for s, served, total in checked:
         gap = _max_gap(served[0][1], total) if len(served) == 1 else _joint_gap(served, total)
-        lat = Fraction(gap, unit)
-        rows.append(SiteLatency(s, lat, instance.weights[s], instance.weights[s] * lat))
-    best = max(rows, key=lambda row: (row.weighted, -row.site))
+        g = gcd(gap, unit)
+        num, den = gap // g, unit // g
+        weight = instance.weights[s]
+        wn, wd = weight.numerator, weight.denominator
+        g1, g2 = gcd(num, wd), gcd(wn, den)  # cross-reduced, as Fraction products are
+        row = SiteLatency(s, weight, num, den, num // g1 * (wn // g2), den // g2 * (wd // g1))
+        rows.append(row)
+        # strict: the first (smallest) site of the highest weighted latency
+        if best is None or row.wnum * best.wden > best.wnum * row.wden:
+            best = row
     return LatencyReport(tuple(rows), best.weighted, best.site)
 
 

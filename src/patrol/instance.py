@@ -223,7 +223,8 @@ def load_instance(data: bytes | str) -> Instance:
              "metric": {"type": "matrix"|"euclidean"|"line", "data": ...},
              "weights": [...], "names": [...optional...]}
     Matrix data is row-major n x n; line data is n reals; euclidean data
-    is n arrays of d reals.  Numbers may be given as decimal strings.
+    is n arrays of d reals.  Numbers may be given as decimal strings;
+    each distinct string is parsed once per document.
     """
     try:
         doc = json.loads(data)
@@ -231,20 +232,32 @@ def load_instance(data: bytes | str) -> Instance:
         raise InstanceError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
+    parsed: dict[str, Fraction] = {}
+
+    def number(x) -> Fraction:
+        # a text that fails is never stored, so it raises where it first
+        # occurs; other JSON values keep their own to_fraction paths
+        if not isinstance(x, str):
+            return to_fraction(x)
+        f = parsed.get(x)
+        if f is None:
+            f = parsed[x] = to_fraction(x)
+        return f
+
     try:
         kind = doc.get("kind", "general")
         metric_doc = doc["metric"]
         mtype = metric_doc["type"]
         payload = metric_doc["data"]
         if mtype == "line":
-            fields = {"coords": tuple(to_fraction(x) for x in payload)}
+            fields = {"coords": tuple(number(x) for x in payload)}
         elif mtype == "matrix":
-            fields = {"matrix": tuple(tuple(to_fraction(x) for x in row) for row in payload)}
+            fields = {"matrix": tuple(tuple(number(x) for x in row) for row in payload)}
         elif mtype == "euclidean":
             fields = {"points": _points(payload)}
         else:
             raise InstanceError(f"unknown metric type: {mtype}")
-        weights = tuple(to_fraction(w) for w in doc["weights"])
+        weights = tuple(number(w) for w in doc["weights"])
         names = tuple(str(x) for x in doc["names"]) if "names" in doc else None
     except InstanceError:
         raise

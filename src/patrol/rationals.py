@@ -13,7 +13,8 @@ Numbers are read and written on integers.  A plain ASCII decimal
 format_fraction writes) is read as its integer digits times a power of
 ten; any other text goes to Fraction(text), so each Python version keeps
 its own rules and error messages for those.  A decimal is written by
-scaling the numerator to the denominator's power of ten, and a number
+scaling the numerator to the denominator's power of ten (format_ratio
+takes the two ints of a ratio already in lowest terms), and a number
 past int()'s digit limit or the double range raises ResourceLimitError.
 """
 
@@ -108,7 +109,11 @@ def format_fraction(value: Real) -> str:
     """Render a Fraction exactly: a decimal string when the denominator
     is of the form 2^a*5^b, otherwise "p/q"."""
     f = value if type(value) is Fraction else to_fraction(value)
-    num, den = f.numerator, f.denominator
+    return format_ratio(f.numerator, f.denominator)
+
+
+def format_ratio(num: int, den: int) -> str:
+    """format_fraction of num/den, given in lowest terms with den > 0."""
     try:
         if den == 1:
             return str(num)

@@ -16,12 +16,13 @@ lost the phase between tracks that start at different times
 
 import math
 import random
+import time
 from fractions import Fraction
 
 from patrol import evaluate
 from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
-from patrol.evaluate import max_weighted_latency, validate_speed
-from patrol.instance import euclidean_instance, line_instance, matrix_instance
+from patrol.evaluate import SiteLatency, max_weighted_latency, validate_speed
+from patrol.instance import Instance, euclidean_instance, line_instance, matrix_instance
 from patrol.schedule import CoordPos, EdgePos, RobotTrack, Schedule, SitePos
 
 TOL = Fraction(1, 10**9)
@@ -450,3 +451,103 @@ def test_speed_tolerance_boundary_in_the_integer_unit():
     # with U = 3 the tolerance is 0 units: 1/3 too fast fails
     got = assert_speed_identical(Schedule((track(3, (0, 0), (1, Fraction(4, 3))),)), inst)
     assert got == [(0, 0, Fraction(4, 3), 1)]
+
+
+# --- per-site rows: ints in lowest terms, Fractions when read --------------
+
+
+def test_rows_are_the_fraction_recomputation_in_lowest_terms():
+    rng = random.Random(2206)
+    measured = 0
+    for cases in (line_cases, euclidean_cases, matrix_cases):
+        for schedule, inst in cases(rng):
+            # fractional weights exercise the cross-reduced product
+            weights = tuple(Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 6, 7, 10, 49)))
+                            for _ in inst.sites)
+            inst = Instance(inst.metric, weights, kind=inst.kind)
+            try:
+                lats = reference_latencies(schedule, inst, evaluate.DEFAULT_EVENT_CAP)
+            except PatrolError:
+                continue
+            rep = max_weighted_latency(schedule, inst)
+            for s, row in enumerate(rep.per_site):
+                lat, weighted = Fraction(lats[s]), weights[s] * lats[s]
+                assert (row.site, row.weight) == (s, weights[s])
+                assert (row.num, row.den) == (lat.numerator, lat.denominator)
+                assert (row.wnum, row.wden) == (weighted.numerator, weighted.denominator)
+                assert row.latency == lat and type(row.latency) is Fraction
+                assert row.weighted == weighted and type(row.weighted) is Fraction
+                assert rep.latency_of(s) == lat
+            best = max(inst.sites, key=lambda s: (weights[s] * lats[s], -s))
+            assert (rep.max_weighted, rep.argmax_site) == (weights[best] * lats[best], best)
+            measured += 1
+    assert measured >= 30
+
+
+def test_rows_compare_by_value():
+    inst = line_instance([0, 1, 2, 5], [1, Fraction(3, 2), 2, 1])
+    schedule = Schedule((zigzag(0, 5, 1),))
+    a, b = max_weighted_latency(schedule, inst), max_weighted_latency(schedule, inst)
+    assert a.per_site == b.per_site and a == b
+    assert a.per_site[1] == SiteLatency(1, Fraction(3, 2), 8, 1, 12, 1)
+    assert a.per_site[1] != SiteLatency(1, Fraction(3, 2), 8, 1, 12, 2)
+    assert len({a.per_site[1], b.per_site[1]}) == 1
+
+
+def test_argmax_ties_go_to_the_smallest_site():
+    # one zigzag over [0, 2] with period 4: latencies 4, 2, 4
+    schedule = Schedule((zigzag(0, 2, 1),))
+    for weights, site, top in (([1, 1, 1], 0, 4), ([1, 2, 1], 0, 4),
+                               ([Fraction(1, 3), 2, 1], 1, 4), ([Fraction(1, 3), 6, 3], 1, 12),
+                               ([Fraction(2, 7), Fraction(4, 7), Fraction(2, 7)], 0, Fraction(8, 7)),
+                               ([1, Fraction(5, 2), Fraction(5, 4)], 1, 5)):
+        rep = max_weighted_latency(schedule, line_instance([0, 1, 2], weights))
+        assert (rep.argmax_site, rep.max_weighted) == (site, top), weights
+    # every latency 0 (a robot parked on each site): site 0, max 0
+    parked = Schedule(tuple(track(1, (0, SitePos(s))) for s in range(3)))
+    rep = max_weighted_latency(parked, line_instance([0, 1, 2], [3, Fraction(1, 7), 5]))
+    assert (rep.argmax_site, rep.max_weighted) == (0, 0)
+    assert all((row.num, row.den, row.wnum, row.wden) == (0, 1, 0, 1) for row in rep.per_site)
+
+
+def is_prime(n):
+    """Miller-Rabin with the first twelve prime bases: exact below 3.3e24."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % p == 0 for p in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_distinct_large_prime_weight_denominators_stay_fast():
+    rng = random.Random(300)
+    primes, p = [], 10**18
+    while len(primes) < 300:
+        p += 1
+        if is_prime(p):
+            primes.append(p)
+    weights = [Fraction(rng.randrange(1, q), q) for q in primes]
+    inst = line_instance(range(300), weights)
+    schedule = Schedule((zigzag(0, 299, 1), zigzag(100, 150, Fraction(1, 3), 7)))
+    started = time.perf_counter()
+    rep = max_weighted_latency(schedule, inst)
+    assert time.perf_counter() - started < 0.5
+    # latencies do not depend on the weights: read them at weight 1
+    unit = max_weighted_latency(schedule, line_instance(range(300), [1] * 300))
+    lats = [row.latency for row in unit.per_site]
+    top = max(w * lat for w, lat in zip(weights, lats))
+    assert rep.max_weighted == top
+    assert rep.argmax_site == min(s for s in inst.sites if weights[s] * lats[s] == top)
+    assert [row.weighted for row in rep.per_site] == [w * lat for w, lat in zip(weights, lats)]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from patrol import instance as instance_mod
 from patrol.errors import InstanceError
 from patrol.instance import (
     Metric,
@@ -15,6 +16,7 @@ from patrol.instance import (
     load_instance,
     round_weights_dyadic,
 )
+from patrol.rationals import to_fraction
 from conftest import random_euclidean_instance, random_line_instance
 
 
@@ -81,6 +83,55 @@ def test_load_decimal_strings_exact():
     inst = load_instance(doc("line", ["0.1", "0.3"], ["2.5", 1], kind="line"))
     assert inst.metric.coords == (Fraction(1, 10), Fraction(3, 10))
     assert inst.weights[0] == Fraction(5, 2)
+
+
+def test_each_distinct_number_text_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return to_fraction(value)
+
+    monkeypatch.setattr(instance_mod, "to_fraction", counted)
+    inst = load_instance(doc("line", ["0", "1.5", 3, "1.5", "0"], ["1"] * 4 + [2], kind="line"))
+    assert inst.metric.coords == (0, Fraction(3, 2), 3, Fraction(3, 2), 0)
+    assert inst.weights == (1, 1, 1, 1, 2)
+    assert sorted(calls, key=repr) == sorted(["0", "1.5", 3, "1", 2], key=repr)
+    calls.clear()
+    load_instance(doc("matrix", [["0", "1/2"], ["1/2", "0"]], ["1/2", "1/2"]))
+    assert calls.count("0") == calls.count("1/2") == 1
+
+
+def test_repeated_invalid_number_text_fails_as_at_its_first_occurrence():
+    for text in ("abc", "1/0", "--1", "1e", "١٢x"):
+        try:
+            to_fraction(text)
+        except (ValueError, ArithmeticError) as exc:
+            want = f"malformed instance: {exc}"
+        for body in (doc("line", [0, text, text], [1, 1, 1], kind="line"),
+                     doc("line", [0, 1, 2], [text] * 3, kind="line"),
+                     doc("matrix", [["0", text], [text, "0"]], [1, 1])):
+            with pytest.raises(InstanceError) as raised:
+                load_instance(body)
+            assert str(raised.value) == want, body
+
+
+def test_number_spellings_keep_their_own_paths():
+    inst = load_instance(doc("line", [0, 1, 2, 3], ["1", 1, 1.0, "1.0"], kind="line"))
+    assert inst.weights == (1, 1, 1, 1)
+    assert all(type(w) is Fraction for w in inst.weights)
+    for weights in ([True, True], ["1", True], [1, None]):
+        with pytest.raises(InstanceError, match="not a number"):
+            load_instance(doc("line", [0, 1], weights, kind="line"))
+
+
+def test_repeated_huge_exponent_fails_at_once():
+    started = time.perf_counter()
+    with pytest.raises(InstanceError, match="exponent out of range"):
+        load_instance(doc("line", list(range(800)), ["1e10000000"] * 800, kind="line"))
+    with pytest.raises(InstanceError, match="exponent out of range"):
+        load_instance(doc("line", ["1e10000000"] * 800, [1] * 800, kind="line"))
+    assert time.perf_counter() - started < 0.5
 
 
 def test_dump_load_round_trip():

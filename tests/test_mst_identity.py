@@ -1,11 +1,14 @@
-"""The metric pipeline's distance-key scans against frozen copies of their
+"""The metric pipeline's distance scans against frozen copies of their
 exact Fraction originals.
 
-mst sorts pairs on Metric.distance_key and _position_groups and
-_closest_positive_distance hash positions or take the smallest positive
-key.  The references below compute every distance as a Fraction, as the
-originals did, so any change in edge order, tie-breaking, grouping or
-the closest pair shows up as a difference.  The extreme-magnitude
+mst runs one Prim pass keyed on the math.dist double (Euclidean) or
+Metric.distance (line, matrix); _position_groups hashes positions (a
+matrix is scanned); _closest_positive_distance reads the smallest
+positive edge of the all-sites MST on Euclidean and line metrics and
+scans every pair of a matrix.  The references below compute every
+distance as a Fraction, as the originals did, so any change in edge
+order, tie-breaking, grouping or the closest pair shows up as a
+difference.  The extreme-magnitude
 Euclidean instances (denominators up to 10^324, coincident points,
 -0.0) also check tree_cover's integer probes against the original
 Fraction bisection.

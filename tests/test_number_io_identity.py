@@ -2,7 +2,8 @@
 it to frozen copies of the Fraction(str) reader and the division-loop
 writer it replaced, and to Fraction(text) on the running interpreter:
 the same Fraction or the same exception type and message, input by
-input."""
+input.  format_ratio, the writer on the two ints of a ratio in lowest
+terms, is pinned to format_fraction of the same Fraction."""
 
 import math
 import random
@@ -10,8 +11,13 @@ import struct
 import sys
 from fractions import Fraction
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from patrol.errors import ResourceLimitError
 from patrol.instance import Metric
-from patrol.rationals import float_to_fraction, format_fraction, to_fraction
+from patrol.rationals import float_to_fraction, format_fraction, format_ratio, to_fraction
 
 LIMIT = sys.int_info.default_max_str_digits
 
@@ -183,3 +189,32 @@ def test_format_round_trip_over_denominators():
     # the writer finds b from the bit length of 5^b; 1/5^b has b decimals
     for b in range(400, 14_000, 97):
         assert format_fraction(Fraction(-1, 5**b)) == "-0." + str(2**b).rjust(b, "0")
+
+
+# denominators 2^a * 5^b (decimals) and any other positive int ("p/q")
+decimal_dens = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 80), st.integers(0, 80))
+ratio_dens = st.one_of(decimal_dens, st.integers(1, 10**30), decimal_dens.map(lambda d: 3 * d))
+
+
+@given(st.integers(-(10**40), 10**40), ratio_dens)
+@example(0, 1)
+@example(0, 7)
+@example(-1, 1)
+@example(-3, 8)
+@example(7, 10**20)
+@example(-22, 7)
+@example(5, 2**200)
+def test_format_ratio_is_format_fraction_on_lowest_terms(num, den):
+    value = Fraction(num, den)
+    num, den = value.numerator, value.denominator
+    assert format_ratio(num, den) == format_fraction(value) == frozen_format_fraction(value)
+
+
+def test_format_ratio_past_the_digit_limit_raises_like_format_fraction():
+    digits = sys.get_int_max_str_digits()
+    for value in (Fraction(10**digits), Fraction(-(10**digits) - 1, 2),
+                  Fraction(1, 2**(3 * digits)), Fraction(10**digits + 1, 3)):
+        for write in (lambda: format_fraction(value),
+                      lambda: format_ratio(value.numerator, value.denominator)):
+            with pytest.raises(ResourceLimitError, match=f"over {digits} digits"):
+                write()
