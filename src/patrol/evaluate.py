@@ -12,8 +12,11 @@ denominators of every period, waypoint time and, on the line, site and
 waypoint coordinate (speed checks read no site and leave the sites out).
 Line latencies multiply U by the pass-through factor, the lcm of
 dx // gcd(dx, dt) over moving legs, so that each pass-through time
-t0 + dt*|c - x0|/dx is an integer.  The tolerances become
-floor(U * 1e-9), exact on int keys.  A per-site row holds its latency
+t0 + dt*|c - x0|/dx is an integer.  On the line the tolerances become
+floor(U * 1e-9), exact on int keys.  Off the line a leg of distance n/q
+is too fast when (n*U - dt*q) * 10**9 > U*q, and a Euclidean
+co-location compares the math.dist double with 1e-9, which decides
+exactly as its decimal read would.  A per-site row holds its latency
 and weighted latency as ints in lowest terms, and a Fraction is built
 only where one is read: the report's max, or a row's property.
 site_visits is the one visit rule: the latencies here and the
@@ -25,7 +28,9 @@ within the tolerance) is found once per evaluation, by one matrix row
 scan or a bisection window on the first Euclidean coordinate.  A site
 served by one robot takes the cyclic max gap of its in-order visits; a
 jointly served site is unrolled over the common period, at absolute
-times, within an event budget shared by the whole evaluation.
+times, within an event budget shared by the whole evaluation, and when
+all its visits are instants only their start times are unrolled and
+sorted, as ints.
 """
 
 from __future__ import annotations
@@ -35,7 +40,9 @@ import io
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, lcm
+from itertools import chain
+from math import dist, floor, gcd, lcm
+from operator import sub
 from typing import NamedTuple
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
@@ -99,15 +106,20 @@ class LatencyReport:
         return self.per_site[site].latency
 
     def to_json_dict(self) -> dict:
-        return {
-            "max_weighted": format_fraction(self.max_weighted),
-            "argmax_site": self.argmax_site,
-            "per_site": [
-                {"site": s.site, "latency": format_ratio(s.num, s.den),
-                 "weight": format_fraction(s.weight), "weighted": format_ratio(s.wnum, s.wden)}
-                for s in self.per_site
-            ],
-        }
+        weights, rows = {}, []  # each distinct weight is formatted once
+        for s in self.per_site:
+            w = s.weight
+            key = w.numerator, w.denominator
+            weight = weights.get(key)
+            if weight is None:
+                weight = weights[key] = format_ratio(*key)
+            latency = weighted = format_ratio(s.num, s.den)
+            if (s.wnum, s.wden) != (s.num, s.den):
+                weighted = format_ratio(s.wnum, s.wden)
+            rows.append({"site": s.site, "latency": latency, "weight": weight,
+                         "weighted": weighted})
+        return {"max_weighted": format_fraction(self.max_weighted),
+                "argmax_site": self.argmax_site, "per_site": rows}
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -204,16 +216,24 @@ def _expanded(schedule: Schedule, metric: Metric) -> tuple[Schedule, int]:
 
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     """Check every leg (and the wraparound leg) against unit speed, in the
-    integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL)."""
+    integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL),
+    any other leg of distance n/q when (n*U - (T1-T0)*q) * 10**9 > U*q, which
+    is n/q - (T1-T0)/U > VISIT_TOL on ints."""
     schedule, unit = _expanded(schedule, metric)
     line = metric.variant == "line"
-    tol = floor(unit * VISIT_TOL) if line else unit * VISIT_TOL
+    tol = floor(unit * VISIT_TOL)
     violations = []
     for r, track in enumerate(schedule.robots):
         for i, (t0, p0, t1, p1) in enumerate(_legs(track, metric, unit)):
-            d = abs(p1 - p0) if line else position_distance(p0, p1, metric) * unit
-            if d - (t1 - t0) > tol:
-                violations.append(SpeedViolation(r, i, Fraction(d, unit), Fraction(t1 - t0, unit)))
+            if line:  # the leg's distance is d/q
+                d, q = abs(p1 - p0), unit
+                fast = d - (t1 - t0) > tol
+            else:
+                exact = position_distance(p0, p1, metric)
+                d, q = exact.numerator, exact.denominator
+                fast = (d * unit - (t1 - t0) * q) * 10**9 > unit * q
+            if fast:
+                violations.append(SpeedViolation(r, i, Fraction(d, q), Fraction(t1 - t0, unit)))
     return violations
 
 
@@ -231,17 +251,20 @@ def _sites_near(schedule: Schedule, metric: Metric, unit: int):
     named = {p.site for t in schedule.robots for _, p in t.waypoints if isinstance(p, SitePos)}
     if metric.variant == "matrix":
         return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
-    # math.dist(w, s) <= 1e-9 puts s's first coordinate ([:1], empty in 0-d)
-    # within 1e-9 (plus ulps) of w's; float rounding of c -/+ 2e-9 is monotone,
-    # so the bisection window holds every such s and the predicate decides.
-    order = sorted(range(metric.n), key=lambda s: metric.points[s][:1])
-    keys = [metric.points[s][:1] for s in order]
+    # math.dist(p, q) <= 1e-9 decides Metric.distance(w, s) <= VISIT_TOL:
+    # that read of a double is strictly increasing (see metric_core.mst) and
+    # 1e-9 reads as exactly 1/10**9.  It puts q's first coordinate ([:1],
+    # empty in 0-d) within 1e-9 (plus ulps) of p's; float rounding of
+    # c -/+ 2e-9 is monotone, so the bisection window holds every such s.
+    points = metric.points
+    order = sorted(range(metric.n), key=lambda s: points[s][:1])
+    keys = [points[s][:1] for s in order]
     groups = {}
     for w in named:
-        head = metric.points[w][:1]
-        lo = bisect_left(keys, tuple(c - 2e-9 for c in head))
-        hi = bisect_right(keys, tuple(c + 2e-9 for c in head))
-        groups[w] = [s for s in order[lo:hi] if metric.distance(w, s) <= VISIT_TOL]
+        p = points[w]
+        lo = bisect_left(keys, tuple(c - 2e-9 for c in p[:1]))
+        hi = bisect_right(keys, tuple(c + 2e-9 for c in p[:1]))
+        groups[w] = [s for s in order[lo:hi] if dist(p, points[s]) <= 1e-9]
     return groups
 
 
@@ -290,7 +313,13 @@ def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
     """Max gap of a site that several (period, visits) serve, unrolled over
     their common period `total`.  Each visit sits at its absolute time
     modulo its track's period, so the phase between tracks that start at
-    different times counts."""
+    different times counts.  When every visit is an instant, only the
+    sorted start times are unrolled, and the gap is the largest step
+    between them or across the wrap."""
+    if all(a == b for _, visits in served for a, b in visits):
+        starts = sorted(chain.from_iterable(range(a % period, total, period)
+                                            for period, visits in served for a, _ in visits))
+        return max(starts[0] + total - starts[-1], max(map(sub, starts[1:], starts), default=0))
     intervals = []
     for period, visits in served:
         for a, b in visits:

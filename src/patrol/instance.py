@@ -134,7 +134,7 @@ class Instance:
         n = self.metric.n
         if len(self.weights) != n:
             raise InstanceError("one weight per site required")
-        if any(w <= 0 for w in self.weights):
+        if any(w.numerator <= 0 for w in self.weights):  # Fractions keep den > 0
             raise InstanceError("weights must be positive")
         if self.kind not in ("general", "line"):
             raise InstanceError(f"unknown instance kind: {self.kind}")
@@ -157,7 +157,8 @@ class Instance:
     def uniform_weight(self) -> Optional[Fraction]:
         """The common weight if all sites share one, else None."""
         first = self.weights[0]
-        return first if all(w == first for w in self.weights) else None
+        key = first.numerator, first.denominator  # Fractions are in lowest terms
+        return first if all((w.numerator, w.denominator) == key for w in self.weights) else None
 
     def sorted_line_order(self) -> list[int]:
         """Site indices sorted by coordinate (ties by index)."""

@@ -56,17 +56,18 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     length and the optimum is a pairwise coordinate difference (any
     optimal interval can be shrunk to span exactly its leftmost and
     rightmost point), which is an integer after scaling.  The cover is
-    the accepted sweep at that length.
+    the accepted sweep at that length; the points are sorted as ints, and
+    only the ends of its intervals become Fractions again.
     """
-    pts = sorted(Fraction(p) for p in points)
+    pts = [p if type(p) is Fraction else Fraction(p) for p in points]
     if not pts:
         raise ValueError("no points to cover")
     if k < 1:
         raise ValueError("k must be positive")
     scale = lcm(*(p.denominator for p in pts))
-    ipts = [p.numerator * (scale // p.denominator) for p in pts]
+    ipts = sorted(p.numerator * (scale // p.denominator) for p in pts)
     _, pieces = smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
-    intervals = [(pts[i], pts[j]) for i, j in pieces]
+    intervals = [(Fraction(ipts[i], scale), Fraction(ipts[j], scale)) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)
     return IntervalCover(tuple(intervals), max_len)
 

@@ -333,6 +333,9 @@ def test_overflow_and_unvisited_paths(monkeypatch):
 
 def test_euclidean_tolerance_edges():
     offsets = [(0, 0), (5e-10, 0), (1e-9, 0), (1.5e-9, 0), (-1e-9, 0), (0, 1e-9), (7e-10, 7e-10)]
+    # the doubles either side of 1e-9, along x and along a diagonal
+    for off in (math.nextafter(1e-9, 0), math.nextafter(1e-9, 1)):
+        offsets += [(off, 0), (off / math.sqrt(2), off / math.sqrt(2))]
     for x0 in (0.0, 2.5, 1e6):
         pts = [(x0 + dx, 1.0 + dy) for dx, dy in offsets]
         inst = euclidean_instance(pts, [1] * len(pts))
@@ -343,6 +346,11 @@ def test_euclidean_tolerance_edges():
             )
             assert assert_identical(Schedule((parked,) + others), inst) == "ok"
             assert_identical(Schedule((parked,)), inst)
+    # at 0 the x offsets are the distances: the first double past 1e-9 is out
+    parked = Schedule((track(3, (0, SitePos(0))),))
+    for off, kind in ((math.nextafter(1e-9, 0), "ok"), (math.nextafter(1e-9, 1), "UnvisitedSiteError")):
+        inst = euclidean_instance([(0.0, 1.0), (off, 1.0)], [1, 1])
+        assert assert_identical(parked, inst) == kind
 
 
 # --- the integer time unit ---------------------------------------------------
@@ -353,14 +361,36 @@ def test_euclidean_tolerance_edges():
 # tolerance.
 
 
+def reference_edge_distance(p, q, metric):
+    """A leg's length off the line, on Fractions: a Euclidean distance is
+    math.dist read through its repr, and EdgePos(a, b, f) lies f of the
+    way from a to b."""
+    def length(a, b):
+        if metric.variant == "matrix":
+            return metric.matrix[a][b]
+        return Fraction(repr(math.dist(metric.points[a], metric.points[b])))
+
+    if isinstance(p, SitePos) and isinstance(q, SitePos):
+        return length(p.site, q.site)
+    if isinstance(p, SitePos):
+        p, q = q, p
+    if isinstance(q, SitePos):
+        return (p.frac if q.site == p.a else 1 - p.frac) * length(p.a, p.b)
+    return abs(p.frac - q.frac) * length(p.a, p.b)
+
+
 def reference_violations(schedule, instance):
-    """The original validate_speed on a line: each leg's Fraction distance
-    against its duration plus the tolerance."""
+    """The original validate_speed: each leg's Fraction distance against
+    its duration plus the tolerance."""
+    metric = instance.metric
     out = []
-    for r, trk in enumerate(schedule.expanded(instance.metric).robots):
+    for r, trk in enumerate(schedule.expanded(metric).robots):
         for leg, (t0, p0, t1, p1) in enumerate(trk.legs()):
-            x0 = reference_line_coord(p0, instance.metric)
-            d = abs(reference_line_coord(p1, instance.metric) - x0)
+            if metric.variant == "line":
+                x0 = reference_line_coord(p0, metric)
+                d = abs(reference_line_coord(p1, metric) - x0)
+            else:
+                d = reference_edge_distance(p0, p1, metric)
             if d > (t1 - t0) + TOL:
                 out.append((r, leg, d, t1 - t0))
     return out
@@ -451,6 +481,46 @@ def test_speed_tolerance_boundary_in_the_integer_unit():
     # with U = 3 the tolerance is 0 units: 1/3 too fast fails
     got = assert_speed_identical(Schedule((track(3, (0, 0), (1, Fraction(4, 3))),)), inst)
     assert got == [(0, 0, Fraction(4, 3), 1)]
+
+
+def test_off_line_speed_tolerance_boundary():
+    tiny = Fraction(1, 10**18)
+    # (0,0) -> (3,4) is 5 long, (0,0) -> (1,1) is the repr of sqrt(2)
+    for end, d in (((3.0, 4.0), Fraction(5)), ((1.0, 1.0), Fraction(repr(math.sqrt(2))))):
+        inst = euclidean_instance([(0.0, 0.0), end], [1, 1])
+        for duration, fails in ((d - TOL, False), (d - TOL - tiny, True), (d - TOL + tiny, False)):
+            leg = track(20, (0, SitePos(0)), (duration, SitePos(1)))
+            got = assert_speed_identical(Schedule((leg,)), inst)
+            assert got == ([(0, 0, d, duration)] if fails else [])
+    assert Fraction(5) - TOL == Fraction("4.999999999")
+    # a matrix leg that ends 2/5 of the way along an edge of length 7/3
+    inst = matrix_instance([[0, Fraction(7, 3)], [Fraction(7, 3), 0]], [1, 1])
+    inside, d = EdgePos(0, 1, Fraction(2, 5)), Fraction(14, 15)
+    for duration, fails in ((d - TOL, False), (d - TOL - tiny, True), (d - TOL + tiny, False)):
+        leg = track(20, (0, SitePos(0)), (duration, inside))
+        got = assert_speed_identical(Schedule((leg,)), inst)
+        assert got == ([(0, 0, d, duration)] if fails else [])
+        back = track(20, (0, inside), (duration, SitePos(0)))
+        assert len(assert_speed_identical(Schedule((back,)), inst)) == fails
+
+
+def test_joint_sites_with_coinciding_instants():
+    inst = line_instance([0, 1, 2, 4], [1, 2, 1, 3])
+    # same-phase zigzags pass every shared site at the same times; a half
+    # span zigzag meets the full one at 0 and 2 in every common period
+    full, again, half = zigzag(0, 4, 1), zigzag(0, 4, 1), zigzag(0, 2, 1)
+    for robots in ((full, again), (full, half), (half, full, again), (full, zigzag(0, 2, 2))):
+        assert assert_identical(Schedule(robots), inst) == "ok"
+
+
+def test_joint_site_rest_straddles_the_common_period():
+    inst = line_instance([0, 1, 2], [1, 1, 1])
+    # rests on site 0 from 5 to 7 with period 6: each unrolled copy in the
+    # common period 12 ends past the next multiple of 6, the last past 12
+    rests = track(6, (1, 0), (3, 2), (5, 0))
+    for robots in ((rests, zigzag(0, 2, 1)), (zigzag(0, 2, 1), rests),
+                   (rests, zigzag(0, 1, 1, 1), zigzag(1, 2, Fraction(3, 2)))):
+        assert assert_identical(Schedule(robots), inst) == "ok"
 
 
 # --- per-site rows: ints in lowest terms, Fractions when read --------------

@@ -5,7 +5,7 @@ through Metric: a Euclidean distance is math.dist read through its
 repr, a matrix distance the entry itself.  On a matrix or Euclidean
 metric a robot visits every site within 1e-9 of a waypoint's site at
 the waypoint's time, and covers it while it rests there until the next
-waypoint.  The unroll lists each site's visit intervals at absolute
+waypoint; a waypoint inside an edge visits nothing.  The unroll lists each site's visit intervals at absolute
 times over [-H, 2H), H the lcm of the periods of the robots that visit
 it, and its latency is the longest wait, after the end of a visit in
 [0, H), until some visit reaches past that moment.
@@ -21,9 +21,9 @@ import pytest
 from patrol.evaluate import max_weighted_latency
 from patrol.fixtures import clustered_instance
 from patrol.generate import generate_instance
-from patrol.instance import euclidean_instance
+from patrol.instance import euclidean_instance, matrix_instance
 from patrol.metric_scheduler import baseline_cover_schedule, solve_metric
-from patrol.schedule import RobotTrack, SitePos
+from patrol.schedule import EdgePos, RobotTrack, Schedule, SitePos
 from conftest import random_matrix_instance
 
 TOL = Fraction(1, 10**9)
@@ -40,13 +40,27 @@ def fraction_lcm(values):
     return Fraction(lcm(*(v.numerator * (den // v.denominator) for v in values)), den)
 
 
+def leg_length(metric, p, q):
+    """A move along one edge: EdgePos(a, b, f) lies f of the way from a to b."""
+    if isinstance(p, SitePos) and isinstance(q, SitePos):
+        return reference_distance(metric, p.site, q.site)
+    if isinstance(p, SitePos):
+        p, q = q, p
+    edge = reference_distance(metric, p.a, p.b)
+    if isinstance(q, EdgePos):
+        assert (q.a, q.b) == (p.a, p.b)
+        return abs(p.frac - q.frac) * edge
+    assert q.site in (p.a, p.b)
+    return (p.frac if q.site == p.a else 1 - p.frac) * edge
+
+
 def one_period(track):
-    """(t0, site, t1, next site) of each move or rest, the wrap included."""
+    """(t0, position, t1, next position) of each move or rest, the wrap included."""
     times = [t for t, _ in track.waypoints]
-    sites = [p.site for _, p in track.waypoints]
-    steps = list(zip(times, sites, times[1:], sites[1:]))
+    places = [p for _, p in track.waypoints]
+    steps = list(zip(times, places, times[1:], places[1:]))
     if times[-1] - times[0] < track.period:
-        steps.append((times[-1], sites[-1], times[0] + track.period, sites[0]))
+        steps.append((times[-1], places[-1], times[0] + track.period, places[0]))
     return steps
 
 
@@ -54,14 +68,14 @@ def unrolled_latencies(schedule, instance):
     metric = instance.metric
     for track in schedule.robots:
         assert isinstance(track, RobotTrack)
-        assert all(isinstance(p, SitePos) for _, p in track.waypoints)
+        assert all(isinstance(p, (SitePos, EdgePos)) for _, p in track.waypoints)
         for t0, a, t1, b in one_period(track):  # unit speed, checked independently
-            assert t1 - t0 >= reference_distance(metric, a, b)
+            assert t1 - t0 >= leg_length(metric, a, b)
     latencies = []
     for s in instance.sites:
         near = {w for w in instance.sites if reference_distance(metric, w, s) <= TOL}
         visits = [(track, [(t0, t1 if a == b else t0) for t0, a, t1, b in one_period(track)
-                           if a in near])
+                           if isinstance(a, SitePos) and a.site in near])
                   for track in schedule.robots]
         visits = [(track, spans) for track, spans in visits if spans]
         assert visits, f"site {s} is never visited"
@@ -108,3 +122,39 @@ def test_metric_and_baseline_latencies_match_unroll(k):
             assert report.max_weighted == max(w * lat for w, lat in zip(inst.weights, expected))
             cases += 1
     assert cases == 13 * 2
+
+
+def track(period, *points):
+    """RobotTrack from (time, position) pairs; a bare int is a site."""
+    return RobotTrack(Fraction(period), tuple(
+        (Fraction(t), SitePos(p) if isinstance(p, int) else p) for t, p in points))
+
+
+def assert_matches_unroll(schedule, inst):
+    report = max_weighted_latency(schedule, inst)
+    expected = unrolled_latencies(schedule, inst)
+    assert [row.latency for row in report.per_site] == expected
+    assert report.max_weighted == max(w * lat for w, lat in zip(inst.weights, expected))
+    return expected
+
+
+def test_hand_made_joint_and_edge_schedules_match_unroll():
+    # sites 2 and 3 are 1e-10 apart; 0-1 is 5 long, 1-2 4 and 0-2 3
+    euclid = euclidean_instance([(0.0, 0.0), (3.0, 4.0), (3.0, 0.0), (3.0, 1e-10), (0.0, 8.0)],
+                                [1, 2, 3, 1, 2])
+    mid = EdgePos(1, 2, Fraction(1, 2))
+    loop = track(12, (0, 0), (5, 1), (9, 2))
+    # waits inside edge (1, 2), then rests on site 1
+    edge = track(10, (1, 2), (3, mid), (4, mid), (6, 1), (7, 1))
+    out = track(12, (2, 1), (7, 4))
+    for robots in ((loop, edge, out), (edge, loop, out), (loop, edge, out, track(10, (3, mid)))):
+        assert_matches_unroll(Schedule(robots), euclid)
+    # a cycle 0-1-2-3 with sides 2, 1, 2, 1; site 4 sits on site 2
+    rows = [[0, 2, 3, 1, 3], [2, 0, 1, 3, 1], [3, 1, 0, 2, 0], [1, 3, 2, 0, 2], [3, 1, 0, 2, 0]]
+    matrix = matrix_instance(rows, [1, 3, 2, 1, 2])
+    cycle = track(6, (0, 0), (2, 1), (3, 2), (5, 3))
+    halfway = track(4, (1, 1), (2, EdgePos(0, 1, Fraction(1, 2))))
+    # rests on site 2 from 4 to 6 across its own period
+    rests = track(5, (1, 2), (2, 1), (3, 2), (4, 2))
+    for robots in ((cycle, halfway), (cycle, halfway, rests), (rests, cycle)):
+        assert_matches_unroll(Schedule(robots), matrix)
