@@ -192,10 +192,13 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     edge length at most beta=4 times the optimal t-cover value.
 
     The scheme: for a threshold B, delete MST edges longer than B and
-    chop each remaining fragment's walk into pieces of length <= 4B.
-    Every B at or above the optimum yields at most t pieces, and any
-    accepted B bounds the pieces by 4B, so bisecting B to the smallest
-    accepted value gives pieces of length <= 4 * optimum.  Each distinct
+    chop each remaining fragment's walk into pieces of length <= 4B; B is
+    accepted when that leaves at most t pieces.  Every B at or above the
+    optimum is accepted, but acceptance is not monotone below it, so the
+    bisection need not find the smallest accepted B.  What holds is that
+    its B is accepted and its predecessor on the search grid is not, so
+    B < optimum + |MST| / 2^120 and every piece is at most 4B: 4 times
+    the optimum, up to that grid step.  Each distinct
     (sorted sites, t) is computed once per Metric and kept in its private
     memo, so repeated calls return the same TreeCover object.
     """
@@ -209,9 +212,11 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
 
 
 def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
-    """tree_cover without the memo: the smallest accepted B = |MST| * j / 2^120
-    for j in [0, 2^120], probing j = 0 first and then bisecting [1, 2^120]:
-    the 120 halvings of [0, |MST|].
+    """tree_cover without the memo: B = |MST| * j / 2^120 for j in
+    [0, 2^120], probing j = 0 first and then bisecting [1, 2^120]: the 120
+    halvings of [0, |MST|].  The j found is accepted and j - 1 is not (or
+    j = 0); a smaller j may still be accepted, since acceptance is not
+    monotone below the optimum.
 
     A probe runs on integers.  With |MST| = P/Q, an MST edge of length l
     is kept (l <= B) iff j >= ceil(l * Q * 2^120 / P), so the kept count is

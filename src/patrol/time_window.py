@@ -44,8 +44,12 @@ L.  A DP state is its summaries' pool ids.  Per probe, level by level:
 - each level above: only the pairs whose hulls can reach the level's
   outermost sites are joined, one compare each;
 - middle levels: the covering joins are pruned by dominance;
-- the top level (level m, or level 0 when m = 0): only the state the
-  prune would rank first is kept, since the decision reads no other.
+- the top level (level m, or level 0 when m = 0): a probe of the window
+  search (_decide) stops at its first covering state, since it only asks
+  whether one exists, and ranks level 0 only when a middle level is
+  built on it (m >= 2).  The window the search accepts is run again in
+  full (_select), and its top level keeps only the state the prune would
+  rank first.
 
 The search probes the decision alone and realizes only the window it
 accepts.
@@ -373,25 +377,41 @@ def _atom_ids(instance: Instance, L: Fraction) -> list[int]:
 def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[StandardSchedule]:
     """Decide whether a standard k-robot schedule of window L exists.
 
-    Returns the realized StandardSchedule on yes, None on no.
+    Returns the realized StandardSchedule on yes, None on no: on yes the
+    state realized is the best top-level one (_select), not the first
+    one the decision met.
     """
-    node = _decide(instance, k, L)
-    return None if node is None else _realize(node, instance, L)
+    return None if _decide(instance, k, L) is None else _select(instance, k, L)
 
 
 def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
-    """construct_schedule without the realization: the first top-level
-    node, or None."""
-    top = _levels(instance, k, L)[-1]
+    """The first covering top-level state in pair order, or None.  At
+    m = 0 that is the first covering level-0 tuple in product order; at
+    m = 1 level 0 is not ranked.  None exactly when _levels' top level
+    is empty: the levels below the top hold the same states."""
+    top = _levels(instance, k, L, first=True)[-1]
     return top[0] if top else None
 
 
-def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
+def _select(instance: Instance, k: int, L: Fraction) -> StandardSchedule:
+    """The realized best top-level state at a window _decide accepts."""
+    return _realize(_levels(instance, k, L)[-1][0], instance, L)
+
+
+def _levels(
+    instance: Instance, k: int, L: Fraction, first: bool = False
+) -> list[list[StateNode]]:
     """The DP's levels: levels[h] is the list of surviving StateNodes of
     span 2^h, up to h = m, in _prune's order, except that the top level
     holds at most one state, _prune's first.  Every distinct covering
     join of a level, the top one included, counts against
-    DEFAULT_STATE_CAP."""
+    DEFAULT_STATE_CAP.
+
+    With first (_decide), the top level holds the first covering state
+    in pair order instead, and level 0 is ranked only when a middle
+    level reads its order (m >= 2): the top level then stops at its
+    first covering join, before a second one can count against the cap.
+    """
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
     summaries = _summary_pool(instance)
@@ -414,11 +434,14 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
             mask |= masks[i]
         if mask == full:
             combos.append(combo)
+            if first and m == 0:
+                break
     # the atoms are pruned by class and hull and share the slacks (0, 2),
     # so no k-tuple of them dominates another: ranking is the prune
     if m == 0:
-        combos = [max(combos, key=score)] if combos else []
-    else:
+        if not first:  # with first the loop stopped at the first covering tuple
+            combos = [max(combos, key=score)] if combos else []
+    elif m > 1 or not first:
         combos.sort(key=score, reverse=True)
     levels = [[StateNode(combo, 0) for combo in combos]]
 
@@ -455,6 +478,8 @@ def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
                         )
                     if h < m:
                         nxt.append(StateNode(out, h, children=(left, right)))
+                    elif first:
+                        return levels + [[StateNode(out, h, children=(left, right))]]
                     else:  # the top level keeps _prune's first state only
                         got = score(out)
                         if got > best_score:
@@ -694,7 +719,7 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
                                 lambda i: _decide(instance, k, candidates[i]))
     if node is None:
         raise AssertionError("the largest candidate window must be schedulable")
-    best = _realize(node, instance, candidates[i])
+    best = _select(instance, k, candidates[i])
 
     schedule = cyclify(best)
     if not _blocks_met(best, schedule, instance):

@@ -23,6 +23,7 @@ import pytest
 from patrol import time_window
 from patrol.cli import EXIT_OK, main
 from patrol.errors import ResourceLimitError
+from patrol.generate import generate_instance
 from patrol.instance import line_instance, round_weights_dyadic
 from patrol.rationals import to_fraction
 from patrol.schedule import dump_schedule
@@ -331,6 +332,49 @@ def test_state_cap_trips_where_the_full_level_loop_did(monkeypatch):
             monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", max(counts))
             time_window._levels(inst, k, L)
     assert trips["top"] > 40 and trips["middle"] > 15, trips
+
+
+def test_decision_stops_at_the_first_covering_top_state():
+    """At every probe of the k=1..3 sweep, _decide answers no exactly when
+    _levels' top level is empty, and a state it returns covers the top
+    level's sites and realizes into a schedule that meets its visit
+    windows.  The solver still realizes _levels' top state at the window
+    it accepts."""
+    answers = Counter()
+    for inst, k, L in rank_probes():
+        node = time_window._decide(inst, k, L)
+        top = time_window._levels(inst, k, L)[-1]
+        assert (node is None) == (not top), (inst, k, L)
+        answers[node is not None] += 1
+        if node is None:
+            continue
+        classes, _ = round_weights_dyadic(inst)
+        assert node.level == classes.m
+        sites = dict(classes.classes).get(classes.m, ())
+        assert reference_covers(node_reps(node, inst), inst.metric.coords, sites)
+        assert time_window.validate_standard(time_window._realize(node, inst, L), inst)
+    assert answers[True] > 50 and answers[False] > 50, answers
+    for inst, k in rank_cases():
+        if len(set(inst.metric.coords)) == 1:
+            continue  # solved without a window search
+        report = time_window.solve_line_weighted(inst, k)
+        L = report.L_accepted
+        best = time_window._levels(inst, k, L)[-1][0]
+        want = cyclify(time_window._realize(best, inst, L))
+        assert dump_schedule(report.schedule) == dump_schedule(want), (inst, k)
+
+
+@pytest.mark.parametrize("n, seed, k", list(product((3, 4, 5), (1, 2, 3), (1, 2))))
+def test_decision_probe_stops_before_the_top_level_state_cap(monkeypatch, n, seed, k):
+    """A decision probe stops at its first covering top-level join, so a
+    state cap of 1 that the full top level trips lets it answer yes."""
+    inst = generate_instance("line-weighted", n, seed, wmax=2)
+    assert round_weights_dyadic(inst)[0].m == 1
+    L = time_window.solve_line_weighted(inst, k).L_accepted
+    monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", 1)
+    assert time_window._decide(inst, k, L) is not None
+    with pytest.raises(ResourceLimitError, match="^more than 1 states at level 1$"):
+        time_window._levels(inst, k, L)
 
 
 def test_concat_adapter_matches_fraction_reference():
