@@ -46,8 +46,7 @@ L.  A DP state is its summaries' pool ids.  Per probe, level by level:
 - middle levels: the covering joins are pruned by dominance;
 - the top level (level m, or level 0 when m = 0): a probe of the window
   search (_decide) stops at its first covering state, since it only asks
-  whether one exists, and ranks level 0 only when a middle level is
-  built on it (m >= 2).  The window the search accepts is run again in
+  whether one exists.  The window the search accepts is run again in
   full (_select), and its top level keeps only the state the prune would
   rank first.
 
@@ -379,16 +378,17 @@ def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[Stan
 
     Returns the realized StandardSchedule on yes, None on no: on yes the
     state realized is the best top-level one (_select), not the first
-    one the decision met.
+    one the decision met, so a yes costs a decision plus a full run of
+    the levels.
     """
     return None if _decide(instance, k, L) is None else _select(instance, k, L)
 
 
 def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
     """The first covering top-level state in pair order, or None.  At
-    m = 0 that is the first covering level-0 tuple in product order; at
-    m = 1 level 0 is not ranked.  None exactly when _levels' top level
-    is empty: the levels below the top hold the same states."""
+    m = 0 that is the first covering level-0 tuple in product order.
+    None exactly when _levels' top level is empty: the levels below the
+    top hold the same states."""
     top = _levels(instance, k, L, first=True)[-1]
     return top[0] if top else None
 
@@ -408,8 +408,7 @@ def _levels(
     DEFAULT_STATE_CAP.
 
     With first (_decide), the top level holds the first covering state
-    in pair order instead, and level 0 is ranked only when a middle
-    level reads its order (m >= 2): the top level then stops at its
+    in pair order instead (in product order at m = 0): it stops at its
     first covering join, before a second one can count against the cap.
     """
     if not instance.is_line():
@@ -441,7 +440,7 @@ def _levels(
     if m == 0:
         if not first:  # with first the loop stopped at the first covering tuple
             combos = [max(combos, key=score)] if combos else []
-    elif m > 1 or not first:
+    else:
         combos.sort(key=score, reverse=True)
     levels = [[StateNode(combo, 0) for combo in combos]]
 
