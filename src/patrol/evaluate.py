@@ -365,7 +365,13 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     DEFAULT_EVENT_CAP visit events, else PeriodOverflowError; every site
     is checked before any site is unrolled.
     """
-    unit, periods, per_track = site_visits(schedule, instance.metric)
+    return _max_weighted_latency(site_visits(schedule, instance.metric), instance)
+
+
+def _max_weighted_latency(visits: tuple, instance: Instance) -> LatencyReport:
+    """max_weighted_latency on the schedule's site_visits, for a caller
+    that has already read them."""
+    unit, periods, per_track = visits
     checked, joint_events = [], 0
     for s in instance.sites:
         served = [(period, vis[s]) for period, vis in zip(periods, per_track) if s in vis]

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .evaluate import LatencyReport, max_weighted_latency, validate_speed
+from .evaluate import LatencyReport, _max_weighted_latency, site_visits, validate_speed
 from .instance import Instance
 from .rationals import format_fraction, to_float
 from .schedule import Schedule
@@ -65,6 +65,21 @@ def build_report(
     Every solver output must pass speed validation; a violation here is
     a solver bug, not an input problem.
     """
+    return _build_report(schedule, instance, algo, k, L_accepted, lower_bound,
+                         site_visits(schedule, instance.metric))
+
+
+def _build_report(
+    schedule: Schedule,
+    instance: Instance,
+    algo: str,
+    k: int,
+    L_accepted: Fraction,
+    lower_bound: Fraction,
+    visits: tuple,
+) -> SolveReport:
+    """build_report on the schedule's site_visits, for a solver that has
+    already read them."""
     violations = validate_speed(schedule, instance.metric)
     if violations:
         raise AssertionError(f"solver produced an invalid schedule: {violations[0]}")
@@ -72,7 +87,7 @@ def build_report(
         schedule=schedule,
         L_accepted=L_accepted,
         lower_bound=lower_bound,
-        latency=max_weighted_latency(schedule, instance),
+        latency=_max_weighted_latency(visits, instance),
         algo=algo,
         k=k,
     )

@@ -201,14 +201,6 @@ def loop_track(sites: Sequence[int], metric: Metric) -> RobotTrack:
 # --- serialization ---------------------------------------------------------
 
 
-def _pos_to_json(pos: Position) -> dict:
-    if isinstance(pos, SitePos):
-        return {"site": pos.site}
-    if isinstance(pos, CoordPos):
-        return {"coord": format_fraction(pos.x)}
-    return {"edge": [pos.a, pos.b], "frac": format_fraction(pos.frac)}
-
-
 def _site_from_json(value) -> int:
     """A site id, which JSON must spell as an integer: int() would read
     2.9 as site 2, true as site 1 and "1" as site 1."""
@@ -229,26 +221,40 @@ def _pos_from_json(doc: dict) -> Position:
 
 
 def dump_schedule(schedule: Schedule) -> str:
+    """The schedule document as json.dumps(doc, indent=2) writes it,
+    written directly: its only strings are fixed keys and format_fraction
+    texts (digits, "-", ".", "/"), none of which JSON escapes, so the
+    json module's pure-Python indent encoder is not needed."""
     robots = []
     for track in schedule.robots:
         if isinstance(track, RoundRobinTrack):
-            robots.append(
-                {
-                    "kind": "round_robin",
-                    "trees": [{"paths": [list(p) for p in paths]} for paths in track.trees],
-                }
-            )
+            trees = ",\n".join(
+                '        {\n          "paths": [\n'
+                + ",\n".join("            [\n" + ",\n".join(f"              {v}" for v in path)
+                             + "\n            ]" for path in paths)
+                + "\n          ]\n        }"
+                for paths in track.trees)
+            robots.append(f'    {{\n      "kind": "round_robin",\n      "trees": [\n{trees}'
+                          "\n      ]\n    }")
         else:
-            robots.append(
-                {
-                    "period": format_fraction(track.period),
-                    "waypoints": [
-                        {"t": format_fraction(t), "pos": _pos_to_json(p)}
-                        for t, p in track.waypoints
-                    ],
-                }
-            )
-    return json.dumps({"robots": robots}, indent=2)
+            waypoints = ",\n".join(
+                f'        {{\n          "t": "{format_fraction(t)}",\n          "pos": {{\n'
+                f"{_pos_text(p)}\n          }}\n        }}" for t, p in track.waypoints)
+            robots.append(f'    {{\n      "period": "{format_fraction(track.period)}",\n'
+                          f'      "waypoints": [\n{waypoints}\n      ]\n    }}')
+    if not robots:
+        return '{\n  "robots": []\n}'
+    return '{\n  "robots": [\n' + ",\n".join(robots) + "\n  ]\n}"
+
+
+def _pos_text(pos: Position) -> str:
+    """The members of a waypoint's "pos" object, at their indent."""
+    if isinstance(pos, SitePos):
+        return f'            "site": {pos.site}'
+    if isinstance(pos, CoordPos):
+        return f'            "coord": "{format_fraction(pos.x)}"'
+    return (f'            "edge": [\n              {pos.a},\n              {pos.b}\n            ],\n'
+            f'            "frac": "{format_fraction(pos.frac)}"')
 
 
 def load_schedule(data: bytes | str) -> Schedule:

@@ -19,24 +19,29 @@ made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  That periodic schedule, the one
 returned, is what validate_standard checks, block by block over its
 whole period, with the evaluator's visit rule (evaluate.site_visits).
+A solve runs that rule once: the check and its latency report read the
+same visits.
 
 There is one summary form, AtomicRep: a tuple of ints (start, end,
 left, right, before3, after3, span) with the slacks counted in thirds of
 L, so it does not depend on the L being probed.  For L = p/q and D the
 lcm of the coordinate denominators, the junction rule and the prune
 compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
-with X = D * coords and L/3 is p * D.  Fractions appear only in the
-candidate windows, in AtomicRep.t_before / t_after and in realization.
+with X = D * coords and L/3 is p * D.  The candidate windows are
+(numerator, denominator) int pairs until probed; Fractions appear only in
+the windows the search probes, in AtomicRep.t_before / t_after and in
+realization.
 
 What does not depend on L is built once per Instance, not once per
 probe of the window search, in its summary pool: the atomic table
 (every visiting 4-tuple with its integer-scaled tour length and the
 half-open range of caps on which the atom prune keeps it; one dominates
 another exactly when they share start and end coordinates and its hull
-contains the other's), each summary interned once with its hull mask
-over its weight class's sites and the two ints its score is made of,
-and every join with the one integer compare that decides it at a given
-L.  A DP state is its summaries' pool ids.  Per probe, level by level:
+contains the other's; one pass builds it and interns its atoms), each
+summary interned once with its hull mask over its weight class's sites
+and the two ints its score is made of, and every join with the one
+integer compare that decides it at a given L.  A DP state is its
+summaries' pool ids.  Per probe, level by level:
 
 - level 0: the cap filter over the atoms and the covering k-tuples of
   them, ranked by score; no tuple of pruned atoms dominates another, so
@@ -67,7 +72,7 @@ from .evaluate import site_visits
 from .instance import Instance, weight_classes
 from .line_uniform import min_interval_cover
 from .rationals import smallest_accepted
-from .report import SolveReport, build_report
+from .report import SolveReport, _build_report, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 
 DEFAULT_STATE_CAP = 200_000
@@ -264,11 +269,11 @@ class _SummaryPool:
     rows are the atomic table: the visiting 4-tuples in product order as
     (length3, kill3, AtomicRep), length3 = 3 * D * canonical tour length.
     The canonical length of s -> e through the extremes l <= s, e <= r is
-    (r - l) + min((s - l) + (r - e), (r - s) + (e - l)).  The atom prune
-    keeps a row exactly at the caps floor(L * D) in [length3, kill3).  The
-    rows of one coordinate class (start, end, left, right) share a tour,
-    and the first in product order stands for all (the later ones get
-    kill3 = length3).  That first row is dropped once a strictly wider
+    (r - l) + min((s - l) + (r - e), (r - s) + (e - l)), which is
+    2(r - l) - |s - e|.  The atom prune keeps a row exactly at the caps
+    floor(L * D) in [length3, kill3).  The rows of one coordinate class
+    (start, end, left, right) share a tour, and the first in product
+    order stands for all (the later ones get kill3 = length3).  That first row is dropped once a strictly wider
     hull over the same ends fits.  Widening a hull by d on either side
     lengthens both detours by d, so the tour by 2d: the shortest wider
     hull reaches the nearest coordinate beyond one side, and kill3 is inf
@@ -283,10 +288,15 @@ class _SummaryPool:
     ranking(L) returns.  atoms holds (length3, kill3, id) for each row
     that the atom prune keeps at some cap, in table order, and travel is
     the pure-travel atom's id.  The masks read the weight classes, so the
-    pool lives on the Instance, not on its Metric.  intern takes
-    _junction's plain tuples and AtomicReps alike (an AtomicRep equals and
-    hashes like its plain tuple) and builds an AtomicRep only for a new
-    plain tuple."""
+    pool lives on the Instance, not on its Metric.
+
+    The table is built in one pass: the rows an atom prune keeps are the
+    first of their classes, all distinct, so each takes the next id as
+    it is made, with the level-0 hull mask computed once per (left,
+    right); ids 0 .. len(atoms) - 1 are the atoms in table order and
+    travel comes next.  intern, which the joins use, takes _junction's
+    plain tuples and AtomicReps alike (an AtomicRep equals and hashes like
+    its plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
         self.D, self.X, self.low, self.high = _scaled(instance.metric.coords)
@@ -294,34 +304,49 @@ class _SummaryPool:
         values = sorted(set(X))
         steps = [b - a for a, b in zip(values, values[1:])]
         step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
-        # product order meets a class first at the lowest index of each site
-        lead = [X.index(x) == i for i, x in enumerate(X)]
-        self.rows = rows = []
-        for s, xs in enumerate(X):
-            for e, xe in enumerate(X):
-                lo, hi = min(xs, xe), max(xs, xe)
-                rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
-                for left, xl in enumerate(X):
-                    if xl > lo:
-                        continue
-                    first = lead[s] and lead[e] and lead[left]
-                    for right, xr in rights:
-                        length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
-                                                               (xr - xs) + (xe - xl)))
-                        if first and lead[right]:
-                            widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
-                            kill3 = length3 + 6 * widen if widen < inf else inf
-                        rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
         self.level_sites = dict(weight_classes(instance).classes)
         self.pool: list[AtomicRep] = []
         self.ids: dict[tuple, int] = {}
         self.masks: list[int] = []
-        self.slack3s: list[int] = []
         self.widths: list[int] = []
         self.hulls: dict[tuple[int, int, int], int] = {}
         self.joins: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self.atoms = [(length3, kill3, self.intern(rep))
-                      for length3, kill3, rep in rows if length3 < kill3]
+        self.rows = rows = []
+        self.atoms = atoms = []
+        pool, ids, masks, widths, hulls = self.pool, self.ids, self.masks, self.widths, self.hulls
+        sites = [(bit, X[s]) for bit, s in enumerate(self.level_sites.get(0, ()))]
+        # product order meets a class first at the lowest index of each site
+        lead = [X.index(x) == i for i, x in enumerate(X)]
+        new = tuple.__new__  # AtomicRep(...) without its Python-level __new__
+        for s, xs in enumerate(X):
+            for e, xe in enumerate(X):
+                lo, hi = (xs, xe) if xs <= xe else (xe, xs)
+                ends3 = 3 * (hi - lo)
+                rights = [(r, xr, lead[r]) for r, xr in enumerate(X) if xr >= hi]
+                for left, xl in enumerate(X):
+                    if xl > lo:
+                        continue
+                    first = lead[s] and lead[e] and lead[left]
+                    for right, xr, lead_right in rights:
+                        length3 = 6 * (xr - xl) - ends3
+                        rep = new(AtomicRep, (s, e, left, right, 0, 2, 1))
+                        if not (first and lead_right):
+                            rows.append((length3, length3, rep))
+                            continue
+                        widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                        kill3 = length3 + 6 * widen if widen < inf else inf
+                        rows.append((length3, kill3, rep))
+                        # a lead row is its class's atom: interned here, in row order
+                        mask = hulls.get((1, left, right))
+                        if mask is None:
+                            mask = hulls[1, left, right] = sum(
+                                1 << bit for bit, x in sites if xl <= x <= xr)
+                        atoms.append((length3, kill3, len(pool)))
+                        ids[rep] = len(pool)
+                        pool.append(rep)
+                        masks.append(mask)
+                        widths.append(xr - xl)
+        self.slack3s: list[int] = [2] * len(pool)  # an atom's slacks are (0, 2)
         self.travel = self.intern(type_two())
 
     def intern(self, key: tuple) -> int:
@@ -583,15 +608,17 @@ def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
     of 2^j windows, over the whole period 2D of the cyclified schedule
     (both halves) and by the evaluator's visit rule."""
-    return _blocks_met(std, cyclify(std), instance)
+    schedule = cyclify(std)
+    return _blocks_met(std, schedule, instance, site_visits(schedule, instance.metric))
 
 
-def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance) -> bool:
-    """validate_standard on schedule = cyclify(std).  Visits are
-    site_visits' ints in the unit 1/U, so with P = 2D * U block b is
-    [b * P, (b + 1) * P] once visit times are scaled by 2^(m+1-j).  A
-    stationary track covers its sites at all times."""
-    unit, _, per_track = site_visits(schedule, instance.metric)
+def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance, visits) -> bool:
+    """validate_standard on schedule = cyclify(std) and its site_visits,
+    which the solver's latency report reads too.  Visits are ints in the
+    unit 1/U, so with P = 2D * U block b is [b * P, (b + 1) * P] once
+    visit times are scaled by 2^(m+1-j).  A stationary track covers its
+    sites at all times."""
+    unit, _, per_track = visits
     still = set().union(*(vis for track, vis in zip(schedule.robots, per_track)
                           if len(track.waypoints) == 1))
     moving = [vis for track, vis in zip(schedule.robots, per_track) if len(track.waypoints) > 1]
@@ -652,6 +679,13 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     visiting-window tours (3 * tour length) and junction travel budgets
     d = (2/3 + j) * L for up to 2^m pure-travel windows in between.
     More junction values than DEFAULT_STATE_CAP raise ResourceLimitError."""
+    return [Fraction(num, den) for num, den in _candidates(instance, k)]
+
+
+def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
+    """candidate_window_lengths as sorted (numerator, denominator) pairs
+    in lowest terms: the search builds a Fraction only for the windows it
+    probes."""
     summaries = _summary_pool(instance)
     D, X = summaries.D, summaries.X
     gaps = {b - a for a in X for b in X if a < b}
@@ -672,10 +706,10 @@ def candidate_window_lengths(instance: Instance, k: int) -> list[Fraction]:
     try:
         keyed = sorted((num / den, num, den) for num, den in reduced)
     except OverflowError:
-        return sorted(Fraction(num, den) for num, den in reduced)
-    out = [Fraction(num, den) for _, num, den in keyed]
+        return sorted(reduced, key=lambda pair: Fraction(*pair))
+    out = [(num, den) for _, num, den in keyed]
     if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
-        out.sort(key=lambda q: (q.numerator / q.denominator, q))
+        out.sort(key=lambda pair: (pair[0] / pair[1], Fraction(*pair)))
     return out
 
 
@@ -710,24 +744,26 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
             L_accepted=Fraction(0), lower_bound=Fraction(0),
         )
 
-    candidates = [c for c in candidate_window_lengths(instance, k) if c > 0]
+    candidates = [pair for pair in _candidates(instance, k) if pair[0] > 0]
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
     i, node = smallest_accepted(0, len(candidates) - 1,
-                                lambda i: _decide(instance, k, candidates[i]))
+                                lambda i: _decide(instance, k, Fraction(*candidates[i])))
     if node is None:
         raise AssertionError("the largest candidate window must be schedulable")
-    best = _select(instance, k, candidates[i])
+    best = _select(instance, k, Fraction(*candidates[i]))
 
     schedule = cyclify(best)
-    if not _blocks_met(best, schedule, instance):
+    visits = site_visits(schedule, instance.metric)
+    if not _blocks_met(best, schedule, instance, visits):
         raise AssertionError("accepted schedule violates its visit windows")
-    return build_report(
+    return _build_report(
         schedule,
         instance,
         algo="line-weighted",
         k=k,
         L_accepted=best.window,
         lower_bound=line_lower_bound(instance, k),
+        visits=visits,
     )

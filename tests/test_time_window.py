@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 from patrol import time_window
 from patrol.evaluate import max_weighted_latency, validate_speed
@@ -407,6 +408,51 @@ def test_candidate_order_when_candidates_share_a_float():
     assert cands == sorted(cands)
     huge = candidate_window_lengths(line_instance([0, 10**400, 3 * 10**400], [1, 2, 1]), 1)
     assert huge == sorted(huge) and huge[-1] > 10**400
+
+
+def test_candidate_windows_are_the_int_pairs_as_fractions():
+    """candidate_window_lengths is _candidates' (numerator, denominator)
+    pairs, each in lowest terms, as Fractions: on the float-tie and the
+    overflow instances above and on a seeded sweep."""
+    big = 10**18
+    instances = [
+        line_instance([0, Fraction(big, big + 1), Fraction(big + 1, big + 3), 1], [1, 2, 1, 4]),
+        line_instance([0, 10**400, 3 * 10**400], [1, 2, 1]),
+    ]
+    rng = random.Random(25)
+    instances += [generate_instance("line-weighted", rng.randint(2, 6), seed, wmax=4)
+                  for seed in range(1, 30)]
+    for inst in instances:
+        for k in (1, 2):
+            pairs = time_window._candidates(inst, k)
+            assert all(type(n) is int and type(d) is int and d > 0 and gcd(n, d) == 1
+                       for n, d in pairs)
+            assert candidate_window_lengths(inst, k) == [Fraction(n, d) for n, d in pairs]
+
+
+def test_line_weighted_solve_reads_visits_once(monkeypatch):
+    """One site_visits per line-weighted solve: the visit-window check and
+    the latency report share it, and the report's latencies equal a fresh
+    evaluation of the returned schedule."""
+    import patrol.evaluate
+    import patrol.report
+
+    calls = []
+    original = patrol.evaluate.site_visits
+
+    def spy(schedule, metric):
+        calls.append(schedule)
+        return original(schedule, metric)
+
+    for module in (patrol.evaluate, patrol.report, time_window):
+        monkeypatch.setattr(module, "site_visits", spy)
+    for k, n, seed in [(1, 5, 1), (1, 6, 2), (2, 4, 3), (2, 5, 1), (3, 4, 2)]:
+        inst = generate_instance("line-weighted", n, seed, wmax=4)
+        calls.clear()
+        report = solve_line_weighted(inst, k)
+        assert calls == [report.schedule], (k, n, seed)
+        fresh = max_weighted_latency(report.schedule, inst)
+        assert report.latency == fresh and report.measured_latency == fresh.max_weighted
 
 
 # --- full solver, cyclification ---------------------------------------------

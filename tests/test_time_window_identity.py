@@ -11,7 +11,8 @@ and validate_standard, which reads visits from the evaluator, to its
 original Fraction visit rule on the schedule before reversal.  The
 integer atom prune that later ran on every probe is kept here too, held
 to the original, and the cap ranges of the solver's atomic table are
-held to it.
+held to it.  The summary pool's one-pass build is held table by table
+to a build that interns each atom row by row.
 """
 
 import random
@@ -23,7 +24,7 @@ from math import inf
 import pytest
 
 from patrol import time_window
-from patrol.instance import dump_instance, line_instance, round_weights_dyadic
+from patrol.instance import dump_instance, line_instance, round_weights_dyadic, weight_classes
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
@@ -149,8 +150,8 @@ def reference_atomics(monkeypatch):
                 for rep in reference_prune(reference_enumerate(coords, L), coords, Fraction(1))]
 
     monkeypatch.setattr(time_window, "_atom_ids", atom_ids)
-    monkeypatch.setattr(time_window, "candidate_window_lengths",
-                        lambda instance, k: reference_candidates(instance))
+    monkeypatch.setattr(time_window, "_candidates", lambda instance, k: [
+        (q.numerator, q.denominator) for q in reference_candidates(instance)])
 
 
 def sweep(seed, count, n_max, wmax):
@@ -229,6 +230,78 @@ def test_dp_levels_and_solves_match_reference(dp_cases, request):
     fresh = [(line_instance(inst.metric.coords, inst.weights), k) for inst, k in dp_cases]
     want = [levels_and_solve(inst, k) for inst, k in fresh]
     assert got == want
+
+
+def reference_summary_pool(instance):
+    """_SummaryPool as it was first built: the whole atomic table row by
+    row, then each atom of it interned through intern, one row at a time."""
+    pool = object.__new__(time_window._SummaryPool)
+    pool.D, pool.X, pool.low, pool.high = time_window._scaled(instance.metric.coords)
+    X = pool.X
+    values = sorted(set(X))
+    steps = [b - a for a, b in zip(values, values[1:])]
+    step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
+    lead = [X.index(x) == i for i, x in enumerate(X)]
+    pool.rows = rows = []
+    for s, xs in enumerate(X):
+        for e, xe in enumerate(X):
+            lo, hi = min(xs, xe), max(xs, xe)
+            rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
+            for left, xl in enumerate(X):
+                if xl > lo:
+                    continue
+                first = lead[s] and lead[e] and lead[left]
+                for right, xr in rights:
+                    length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
+                                                           (xr - xs) + (xe - xl)))
+                    if first and lead[right]:
+                        widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                        kill3 = length3 + 6 * widen if widen < inf else inf
+                    rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
+    pool.level_sites = dict(weight_classes(instance).classes)
+    pool.pool, pool.ids, pool.masks, pool.slack3s, pool.widths = [], {}, [], [], []
+    pool.hulls, pool.joins = {}, {}
+    pool.atoms = [(length3, kill3, pool.intern(rep))
+                  for length3, kill3, rep in rows if length3 < kill3]
+    pool.travel = pool.intern(type_two())
+    return pool
+
+
+POOL_TABLES = ("D", "X", "low", "high", "rows", "level_sites", "pool", "ids", "masks",
+               "slack3s", "widths", "hulls", "joins", "atoms", "travel")
+
+
+def pool_tables(pool):
+    """Every table of a summary pool, with each key's type beside it, as
+    an AtomicRep and its plain tuple compare equal."""
+    return {name: getattr(pool, name) for name in POOL_TABLES} | {
+        "types": ([type(rep) for _, _, rep in pool.rows], [type(rep) for rep in pool.pool],
+                  [type(key) for key in pool.ids])}
+
+
+def test_one_pass_pool_matches_per_row_intern_build():
+    """The pool built in one pass holds the tables of the per-row intern
+    build, before any probe and after a solve has joined into it, on
+    coincident and fractional coordinates over several weight levels."""
+    coincident = solved = joined = 0
+    levels = Counter()
+    for k, inst in ((k, inst) for k in (1, 2, 3) for inst in sweep(7, 40, 6 - k, 4)):
+        got = time_window._SummaryPool(inst)
+        want = reference_summary_pool(inst)
+        assert pool_tables(got) == pool_tables(want), inst
+        inst._memo["summaries"] = want
+        twin = line_instance(inst.metric.coords, inst.weights)
+        if max(inst.metric.coords) > min(inst.metric.coords):
+            a, b = solve_line_weighted(inst, k), solve_line_weighted(twin, k)
+            assert (a.L_accepted, a.latency, dump_schedule(a.schedule)) == (
+                b.L_accepted, b.latency, dump_schedule(b.schedule))
+            assert pool_tables(time_window._summary_pool(twin)) == pool_tables(want), inst
+            solved += 1
+            joined += bool(want.joins)
+        levels[len(want.level_sites)] += 1
+        coincident += len(set(inst.metric.coords)) < inst.n
+    assert solved > 80 and joined > 40 and coincident > 20, (solved, joined, coincident)
+    assert sum(levels[m] for m in levels if m > 1) > 40, levels
 
 
 def test_table_leaves_metric_identity_alone():
