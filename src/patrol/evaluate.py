@@ -20,7 +20,8 @@ exactly as its decimal read would.  A per-site row holds its latency
 and weighted latency as ints in lowest terms, and a Fraction is built
 only where one is read: the report's max, or a row's property.
 site_visits is the one visit rule: the latencies here and the
-time-window check of an accepted schedule both read it.
+time-window check of an accepted schedule both read it, through its
+private half _visits when the caller already holds the legs.
 
 A leg costs O(log n + visits): line legs bisect the coordinates sorted
 once per evaluation, and a waypoint site's co-location group (the sites
@@ -207,11 +208,29 @@ def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
     return [a + b for a, b in zip(points, points[1:])]
 
 
-def _expanded(schedule: Schedule, metric: Metric) -> tuple[Schedule, int]:
-    """The expanded schedule and its unit U, once the site ids are checked."""
+def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tuple]]]:
+    """(U, legs): the unit of the expanded schedule, once its site ids are
+    checked, and every track's _legs in it.  validate_speed and
+    site_visits each read one; a caller that needs both builds it once."""
     _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
-    return schedule, _unit(schedule, metric)
+    unit = _unit(schedule, metric)
+    return unit, [_legs(t, metric, unit) for t in schedule.robots]
+
+
+def _grid_legs(tracks, den: int) -> tuple[int, list[list[tuple]]]:
+    """_evaluation of line tracks given on ints in the unit 1/den, each as
+    (period, [(t, x), ...]) with its points spanning less than the period:
+    U is the lcm of the values' reduced denominators, den // gcd(den, every
+    value), as _unit computes it, and the legs are _legs'."""
+    g = gcd(den, *(period for period, _ in tracks),
+            *(v for _, points in tracks for point in points for v in point))
+    legs = []
+    for period, points in tracks:
+        points = [(t // g, x // g) for t, x in points]
+        legs.append([a + b for a, b in zip(points, points[1:])]
+                    + [points[-1] + (points[0][0] + period // g, points[0][1])])
+    return den // g, legs
 
 
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
@@ -219,12 +238,17 @@ def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL),
     any other leg of distance n/q when (n*U - (T1-T0)*q) * 10**9 > U*q, which
     is n/q - (T1-T0)/U > VISIT_TOL on ints."""
-    schedule, unit = _expanded(schedule, metric)
+    return _speed_violations(_evaluation(schedule, metric), metric)
+
+
+def _speed_violations(evaluation: tuple, metric: Metric) -> list[SpeedViolation]:
+    """validate_speed on the schedule's _evaluation."""
+    unit, legs = evaluation
     line = metric.variant == "line"
     tol = floor(unit * VISIT_TOL)
     violations = []
-    for r, track in enumerate(schedule.robots):
-        for i, (t0, p0, t1, p1) in enumerate(_legs(track, metric, unit)):
+    for r, track in enumerate(legs):
+        for i, (t0, p0, t1, p1) in enumerate(track):
             if line:  # the leg's distance is d/q
                 d, q = abs(p1 - p0), unit
                 fast = d - (t1 - t0) > tol
@@ -237,18 +261,19 @@ def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     return violations
 
 
-def _sites_near(schedule: Schedule, metric: Metric, unit: int):
+def _sites_near(legs: list[list[tuple]], metric: Metric, unit: int):
     """The visit lookup of one evaluation, built once for all its legs.
 
     Line metrics: site ids sorted by coordinate, with the sorted integer
     coordinates, for bisection.  Other metrics: the co-location group
-    (sites within VISIT_TOL) of every site a waypoint names.
+    (sites within VISIT_TOL) of every site a leg starts at, which is
+    every site a waypoint names.
     """
     if metric.variant == "line":
         scaled = [_scale(c, unit) for c in metric.coords]
         order = sorted(range(metric.n), key=scaled.__getitem__)
         return [scaled[s] for s in order], order
-    named = {p.site for t in schedule.robots for _, p in t.waypoints if isinstance(p, SitePos)}
+    named = {p.site for track in legs for _, p, _, _ in track if isinstance(p, SitePos)}
     if metric.variant == "matrix":
         return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
     # math.dist(p, q) <= 1e-9 decides Metric.distance(w, s) <= VISIT_TOL:
@@ -337,18 +362,23 @@ def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], lis
     unit 1/U, with the site coordinates and, on the line, the pass-through
     factor (module docstring) folded in, each track's period, and each
     track's _track_visits, all ints in that unit."""
-    schedule, unit = _expanded(schedule, metric)
+    return _visits(_evaluation(schedule, metric), metric)
+
+
+def _visits(evaluation: tuple, metric: Metric) -> tuple[int, list[int], list[dict]]:
+    """site_visits on the schedule's _evaluation.  A track's legs run from
+    its first waypoint to that waypoint one period later."""
+    unit, legs = evaluation
     line = metric.variant == "line"
-    legs = [_legs(t, metric, unit) for t in schedule.robots]
     if line:  # the site coordinates' denominators, then the pass-through factor
         m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
         m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)
                    for track in legs for t0, x0, t1, x1 in track if x1 != x0))
         unit *= m
         legs = [[(t0 * m, x0 * m, t1 * m, x1 * m) for t0, x0, t1, x1 in track] for track in legs]
-    near = _sites_near(schedule, metric, unit)
+    near = _sites_near(legs, metric, unit)
     tol = floor(unit * VISIT_TOL)
-    return (unit, [_scale(t.period, unit) for t in schedule.robots],
+    return (unit, [track[-1][2] - track[0][0] for track in legs],
             [_track_visits(track, line, near, tol) for track in legs])
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .evaluate import LatencyReport, _max_weighted_latency, site_visits, validate_speed
+from .evaluate import LatencyReport, _evaluation, _max_weighted_latency, _speed_violations, _visits
 from .instance import Instance
 from .rationals import format_fraction, to_float
 from .schedule import Schedule
@@ -63,10 +63,12 @@ def build_report(
     """Measure a schedule with the exact evaluator and wrap it up.
 
     Every solver output must pass speed validation; a violation here is
-    a solver bug, not an input problem.
+    a solver bug, not an input problem.  The schedule is expanded and
+    its legs built once, for the visits and the speed check.
     """
+    evaluation = _evaluation(schedule, instance.metric)
     return _build_report(schedule, instance, algo, k, L_accepted, lower_bound,
-                         site_visits(schedule, instance.metric))
+                         evaluation, _visits(evaluation, instance.metric))
 
 
 def _build_report(
@@ -76,11 +78,12 @@ def _build_report(
     k: int,
     L_accepted: Fraction,
     lower_bound: Fraction,
+    evaluation: tuple,
     visits: tuple,
 ) -> SolveReport:
-    """build_report on the schedule's site_visits, for a solver that has
-    already read them."""
-    violations = validate_speed(schedule, instance.metric)
+    """build_report on the schedule's _evaluation and site_visits, for a
+    solver that has already built them."""
+    violations = _speed_violations(evaluation, instance.metric)
     if violations:
         raise AssertionError(f"solver produced an invalid schedule: {violations[0]}")
     return SolveReport(

@@ -29,8 +29,10 @@ lcm of the coordinate denominators, the junction rule and the prune
 compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
 with X = D * coords and L/3 is p * D.  The candidate windows are
 (numerator, denominator) int pairs until probed; Fractions appear only in
-the windows the search probes, in AtomicRep.t_before / t_after and in
-realization.
+the windows the search probes, in AtomicRep.t_before / t_after and where a
+Schedule or StandardSchedule is returned.  The solve realizes, reverses
+and measures the accepted state on ints in the unit 1/(qD) (_timeline,
+_mirrored, _periodic), and its lower bound covers X (line_lower_bound).
 
 What does not depend on L is built once per Instance, not once per
 probe of the window search, in its summary pool: the atomic table
@@ -68,9 +70,9 @@ from math import floor, gcd, inf, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
-from .evaluate import site_visits
+from .evaluate import _grid_legs, _visits, site_visits
 from .instance import Instance, weight_classes
-from .line_uniform import min_interval_cover
+from .line_uniform import _greedy_cover
 from .rationals import smallest_accepted
 from .report import SolveReport, _build_report, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
@@ -406,7 +408,9 @@ def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[Stan
     one the decision met, so a yes costs a decision plus a full run of
     the levels.
     """
-    return None if _decide(instance, k, L) is None else _select(instance, k, L)
+    if _decide(instance, k, L) is None:
+        return None
+    return _realize(_select(instance, k, L), instance, L)
 
 
 def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
@@ -418,9 +422,9 @@ def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
     return top[0] if top else None
 
 
-def _select(instance: Instance, k: int, L: Fraction) -> StandardSchedule:
-    """The realized best top-level state at a window _decide accepts."""
-    return _realize(_levels(instance, k, L)[-1][0], instance, L)
+def _select(instance: Instance, k: int, L: Fraction) -> StateNode:
+    """The best top-level state at a window _decide accepts."""
+    return _levels(instance, k, L)[-1][0]
 
 
 def _levels(
@@ -545,63 +549,57 @@ def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedu
     return StandardSchedule(window=L, levels=node.level, robot_waypoints=tracks)
 
 
-def _realize_track(
-    slots: Sequence[AtomicRep], coords, L: Fraction
-) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Waypoints (time, coordinate) over [0, span*L] for one robot.
+def _realize_track(slots: Sequence[AtomicRep], coords, L: Fraction) -> tuple:
+    """One robot's _timeline as (time, coordinate) Fractions over [0, span*L]."""
+    D, X, _, _ = _scaled(coords)
+    return tuple((Fraction(t, L.denominator * D), coords[s])
+                 for t, s in _timeline(slots, X, L.denominator, L.numerator * D))
 
-    Visiting windows run their canonical tour from the window start at
-    unit speed; the robot then waits at the tour's end site and leaves as
-    late as possible for the next visiting window's start site.
-    """
-    duration = L * len(slots)
+
+def _timeline(slots: Sequence[AtomicRep], X, q: int, window: int) -> list[tuple[int, int]]:
+    """Waypoints (time, site) over [0, span * window] for one robot, on
+    ints: at L = p/q time counts 1/(qD), a window lasts p * D and travel
+    between sites a and b takes q * |X[a] - X[b]|.  Visiting windows run
+    their canonical tour from the window start at unit speed; the robot
+    then waits at the tour's end site and leaves as late as possible for
+    the next visiting window's start site."""
     visit_idx = [i for i, rep in enumerate(slots) if rep.visits]
     if not visit_idx:
-        c = min(coords)
-        return ((Fraction(0), c),)
-    if L == 0:
-        return ((Fraction(0), coords[slots[visit_idx[0]].start]),)
-    waypoints: list[tuple[Fraction, Fraction]] = []
+        return [(0, min(range(len(X)), key=X.__getitem__))]
+    waypoints = [(0, slots[visit_idx[0]].start)]
+    if window == 0:
+        return waypoints
 
-    def put(t: Fraction, x: Fraction):
-        if waypoints:
-            t_prev, x_prev = waypoints[-1]
-            if t == t_prev:
-                if x != x_prev:
-                    raise AssertionError("conflicting waypoint at one time")
-                return
-            if t < t_prev:
-                raise AssertionError("realized motion went back in time")
-        waypoints.append((t, x))
+    def put(t: int, s: int):
+        t_prev, s_prev = waypoints[-1]
+        if t == t_prev:
+            if X[s] != X[s_prev]:
+                raise AssertionError("conflicting waypoint at one time")
+            return
+        if t < t_prev:
+            raise AssertionError("realized motion went back in time")
+        waypoints.append((t, s))
 
-    first = slots[visit_idx[0]]
-    put(Fraction(0), coords[first.start])
     for where, idx in enumerate(visit_idx):
-        rep = slots[idx]
-        t0 = idx * L
-        put(t0, coords[rep.start])
-        order = canonical_path_order(coords, rep.start, rep.end, rep.left, rep.right)
-        t = t0
-        x = coords[order[0]]
-        for target in order[1:]:
-            cx = coords[target]
-            if cx != x:
-                t += abs(cx - x)
-                put(t, cx)
-                x = cx
+        t, (at, *order) = idx * window, canonical_path_order(X, *slots[idx][:4])
+        put(t, at)
+        for target in order:
+            if X[target] != X[at]:
+                t += q * abs(X[target] - X[at])
+                put(t, target)
+                at = target
         if where + 1 < len(visit_idx):
-            nxt = slots[visit_idx[where + 1]]
-            depart_target = coords[nxt.start]
-            arrive = visit_idx[where + 1] * L
-            dist = abs(depart_target - x)
+            nxt = slots[visit_idx[where + 1]].start
+            arrive = visit_idx[where + 1] * window
+            dist = q * abs(X[nxt] - X[at])
             if dist > 0:
-                put(arrive - dist, x)
-                put(arrive, depart_target)
-                x = depart_target
-    # implicit final wait at x until `duration`
-    if waypoints[-1][0] > duration:
+                put(arrive - dist, at)
+                put(arrive, nxt)
+                at = nxt
+    # implicit final wait at the last site until the duration
+    if waypoints[-1][0] > window * len(slots):
         raise AssertionError("realized motion overruns the schedule duration")
-    return tuple(waypoints)
+    return waypoints
 
 
 def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
@@ -609,26 +607,26 @@ def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     of 2^j windows, over the whole period 2D of the cyclified schedule
     (both halves) and by the evaluator's visit rule."""
     schedule = cyclify(std)
-    return _blocks_met(std, schedule, instance, site_visits(schedule, instance.metric))
+    return _blocks_met(std.levels, schedule, instance, site_visits(schedule, instance.metric))
 
 
-def _blocks_met(std: StandardSchedule, schedule: Schedule, instance: Instance, visits) -> bool:
-    """validate_standard on schedule = cyclify(std) and its site_visits,
-    which the solver's latency report reads too.  Visits are ints in the
-    unit 1/U, so with P = 2D * U block b is [b * P, (b + 1) * P] once
-    visit times are scaled by 2^(m+1-j).  A stationary track covers its
-    sites at all times."""
-    unit, _, per_track = visits
-    still = set().union(*(vis for track, vis in zip(schedule.robots, per_track)
-                          if len(track.waypoints) == 1))
-    moving = [vis for track, vis in zip(schedule.robots, per_track) if len(track.waypoints) > 1]
-    period = int(2 * std.duration * unit)  # exact when a track moves: 2D is its period
+def _blocks_met(levels: int, schedule: Schedule, instance: Instance, visits) -> bool:
+    """validate_standard on schedule, the cyclified standard schedule of m
+    = levels, and its site_visits, which the solver's latency report reads
+    too.  Visits are ints in the unit 1/U, so with P = 2D * U, every moving
+    track's period, block b is [b * P, (b + 1) * P] once visit times are
+    scaled by 2^(m+1-j).  A stationary track covers its sites at all times."""
+    _, periods, per_track = visits
+    moving = [r for r, track in enumerate(schedule.robots) if len(track.waypoints) > 1]
+    still = set().union(*(vis for r, vis in enumerate(per_track) if r not in moving))
+    period = max((periods[r] for r in moving), default=0)
     for j, members in weight_classes(instance).classes:
-        scale = 2 ** (std.levels + 1 - j)
+        scale = 2 ** (levels + 1 - j)
         for s in members:
             if s in still:
                 continue
-            spans = sorted((a * scale, b * scale) for vis in moving for a, b in vis.get(s, ()))
+            spans = sorted((a * scale, b * scale)
+                           for r in moving for a, b in per_track[r].get(s, ()))
             if not _every_block_met(spans, period, scale):
                 return False
     return True
@@ -652,23 +650,50 @@ def _every_block_met(spans: Sequence[tuple[int, int]], block: int, blocks: int) 
 def cyclify(std: StandardSchedule) -> Schedule:
     """Infinite periodic schedule: run the standard schedule, then its
     time reversal, with period twice the duration.  Each site's visit gap
-    at most doubles relative to its window spacing."""
-    D = std.duration
-    tracks = []
+    at most doubles relative to its window spacing.  The reversal runs on
+    the times over one common denominator (_mirrored)."""
+    D, tracks = std.duration, []
     for wps in std.robot_waypoints:
         if D == 0 or len(wps) == 1:
             tracks.append(stationary_track(CoordPos(wps[0][1])))
             continue
-        pts: list[tuple[Fraction, Fraction]] = list(wps)
-        for t, x in reversed(wps):
-            mirrored = 2 * D - t
-            if mirrored <= pts[-1][0]:  # seam waypoint already present
-                continue
-            if mirrored >= 2 * D:  # the wrap leg reproduces the first leg
-                continue
-            pts.append((mirrored, x))
-        tracks.append(RobotTrack(2 * D, tuple((t, CoordPos(x)) for t, x in pts)))
+        den = lcm(D.denominator, *(t.denominator for t, _ in wps))
+        pts = _mirrored([(t.numerator * (den // t.denominator), x) for t, x in wps],
+                        D.numerator * (den // D.denominator))
+        tracks.append(RobotTrack(2 * D, tuple((Fraction(t, den), CoordPos(x)) for t, x in pts)))
     return Schedule(tuple(tracks))
+
+
+def _mirrored(points: list[tuple[int, object]], duration: int) -> list[tuple[int, object]]:
+    """points (int time, position) over [0, duration], then their time
+    reversal 2 * duration - t but for the mirrors of the last point (the
+    seam) and of a point at 0 (the wrap leg reproduces the first leg)."""
+    out = list(points)
+    for t, x in reversed(points):
+        mirrored = 2 * duration - t
+        if out[-1][0] < mirrored < 2 * duration:
+            out.append((mirrored, x))
+    return out
+
+
+def _periodic(node: StateNode, instance: Instance, L: Fraction) -> tuple[Schedule, tuple]:
+    """cyclify(_realize(node, instance, L)) and its evaluate._evaluation, read
+    off the robots' int timelines: Fractions are built for the schedule only."""
+    summaries = _summary_pool(instance)
+    coords, X, pool, slots = instance.metric.coords, summaries.X, summaries.pool, node.slots()
+    q, window = L.denominator, L.numerator * summaries.D
+    unit, duration = q * summaries.D, window << node.level
+    tracks, grid = [], []
+    for r in range(len(node.ids)):
+        timeline = _timeline([pool[slot[r]] for slot in slots], X, q, window)
+        if duration == 0 or len(timeline) == 1:  # a stationary_track, of period 1
+            period, points = unit, timeline
+        else:
+            period, points = 2 * duration, _mirrored(timeline, duration)
+        tracks.append(RobotTrack(Fraction(period, unit), tuple(
+            (Fraction(t, unit), CoordPos(coords[s])) for t, s in points)))
+        grid.append((period, [(t, q * X[s]) for t, s in points]))
+    return Schedule(tuple(tracks)), _grid_legs(grid, unit)
 
 
 # --- candidate window lengths and the full solver ---------------------------
@@ -715,17 +740,18 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
 
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
     """Interval-cover lower bound: within any window equal to a group's
-    largest visit gap the robots trace k intervals covering the group."""
+    largest visit gap the robots trace k intervals covering the group: on
+    X (_scaled), the smallest cap accepted over D is the cover's max_length."""
     if instance.n <= k:
         return Fraction(0)
-    coords = instance.metric.coords
+    D, X, _, _ = _scaled(instance.metric.coords)
     groups = [members for _, members in weight_classes(instance).classes]
     groups.append(tuple(instance.sites))
     best = Fraction(0)
     for members in groups:
-        pts = sorted(coords[s] for s in members)
-        val = min_interval_cover(pts, k).max_length * min(instance.weights[s] for s in members)
-        best = max(best, val)
+        pts = sorted(X[s] for s in members)
+        cap, _ = smallest_accepted(0, pts[-1] - pts[0], lambda cap: _greedy_cover(pts, cap, k))
+        best = max(best, Fraction(cap, D) * min(instance.weights[s] for s in members))
     return best
 
 
@@ -752,18 +778,12 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
                                 lambda i: _decide(instance, k, Fraction(*candidates[i])))
     if node is None:
         raise AssertionError("the largest candidate window must be schedulable")
-    best = _select(instance, k, Fraction(*candidates[i]))
+    L = Fraction(*candidates[i])
+    best = _select(instance, k, L)
 
-    schedule = cyclify(best)
-    visits = site_visits(schedule, instance.metric)
-    if not _blocks_met(best, schedule, instance, visits):
+    schedule, evaluation = _periodic(best, instance, L)
+    visits = _visits(evaluation, instance.metric)
+    if not _blocks_met(best.level, schedule, instance, visits):
         raise AssertionError("accepted schedule violates its visit windows")
-    return _build_report(
-        schedule,
-        instance,
-        algo="line-weighted",
-        k=k,
-        L_accepted=best.window,
-        lower_bound=line_lower_bound(instance, k),
-        visits=visits,
-    )
+    return _build_report(schedule, instance, "line-weighted", k, L, line_lower_bound(instance, k),
+                         evaluation, visits)

@@ -431,26 +431,27 @@ def test_candidate_windows_are_the_int_pairs_as_fractions():
 
 
 def test_line_weighted_solve_reads_visits_once(monkeypatch):
-    """One site_visits per line-weighted solve: the visit-window check and
-    the latency report share it, and the report's latencies equal a fresh
-    evaluation of the returned schedule."""
+    """One visit pass per line-weighted solve: the visit-window check and
+    the latency report share it, it reads the legs (evaluate._evaluation)
+    of the returned schedule, and the report's latencies equal a fresh
+    evaluation of that schedule."""
     import patrol.evaluate
     import patrol.report
 
     calls = []
-    original = patrol.evaluate.site_visits
+    original = patrol.evaluate._visits
 
-    def spy(schedule, metric):
-        calls.append(schedule)
-        return original(schedule, metric)
+    def spy(evaluation, metric):
+        calls.append(evaluation)
+        return original(evaluation, metric)
 
     for module in (patrol.evaluate, patrol.report, time_window):
-        monkeypatch.setattr(module, "site_visits", spy)
+        monkeypatch.setattr(module, "_visits", spy)
     for k, n, seed in [(1, 5, 1), (1, 6, 2), (2, 4, 3), (2, 5, 1), (3, 4, 2)]:
         inst = generate_instance("line-weighted", n, seed, wmax=4)
         calls.clear()
         report = solve_line_weighted(inst, k)
-        assert calls == [report.schedule], (k, n, seed)
+        assert calls == [patrol.evaluate._evaluation(report.schedule, inst.metric)], (k, n, seed)
         fresh = max_weighted_latency(report.schedule, inst)
         assert report.latency == fresh and report.measured_latency == fresh.max_weighted
 
