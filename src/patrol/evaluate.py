@@ -218,21 +218,6 @@ def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tupl
     return unit, [_legs(t, metric, unit) for t in schedule.robots]
 
 
-def _grid_legs(tracks, den: int) -> tuple[int, list[list[tuple]]]:
-    """_evaluation of line tracks given on ints in the unit 1/den, each as
-    (period, [(t, x), ...]) with its points spanning less than the period:
-    U is the lcm of the values' reduced denominators, den // gcd(den, every
-    value), as _unit computes it, and the legs are _legs'."""
-    g = gcd(den, *(period for period, _ in tracks),
-            *(v for _, points in tracks for point in points for v in point))
-    legs = []
-    for period, points in tracks:
-        points = [(t // g, x // g) for t, x in points]
-        legs.append([a + b for a, b in zip(points, points[1:])]
-                    + [points[-1] + (points[0][0] + period // g, points[0][1])])
-    return den // g, legs
-
-
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     """Check every leg (and the wraparound leg) against unit speed, in the
     integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL),

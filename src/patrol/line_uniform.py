@@ -44,6 +44,12 @@ def _greedy_cover(ipts: list[int], length: int, limit: int) -> list[tuple[int, i
     return intervals
 
 
+def _min_cover_cap(ipts: list[int], k: int) -> tuple[int, list[tuple[int, int]]]:
+    """The smallest integer length at which _greedy_cover covers the
+    sorted ints ipts with at most k intervals, and that sweep's pairs."""
+    return smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
+
+
 def min_interval_cover(points, k: int) -> IntervalCover:
     """Exact minimum of the max interval length over covers of the points
     by at most k intervals.
@@ -66,7 +72,7 @@ def min_interval_cover(points, k: int) -> IntervalCover:
         raise ValueError("k must be positive")
     scale = lcm(*(p.denominator for p in pts))
     ipts = sorted(p.numerator * (scale // p.denominator) for p in pts)
-    _, pieces = smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
+    _, pieces = _min_cover_cap(ipts, k)
     intervals = [(Fraction(ipts[i], scale), Fraction(ipts[j], scale)) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)
     return IntervalCover(tuple(intervals), max_len)

@@ -78,16 +78,12 @@ class RobotTrack:
             raise ScheduleFormatError("track period must be positive")
         if not self.waypoints:
             raise ScheduleFormatError("track needs at least one waypoint")
-        # the checks run on ints over one common denominator of the times and period
         times = [t for t, _ in self.waypoints]
-        den = lcm(self.period.denominator, *(t.denominator for t in times))
-        times = [t.numerator * (den // t.denominator) for t in times]
-        period = self.period.numerator * (den // self.period.denominator)
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScheduleFormatError("waypoint times must be strictly increasing")
         if times[0] < 0:
             raise ScheduleFormatError("waypoint times must be nonnegative")
-        if times[-1] - times[0] > period:
+        if times[-1] - times[0] > self.period:
             raise ScheduleFormatError("waypoints span more than one period")
 
     def legs(self) -> list[tuple[Fraction, Position, Fraction, Position]]:

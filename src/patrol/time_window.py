@@ -30,9 +30,9 @@ compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
 with X = D * coords and L/3 is p * D.  The candidate windows are
 (numerator, denominator) int pairs until probed; Fractions appear only in
 the windows the search probes, in AtomicRep.t_before / t_after and where a
-Schedule or StandardSchedule is returned.  The solve realizes, reverses
-and measures the accepted state on ints in the unit 1/(qD) (_timeline,
-_mirrored, _periodic), and its lower bound covers X (line_lower_bound).
+Schedule or StandardSchedule is returned.  The accepted state is realized
+and reversed on ints in the unit 1/(qD) (_timeline, _mirrored), and the
+lower bound covers X (line_lower_bound).
 
 What does not depend on L is built once per Instance, not once per
 probe of the window search, in its summary pool: the atomic table
@@ -70,9 +70,9 @@ from math import floor, gcd, inf, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
-from .evaluate import _grid_legs, _visits, site_visits
+from .evaluate import _evaluation, _visits, site_visits
 from .instance import Instance, weight_classes
-from .line_uniform import _greedy_cover
+from .line_uniform import _min_cover_cap
 from .rationals import smallest_accepted
 from .report import SolveReport, _build_report, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
@@ -676,26 +676,6 @@ def _mirrored(points: list[tuple[int, object]], duration: int) -> list[tuple[int
     return out
 
 
-def _periodic(node: StateNode, instance: Instance, L: Fraction) -> tuple[Schedule, tuple]:
-    """cyclify(_realize(node, instance, L)) and its evaluate._evaluation, read
-    off the robots' int timelines: Fractions are built for the schedule only."""
-    summaries = _summary_pool(instance)
-    coords, X, pool, slots = instance.metric.coords, summaries.X, summaries.pool, node.slots()
-    q, window = L.denominator, L.numerator * summaries.D
-    unit, duration = q * summaries.D, window << node.level
-    tracks, grid = [], []
-    for r in range(len(node.ids)):
-        timeline = _timeline([pool[slot[r]] for slot in slots], X, q, window)
-        if duration == 0 or len(timeline) == 1:  # a stationary_track, of period 1
-            period, points = unit, timeline
-        else:
-            period, points = 2 * duration, _mirrored(timeline, duration)
-        tracks.append(RobotTrack(Fraction(period, unit), tuple(
-            (Fraction(t, unit), CoordPos(coords[s])) for t, s in points)))
-        grid.append((period, [(t, q * X[s]) for t, s in points]))
-    return Schedule(tuple(tracks)), _grid_legs(grid, unit)
-
-
 # --- candidate window lengths and the full solver ---------------------------
 
 
@@ -741,7 +721,7 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
     """Interval-cover lower bound: within any window equal to a group's
     largest visit gap the robots trace k intervals covering the group: on
-    X (_scaled), the smallest cap accepted over D is the cover's max_length."""
+    X (_scaled), _min_cover_cap over D is the cover's max_length."""
     if instance.n <= k:
         return Fraction(0)
     D, X, _, _ = _scaled(instance.metric.coords)
@@ -749,8 +729,7 @@ def line_lower_bound(instance: Instance, k: int) -> Fraction:
     groups.append(tuple(instance.sites))
     best = Fraction(0)
     for members in groups:
-        pts = sorted(X[s] for s in members)
-        cap, _ = smallest_accepted(0, pts[-1] - pts[0], lambda cap: _greedy_cover(pts, cap, k))
+        cap, _ = _min_cover_cap(sorted(X[s] for s in members), k)
         best = max(best, Fraction(cap, D) * min(instance.weights[s] for s in members))
     return best
 
@@ -781,7 +760,8 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
     L = Fraction(*candidates[i])
     best = _select(instance, k, L)
 
-    schedule, evaluation = _periodic(best, instance, L)
+    schedule = cyclify(_realize(best, instance, L))
+    evaluation = _evaluation(schedule, instance.metric)
     visits = _visits(evaluation, instance.metric)
     if not _blocks_met(best.level, schedule, instance, visits):
         raise AssertionError("accepted schedule violates its visit windows")
