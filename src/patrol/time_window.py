@@ -53,12 +53,12 @@ summaries' pool ids.  Per probe, level by level:
 - middle levels: the covering joins are pruned by dominance;
 - the top level (level m, or level 0 when m = 0): a probe of the window
   search (_decide) stops at its first covering state, since it only asks
-  whether one exists.  The window the search accepts is run again in
-  full (_select), and its top level keeps only the state the prune would
-  rank first.
+  whether one exists.  At the window the search accepts, _best keeps
+  only the state the prune would rank first, over the lower levels that
+  the last accepting probe built (_below).
 
-The search probes the decision alone and realizes only the window it
-accepts.
+One generator, _covering, yields each level's covering states to
+_below, _decide and _best; the search realizes only the accepted window.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, gcd, inf, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import _evaluation, _visits, site_visits
@@ -120,11 +120,12 @@ def type_two() -> AtomicRep:
 
 
 def canonical_path_order(
-    coords: Sequence[Fraction], s: int, e: int, left: int, right: int
+    coords: Sequence[int | Fraction], s: int, e: int, left: int, right: int
 ) -> list[int]:
     """Sites of the shorter tour start -> extremes -> end: detour left
-    first or right first, ties taking the leftward order.  Valid only when
-    left/right really are the extremes of the four sites."""
+    first or right first, ties taking the leftward order.  coords are
+    Fractions or _timeline's scaled ints X.  Valid only when left/right
+    really are the extremes of the four sites."""
     cs, ce, cl, cr = coords[s], coords[e], coords[left], coords[right]
     if (cs - cl) + (cr - cl) + (cr - ce) <= (cr - cs) + (cr - cl) + (ce - cl):
         return [s, left, right, e]
@@ -227,8 +228,8 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
     L is before3 * p * D.  States are scanned by decreasing total slack
     plus hull width (the pool's ranking), a linear extension of
     dominance, so exactly one state per undominated summary is kept.
-    _levels runs it on the middle levels only; it ranks level 0 and
-    picks the top level's first state by the same score.
+    _below runs it on the middle levels only; level 0 is ranked and
+    _best picks the top level's state by the same score.
     """
     summaries = _summary_pool(instance)
     pool, X = summaries.pool, summaries.X
@@ -404,119 +405,112 @@ def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[Stan
     """Decide whether a standard k-robot schedule of window L exists.
 
     Returns the realized StandardSchedule on yes, None on no: on yes the
-    state realized is the best top-level one (_select), not the first
-    one the decision met, so a yes costs a decision plus a full run of
-    the levels.
+    state realized is the best top-level one (_best), not the first one
+    the decision met; both read the one build of the levels below it.
     """
-    if _decide(instance, k, L) is None:
+    below = _below(instance, k, L)
+    if _decide(instance, k, L, below) is None:
         return None
-    return _realize(_select(instance, k, L), instance, L)
+    return _realize(_best(instance, k, L, below), instance, L)
 
 
-def _decide(instance: Instance, k: int, L: Fraction) -> Optional[StateNode]:
+def _decide(
+    instance: Instance, k: int, L: Fraction, below: Optional[list[list[StateNode]]] = None
+) -> Optional[StateNode]:
     """The first covering top-level state in pair order, or None.  At
     m = 0 that is the first covering level-0 tuple in product order.
-    None exactly when _levels' top level is empty: the levels below the
-    top hold the same states."""
-    top = _levels(instance, k, L, first=True)[-1]
-    return top[0] if top else None
+    below is _below(instance, k, L), built here when not given."""
+    if below is None:
+        below = _below(instance, k, L)
+    h = len(below)
+    got = next(_covering(instance, k, L, h, below), None)
+    return None if got is None else StateNode(got[0], h, got[1])
 
 
-def _select(instance: Instance, k: int, L: Fraction) -> StateNode:
-    """The best top-level state at a window _decide accepts."""
-    return _levels(instance, k, L)[-1][0]
+def _best(
+    instance: Instance, k: int, L: Fraction, below: list[list[StateNode]]
+) -> Optional[StateNode]:
+    """The top-level state _prune would rank first: the first covering
+    state of highest score, or None when there is none."""
+    h, score = len(below), _summary_pool(instance).ranking(L)
+    got = max(_covering(instance, k, L, h, below), key=lambda s: score(s[0]), default=None)
+    return None if got is None else StateNode(got[0], h, got[1])
 
 
-def _levels(
-    instance: Instance, k: int, L: Fraction, first: bool = False
-) -> list[list[StateNode]]:
-    """The DP's levels: levels[h] is the list of surviving StateNodes of
-    span 2^h, up to h = m, in _prune's order, except that the top level
-    holds at most one state, _prune's first.  Every distinct covering
-    join of a level, the top one included, counts against
-    DEFAULT_STATE_CAP.
+def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
+    """The DP's levels up to h = m: _below's, then the top level, which
+    holds at most one state, _best's."""
+    below = _below(instance, k, L)
+    best = _best(instance, k, L, below)
+    return below + [[] if best is None else [best]]
 
-    With first (_decide), the top level holds the first covering state
-    in pair order instead (in product order at m = 0): it stops at its
-    first covering join, before a second one can count against the cap.
-    """
+
+def _below(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
+    """Levels 0 .. m-1 at window L, each in _prune's order: level 0 is only
+    ranked, since no k-tuple of the atoms (pruned by class and hull, all
+    with slacks (0, 2)) dominates another, and the middle levels are pruned."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("time-window scheduling needs a line instance")
+    score = _summary_pool(instance).ranking(L)
+    levels: list[list[StateNode]] = []
+    for h in range(weight_classes(instance).m):
+        nodes = [StateNode(ids, h, children)
+                 for ids, children in _covering(instance, k, L, h, levels)]
+        levels.append(sorted(nodes, key=lambda node: score(node.ids), reverse=True) if h == 0
+                      else _prune(nodes, instance, L))
+    return levels
+
+
+def _covering(
+    instance: Instance, k: int, L: Fraction, h: int, levels: list[list[StateNode]]
+) -> Iterator[tuple]:
+    """The covering states of level h, as (ids, children), in the order
+    the DP meets them: at h = 0 the k-tuples of atoms whose hulls hold
+    every level-0 site, in product order (children None); above it the
+    distinct joins of levels[h - 1] that hold every level-h site, in pair
+    order (children the pair).  The atoms' len^k and a level's len^2
+    pairs are checked against DEFAULT_PAIR_CAP before the first state,
+    and every distinct covering join against DEFAULT_STATE_CAP."""
     summaries = _summary_pool(instance)
     pool, masks, joins = summaries.pool, summaries.masks, summaries.joins
+    sites = summaries.level_sites.get(h, ())
+    full = (1 << len(sites)) - 1
+    if h == 0:
+        atoms = _atom_ids(instance, L)
+        # a visiting atom and pure travel make the base >= 2: k past the cap's bits is over it
+        if len(atoms) ** min(k, DEFAULT_PAIR_CAP.bit_length()) > DEFAULT_PAIR_CAP:
+            raise ResourceLimitError(f"{len(atoms)}^{k} atomic combinations exceed the pair cap")
+        for combo in product(atoms, repeat=k):
+            mask = 0
+            for i in combo:
+                mask |= masks[i]
+            if mask == full:
+                yield combo, None
+        return
+    prev = levels[h - 1]
+    if len(prev) ** 2 > DEFAULT_PAIR_CAP:
+        raise ResourceLimitError(f"{len(prev)}^2 concatenation pairs at level {h} "
+                                 "exceed the pair cap")
     scale, per_third = 3 * L.denominator, L.numerator * summaries.D
-    score = summaries.ranking(L)
-    m = weight_classes(instance).m
-
-    atom_ids = _atom_ids(instance, L)
-    # a visiting atom and pure travel make the base >= 2: k past the cap's bits is over it
-    if len(atom_ids) ** min(k, DEFAULT_PAIR_CAP.bit_length()) > DEFAULT_PAIR_CAP:
-        raise ResourceLimitError(
-            f"{len(atom_ids)}^{k} atomic combinations exceed the pair cap"
-        )
-    full = (1 << len(summaries.level_sites.get(0, ()))) - 1
-    combos = []
-    for combo in product(atom_ids, repeat=k):
-        mask = 0
-        for i in combo:
-            mask |= masks[i]
-        if mask == full:
-            combos.append(combo)
-            if first and m == 0:
-                break
-    # the atoms are pruned by class and hull and share the slacks (0, 2),
-    # so no k-tuple of them dominates another: ranking is the prune
-    if m == 0:
-        if not first:  # with first the loop stopped at the first covering tuple
-            combos = [max(combos, key=score)] if combos else []
-    else:
-        combos.sort(key=score, reverse=True)
-    levels = [[StateNode(combo, 0) for combo in combos]]
-
-    for h in range(1, m + 1):
-        prev = levels[-1]
-        if len(prev) ** 2 > DEFAULT_PAIR_CAP:
-            raise ResourceLimitError(
-                f"{len(prev)}^2 concatenation pairs at level {h} exceed the pair cap"
-            )
-        sites = summaries.level_sites.get(h, ())
-        full = (1 << len(sites)) - 1
-        partners = _partners(prev, sites, pool, summaries.X)
-        nxt: list[StateNode] = []
-        seen = set()
-        best, best_score = None, -1  # below every score
-        for left, rights in zip(prev, partners):
-            for right in rights:
-                out = []
-                mask = 0
-                for pair in zip(left.ids, right.ids):
-                    ic, gap, slack3 = joins.get(pair) or summaries.join(*pair)
-                    if scale * gap > slack3 * per_third:
-                        break
-                    mask |= masks[ic]
-                    out.append(ic)
-                else:
-                    out = tuple(out)
-                    if mask != full or out in seen:
-                        continue
-                    seen.add(out)
-                    if len(seen) > DEFAULT_STATE_CAP:
-                        raise ResourceLimitError(
-                            f"more than {DEFAULT_STATE_CAP} states at level {h}"
-                        )
-                    if h < m:
-                        nxt.append(StateNode(out, h, children=(left, right)))
-                    elif first:
-                        return levels + [[StateNode(out, h, children=(left, right))]]
-                    else:  # the top level keeps _prune's first state only
-                        got = score(out)
-                        if got > best_score:
-                            best, best_score = (out, left, right), got
-        if h < m:
-            levels.append(_prune(nxt, instance, L))
-        else:
-            levels.append([] if best is None else [StateNode(best[0], h, children=best[1:])])
-    return levels
+    seen = set()
+    for left, rights in zip(prev, _partners(prev, sites, pool, summaries.X)):
+        for right in rights:
+            out = []
+            mask = 0
+            for pair in zip(left.ids, right.ids):
+                ic, gap, slack3 = joins.get(pair) or summaries.join(*pair)
+                if scale * gap > slack3 * per_third:
+                    break
+                mask |= masks[ic]
+                out.append(ic)
+            else:
+                out = tuple(out)
+                if mask != full or out in seen:
+                    continue
+                seen.add(out)
+                if len(seen) > DEFAULT_STATE_CAP:
+                    raise ResourceLimitError(f"more than {DEFAULT_STATE_CAP} states at level {h}")
+                yield out, (left, right)
 
 
 def _partners(prev: list[StateNode], sites, pool, X) -> list[list[StateNode]]:
@@ -750,15 +744,21 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
         )
 
     candidates = [pair for pair in _candidates(instance, k) if pair[0] > 0]
+
+    def accepts(i: int) -> Optional[list[list[StateNode]]]:
+        """The levels below the top at candidate i if its decision says yes."""
+        L = Fraction(*candidates[i])
+        below = _below(instance, k, L)
+        return None if _decide(instance, k, L, below) is None else below
+
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
-    i, node = smallest_accepted(0, len(candidates) - 1,
-                                lambda i: _decide(instance, k, Fraction(*candidates[i])))
-    if node is None:
+    i, below = smallest_accepted(0, len(candidates) - 1, accepts)
+    if below is None:
         raise AssertionError("the largest candidate window must be schedulable")
     L = Fraction(*candidates[i])
-    best = _select(instance, k, L)
+    best = _best(instance, k, L, below)
 
     schedule = cyclify(_realize(best, instance, L))
     evaluation = _evaluation(schedule, instance.metric)

@@ -164,7 +164,7 @@ def test_realization_and_reversal_match_fraction_reference():
         windows = [Fraction(*pair) for pair in _candidates(inst, k) if pair[0] > 0]
         at = windows.index(report.L_accepted)
         for L in windows[at:at + 3]:
-            node = time_window._select(inst, k, L)
+            node = time_window._levels(inst, k, L)[-1][0]
             want = reference_cyclify(reference_realize(node, inst, L))
             std = time_window._realize(node, inst, L)
             assert std == reference_realize(node, inst, L), (inst, k, L)
