@@ -19,9 +19,9 @@ co-location compares the math.dist double with 1e-9, which decides
 exactly as its decimal read would.  A per-site row holds its latency
 and weighted latency as ints in lowest terms, and a Fraction is built
 only where one is read: the report's max, or a row's property.
-site_visits is the one visit rule: the latencies here and the
-time-window check of an accepted schedule both read it, through its
-private half _visits when the caller already holds the legs.
+_visits is the one visit rule: the latencies here and the time-window
+check of an accepted schedule both read it, on the schedule's
+_evaluation, which a caller that also checks speed builds once.
 
 A leg costs O(log n + visits): line legs bisect the coordinates sorted
 once per evaluation, and a waypoint site's co-location group (the sites
@@ -210,8 +210,8 @@ def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
 
 def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tuple]]]:
     """(U, legs): the unit of the expanded schedule, once its site ids are
-    checked, and every track's _legs in it.  validate_speed and
-    site_visits each read one; a caller that needs both builds it once."""
+    checked, and every track's _legs in it.  validate_speed and _visits
+    each read one; a caller that needs both builds it once."""
     _check_site_ids(schedule, metric.n)
     schedule = schedule.expanded(metric)
     unit = _unit(schedule, metric)
@@ -342,17 +342,13 @@ def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
     return _max_gap(intervals, total)
 
 
-def site_visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], list[dict]]:
-    """(U, periods, visits) of the expanded schedule: the evaluation's time
-    unit 1/U, with the site coordinates and, on the line, the pass-through
-    factor (module docstring) folded in, each track's period, and each
-    track's _track_visits, all ints in that unit."""
-    return _visits(_evaluation(schedule, metric), metric)
-
-
 def _visits(evaluation: tuple, metric: Metric) -> tuple[int, list[int], list[dict]]:
-    """site_visits on the schedule's _evaluation.  A track's legs run from
-    its first waypoint to that waypoint one period later."""
+    """(U, periods, visits) of the schedule whose _evaluation is given: the
+    evaluation's time unit 1/U, with the site coordinates and, on the line,
+    the pass-through factor (module docstring) folded in, each track's
+    period, and each track's _track_visits, all ints in that unit.  A
+    track's legs run from its first waypoint to that waypoint one period
+    later."""
     unit, legs = evaluation
     line = metric.variant == "line"
     if line:  # the site coordinates' denominators, then the pass-through factor
@@ -372,7 +368,7 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
 
     Each site is analyzed over the least common period of the robots
     that actually visit it, so a site served by one robot never needs a
-    common-period unroll.  Visits, gaps and periods are site_visits' ints
+    common-period unroll.  Visits, gaps and periods are _visits' ints
     in the unit 1/U; each latency is gap/U and each weighted latency its
     product with the weight, both reduced on ints, and the running argmax
     compares them by cross-multiplication.  Each jointly
@@ -380,11 +376,12 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     DEFAULT_EVENT_CAP visit events, else PeriodOverflowError; every site
     is checked before any site is unrolled.
     """
-    return _max_weighted_latency(site_visits(schedule, instance.metric), instance)
+    visits = _visits(_evaluation(schedule, instance.metric), instance.metric)
+    return _max_weighted_latency(visits, instance)
 
 
 def _max_weighted_latency(visits: tuple, instance: Instance) -> LatencyReport:
-    """max_weighted_latency on the schedule's site_visits, for a caller
+    """max_weighted_latency on the schedule's _visits, for a caller
     that has already read them."""
     unit, periods, per_track = visits
     checked, joint_events = [], 0

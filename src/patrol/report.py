@@ -81,7 +81,7 @@ def _build_report(
     evaluation: tuple,
     visits: tuple,
 ) -> SolveReport:
-    """build_report on the schedule's _evaluation and site_visits, for a
+    """build_report on the schedule's _evaluation and _visits, for a
     solver that has already built them."""
     violations = _speed_violations(evaluation, instance.metric)
     if violations:

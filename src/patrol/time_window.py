@@ -18,8 +18,8 @@ dynamic program over these tuples.  An accepted standard schedule is
 made periodic by alternating it with its time reversal, which at most
 doubles any site's visit gap.  That periodic schedule, the one
 returned, is what validate_standard checks, block by block over its
-whole period, with the evaluator's visit rule (evaluate.site_visits).
-A solve runs that rule once: the check and its latency report read the
+whole period, with the evaluator's visit rule (evaluate._visits).  A
+solve runs that rule once: the check and its latency report read the
 same visits.
 
 There is one summary form, AtomicRep: a tuple of ints (start, end,
@@ -53,24 +53,25 @@ summaries' pool ids.  Per probe, level by level:
 - middle levels: the covering joins are pruned by dominance;
 - the top level (level m, or level 0 when m = 0): a probe of the window
   search (_decide) stops at its first covering state, since it only asks
-  whether one exists.  At the window the search accepts, _best keeps
-  only the state the prune would rank first, over the lower levels that
-  the last accepting probe built (_below).
+  whether one exists.  At the window the search accepts, _best finishes
+  that probe's own top-level pass and keeps only the state the prune
+  would rank first, so the top level is scanned once per window.
 
 One generator, _covering, yields each level's covering states to
-_below, _decide and _best; the search realizes only the accepted window.
+_below, and the top level's to _decide and then to _best, which resumes
+it; the search realizes only the accepted window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import floor, gcd, inf, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
-from .evaluate import _evaluation, _visits, site_visits
+from .evaluate import _evaluation, _visits
 from .instance import Instance, weight_classes
 from .line_uniform import _min_cover_cap
 from .rationals import smallest_accepted
@@ -406,42 +407,38 @@ def construct_schedule(instance: Instance, k: int, L: Fraction) -> Optional[Stan
 
     Returns the realized StandardSchedule on yes, None on no: on yes the
     state realized is the best top-level one (_best), not the first one
-    the decision met; both read the one build of the levels below it.
+    the decision met; _best finishes the decision's own top-level pass.
     """
-    below = _below(instance, k, L)
-    if _decide(instance, k, L, below) is None:
+    decision = _decide(instance, k, L)
+    if decision is None:
         return None
-    return _realize(_best(instance, k, L, below), instance, L)
+    first, rest = decision
+    return _realize(_best(instance, L, chain([first], rest)), instance, L)
 
 
 def _decide(
-    instance: Instance, k: int, L: Fraction, below: Optional[list[list[StateNode]]] = None
-) -> Optional[StateNode]:
-    """The first covering top-level state in pair order, or None.  At
-    m = 0 that is the first covering level-0 tuple in product order.
-    below is _below(instance, k, L), built here when not given."""
-    if below is None:
-        below = _below(instance, k, L)
-    h = len(below)
-    got = next(_covering(instance, k, L, h, below), None)
-    return None if got is None else StateNode(got[0], h, got[1])
+    instance: Instance, k: int, L: Fraction
+) -> Optional[tuple[StateNode, Iterator[StateNode]]]:
+    """(first, rest): the first covering top-level state in pair order (at
+    m = 0 the first covering level-0 tuple in product order) and the same
+    _covering stream, suspended just after it; None when there is none."""
+    states = _covering(instance, k, L, _below(instance, k, L))
+    first = next(states, None)
+    return None if first is None else (first, states)
 
 
-def _best(
-    instance: Instance, k: int, L: Fraction, below: list[list[StateNode]]
-) -> Optional[StateNode]:
-    """The top-level state _prune would rank first: the first covering
-    state of highest score, or None when there is none."""
-    h, score = len(below), _summary_pool(instance).ranking(L)
-    got = max(_covering(instance, k, L, h, below), key=lambda s: score(s[0]), default=None)
-    return None if got is None else StateNode(got[0], h, got[1])
+def _best(instance: Instance, L: Fraction, states: Iterator[StateNode]) -> Optional[StateNode]:
+    """The top-level state _prune would rank first: the first of highest
+    score among states, or None when there is none."""
+    score = _summary_pool(instance).ranking(L)
+    return max(states, key=lambda node: score(node.ids), default=None)
 
 
 def _levels(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     """The DP's levels up to h = m: _below's, then the top level, which
     holds at most one state, _best's."""
     below = _below(instance, k, L)
-    best = _best(instance, k, L, below)
+    best = _best(instance, L, _covering(instance, k, L, below))
     return below + [[] if best is None else [best]]
 
 
@@ -454,25 +451,25 @@ def _below(instance: Instance, k: int, L: Fraction) -> list[list[StateNode]]:
     score = _summary_pool(instance).ranking(L)
     levels: list[list[StateNode]] = []
     for h in range(weight_classes(instance).m):
-        nodes = [StateNode(ids, h, children)
-                 for ids, children in _covering(instance, k, L, h, levels)]
+        nodes = list(_covering(instance, k, L, levels))
         levels.append(sorted(nodes, key=lambda node: score(node.ids), reverse=True) if h == 0
                       else _prune(nodes, instance, L))
     return levels
 
 
 def _covering(
-    instance: Instance, k: int, L: Fraction, h: int, levels: list[list[StateNode]]
-) -> Iterator[tuple]:
-    """The covering states of level h, as (ids, children), in the order
-    the DP meets them: at h = 0 the k-tuples of atoms whose hulls hold
-    every level-0 site, in product order (children None); above it the
-    distinct joins of levels[h - 1] that hold every level-h site, in pair
-    order (children the pair).  The atoms' len^k and a level's len^2
-    pairs are checked against DEFAULT_PAIR_CAP before the first state,
-    and every distinct covering join against DEFAULT_STATE_CAP."""
+    instance: Instance, k: int, L: Fraction, levels: list[list[StateNode]]
+) -> Iterator[StateNode]:
+    """The covering states of level h = len(levels) in the order the DP
+    meets them: at h = 0 the k-tuples of atoms whose hulls hold every
+    level-0 site, in product order; above it the distinct joins of
+    levels[h - 1] that hold every level-h site, in pair order.  The atoms'
+    len^k and a level's len^2 pairs are checked against DEFAULT_PAIR_CAP
+    before the first state, and every distinct covering join against
+    DEFAULT_STATE_CAP."""
     summaries = _summary_pool(instance)
     pool, masks, joins = summaries.pool, summaries.masks, summaries.joins
+    h = len(levels)
     sites = summaries.level_sites.get(h, ())
     full = (1 << len(sites)) - 1
     if h == 0:
@@ -485,7 +482,7 @@ def _covering(
             for i in combo:
                 mask |= masks[i]
             if mask == full:
-                yield combo, None
+                yield StateNode(combo, 0)
         return
     prev = levels[h - 1]
     if len(prev) ** 2 > DEFAULT_PAIR_CAP:
@@ -510,7 +507,7 @@ def _covering(
                 seen.add(out)
                 if len(seen) > DEFAULT_STATE_CAP:
                     raise ResourceLimitError(f"more than {DEFAULT_STATE_CAP} states at level {h}")
-                yield out, (left, right)
+                yield StateNode(out, h, (left, right))
 
 
 def _partners(prev: list[StateNode], sites, pool, X) -> list[list[StateNode]]:
@@ -601,12 +598,13 @@ def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     of 2^j windows, over the whole period 2D of the cyclified schedule
     (both halves) and by the evaluator's visit rule."""
     schedule = cyclify(std)
-    return _blocks_met(std.levels, schedule, instance, site_visits(schedule, instance.metric))
+    visits = _visits(_evaluation(schedule, instance.metric), instance.metric)
+    return _blocks_met(std.levels, schedule, instance, visits)
 
 
 def _blocks_met(levels: int, schedule: Schedule, instance: Instance, visits) -> bool:
     """validate_standard on schedule, the cyclified standard schedule of m
-    = levels, and its site_visits, which the solver's latency report reads
+    = levels, and its _visits, which the solver's latency report reads
     too.  Visits are ints in the unit 1/U, so with P = 2D * U, every moving
     track's period, block b is [b * P, (b + 1) * P] once visit times are
     scaled by 2^(m+1-j).  A stationary track covers its sites at all times."""
@@ -745,20 +743,20 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
 
     candidates = [pair for pair in _candidates(instance, k) if pair[0] > 0]
 
-    def accepts(i: int) -> Optional[list[list[StateNode]]]:
-        """The levels below the top at candidate i if its decision says yes."""
+    def accepts(i: int) -> Optional[tuple]:
+        """(L, first, rest) of _decide at candidate i if it says yes."""
         L = Fraction(*candidates[i])
-        below = _below(instance, k, L)
-        return None if _decide(instance, k, L, below) is None else below
+        decision = _decide(instance, k, L)
+        return None if decision is None else (L, *decision)
 
     # The largest candidate is always schedulable (a single full-span tour
     # fits in a third of that window), so it is probed only if the search
     # ends there.
-    i, below = smallest_accepted(0, len(candidates) - 1, accepts)
-    if below is None:
+    _, accepted = smallest_accepted(0, len(candidates) - 1, accepts)
+    if accepted is None:
         raise AssertionError("the largest candidate window must be schedulable")
-    L = Fraction(*candidates[i])
-    best = _best(instance, k, L, below)
+    L, first, rest = accepted
+    best = _best(instance, L, chain([first], rest))
 
     schedule = cyclify(_realize(best, instance, L))
     evaluation = _evaluation(schedule, instance.metric)

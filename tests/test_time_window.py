@@ -12,7 +12,6 @@ from patrol.line_uniform import solve_line_uniform
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
-    _below,
     _decide,
     _levels,
     candidate_window_lengths,
@@ -26,7 +25,7 @@ from patrol.time_window import (
 )
 from conftest import node_reps, realize_node
 from scenarios import cooperative_line_instance
-from test_time_window_integer import rank_cases, rank_probes
+from test_time_window_integer import rank_cases
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -355,13 +354,13 @@ def test_one_solve_joins_each_pair_once(monkeypatch):
 
 
 def test_each_probed_window_builds_its_lower_levels_once(monkeypatch):
-    """The levels below the top are built once per window: a solve
-    filters the atoms once per decision probe, and construct_schedule
-    once at an accepting window, where _best reads the levels its
-    decision read.  At m = 0 level 0 is the top level, which _best runs
-    in full after the decision stopped at its first state, so the atoms
-    are filtered once more there.  Handing _decide the levels changes no
-    answer."""
+    """Each probed window is one pass over its levels: a solve filters the
+    atoms once per decision probe and offers each level above 0 its
+    partners once per probe, and construct_schedule does each once at an
+    accepting window.  At the accepted window _best finishes the top-level
+    pass its decision stopped, so at m = 0, where the top level is level 0,
+    the atoms are not filtered again, and at m > 0 the top level's
+    partners are not offered again."""
     calls = Counter()
 
     def counted(name, original):
@@ -371,23 +370,22 @@ def test_each_probed_window_builds_its_lower_levels_once(monkeypatch):
         return spy
 
     monkeypatch.setattr(time_window, "_atom_ids", counted("atoms", time_window._atom_ids))
+    monkeypatch.setattr(time_window, "_partners", counted("partners", time_window._partners))
     monkeypatch.setattr(time_window, "_decide", counted("probes", _decide))
     cases = Counter()
     for inst, k in rank_cases():
         if len(set(inst.metric.coords)) == 1:
             continue  # solved without a window search
-        top_is_level_0 = round_weights_dyadic(inst)[0].m == 0
+        m = round_weights_dyadic(inst)[0].m
         calls.clear()
         L = solve_line_weighted(inst, k).L_accepted
-        assert calls["atoms"] == calls["probes"] + top_is_level_0, (inst, k)
+        assert calls["atoms"] == calls["probes"], (inst, k)
+        assert calls["partners"] == calls["probes"] * m, (inst, k)
         calls.clear()
         assert construct_schedule(inst, k, L) is not None
-        assert calls == {"atoms": 1 + top_is_level_0, "probes": 1}, (inst, k)
-        cases[top_is_level_0] += 1
+        assert calls == Counter(atoms=1, probes=1, partners=m), (inst, k)
+        cases[m == 0] += 1
     assert cases[False] > 20 and cases[True] > 5, cases
-    monkeypatch.undo()
-    for inst, k, L in rank_probes():
-        assert _decide(inst, k, L, _below(inst, k, L)) == _decide(inst, k, L), (inst, k, L)
 
 
 def tight_joins(inst, L, levels):

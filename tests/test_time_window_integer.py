@@ -342,7 +342,8 @@ def test_decision_stops_at_the_first_covering_top_state():
     it accepts."""
     answers = Counter()
     for inst, k, L in rank_probes():
-        node = time_window._decide(inst, k, L)
+        decision = time_window._decide(inst, k, L)
+        node = None if decision is None else decision[0]
         top = time_window._levels(inst, k, L)[-1]
         assert (node is None) == (not top), (inst, k, L)
         answers[node is not None] += 1
@@ -375,6 +376,8 @@ def test_decision_probe_stops_before_the_top_level_state_cap(monkeypatch, n, see
     assert time_window._decide(inst, k, L) is not None
     with pytest.raises(ResourceLimitError, match="^more than 1 states at level 1$"):
         time_window._levels(inst, k, L)
+    with pytest.raises(ResourceLimitError, match="^more than 1 states at level 1$"):
+        time_window.construct_schedule(inst, k, L)
 
 
 def test_concat_adapter_matches_fraction_reference():
