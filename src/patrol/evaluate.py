@@ -7,16 +7,18 @@ Euclidean metrics, edges are abstract segments, so visits happen only
 at waypoints that coincide with a site (within a 1e-9 tolerance that
 guards float drift; exact data never needs it).
 
-An evaluation runs on ints in one time unit 1/U: the lcm of the
-denominators of every period, waypoint time and, on the line, site and
-waypoint coordinate (speed checks read no site and leave the sites out).
-Line latencies multiply U by the pass-through factor, the lcm of
-dx // gcd(dx, dt) over moving legs, so that each pass-through time
+An evaluation (_evaluation) reads each track once, as its loop
+(RobotTrack._loop), and runs on ints: a leg is a pair of consecutive
+loop points.  The speed check works in the loops' time unit 1/U, the
+lcm of the denominators of every loop point's time and, on the line,
+coordinate.  _visits refines it on the line: U times what the site
+coordinates' denominators add, times the pass-through factor, the lcm
+of dx // gcd(dx, dt) over moving legs, so that each pass-through time
 t0 + dt*|c - x0|/dx is an integer.  On the line the tolerances become
-floor(U * 1e-9), exact on int keys.  Off the line a leg of distance n/q
-is too fast when (n*U - dt*q) * 10**9 > U*q, and a Euclidean
-co-location compares the math.dist double with 1e-9, which decides
-exactly as its decimal read would.  A per-site row holds its latency
+floor(U * 1e-9) of the unit in use, exact on int keys.  Off the line a
+leg of distance n/q is too fast when (n*U - dt*q) * 10**9 > U*q, and a
+Euclidean co-location compares the math.dist double with 1e-9, which
+decides exactly as its decimal read would.  A per-site row holds its latency
 and weighted latency as ints in lowest terms, and a Fraction is built
 only where one is read: the report's max, or a row's property.
 _visits is the one visit rule: the latencies here and the time-window
@@ -49,7 +51,7 @@ from typing import NamedTuple
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
 from .rationals import format_fraction, format_ratio, to_float, to_fraction
-from .schedule import CoordPos, EdgePos, Position, RobotTrack, RoundRobinTrack, Schedule, SitePos
+from .schedule import CoordPos, EdgePos, Position, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
 
@@ -189,33 +191,22 @@ def _scale(value: Fraction, unit: int) -> int:
     return value.numerator * (unit // value.denominator)
 
 
-def _unit(schedule: Schedule, metric: Metric) -> int:
-    """U of the time unit 1/U of the legs: the lcm of the denominators of
-    every waypoint time and period and, on the line, waypoint coordinate."""
-    dens = [t.denominator for track in schedule.robots
-            for t in (*(t for t, _ in track.waypoints), track.period)]
-    if metric.variant == "line":
-        dens += [_line_coord(p, metric).denominator
-                 for track in schedule.robots for _, p in track.waypoints]
-    return lcm(*dens)
-
-
-def _legs(track: RobotTrack, metric: Metric, unit: int) -> list[tuple]:
-    """track.legs() in units of 1/unit (times and, on the line, positions)."""
-    line, legs = metric.variant == "line", track.legs()
-    points = [(_scale(t, unit), _scale(_line_coord(p, metric), unit) if line else p)
-              for t, p in [leg[:2] for leg in legs] + [legs[-1][2:]]]
-    return [a + b for a, b in zip(points, points[1:])]
-
-
 def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tuple]]]:
-    """(U, legs): the unit of the expanded schedule, once its site ids are
-    checked, and every track's _legs in it.  validate_speed and _visits
-    each read one; a caller that needs both builds it once."""
+    """(U, loops): the unit 1/U of the expanded schedule, once its site ids
+    are checked, and every track's _loop in it as (t, x) ints, x the
+    coordinate on the line and the position elsewhere.  The loop's last
+    time is t_first + period, so U takes in every period.  validate_speed
+    and _visits each read one; a caller that needs both builds it once."""
     _check_site_ids(schedule, metric.n)
-    schedule = schedule.expanded(metric)
-    unit = _unit(schedule, metric)
-    return unit, [_legs(t, metric, unit) for t in schedule.robots]
+    line = metric.variant == "line"
+    loops = [[(t, _line_coord(p, metric)) if line else (t, p) for t, p in track._loop()]
+             for track in schedule.expanded(metric).robots]
+    dens = [t.denominator for loop in loops for t, _ in loop]
+    if line:
+        dens += [x.denominator for loop in loops for _, x in loop]
+    unit = lcm(*dens)
+    return unit, [[(_scale(t, unit), _scale(x, unit) if line else x) for t, x in loop]
+                  for loop in loops]
 
 
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
@@ -228,12 +219,12 @@ def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
 
 def _speed_violations(evaluation: tuple, metric: Metric) -> list[SpeedViolation]:
     """validate_speed on the schedule's _evaluation."""
-    unit, legs = evaluation
+    unit, loops = evaluation
     line = metric.variant == "line"
     tol = floor(unit * VISIT_TOL)
     violations = []
-    for r, track in enumerate(legs):
-        for i, (t0, p0, t1, p1) in enumerate(track):
+    for r, loop in enumerate(loops):
+        for i, ((t0, p0), (t1, p1)) in enumerate(zip(loop, loop[1:])):
             if line:  # the leg's distance is d/q
                 d, q = abs(p1 - p0), unit
                 fast = d - (t1 - t0) > tol
@@ -246,19 +237,20 @@ def _speed_violations(evaluation: tuple, metric: Metric) -> list[SpeedViolation]
     return violations
 
 
-def _sites_near(legs: list[list[tuple]], metric: Metric, unit: int):
-    """The visit lookup of one evaluation, built once for all its legs.
+def _sites_near(loops: list[list[tuple]], metric: Metric, unit: int):
+    """The visit lookup of one evaluation's loops, built once for all
+    their legs.
 
     Line metrics: site ids sorted by coordinate, with the sorted integer
-    coordinates, for bisection.  Other metrics: the co-location group
-    (sites within VISIT_TOL) of every site a leg starts at, which is
-    every site a waypoint names.
+    coordinates in the unit 1/unit, for bisection.  Other metrics: the
+    co-location group (sites within VISIT_TOL) of every site a loop point
+    names, which is every site a waypoint names.
     """
     if metric.variant == "line":
         scaled = [_scale(c, unit) for c in metric.coords]
         order = sorted(range(metric.n), key=scaled.__getitem__)
         return [scaled[s] for s in order], order
-    named = {p.site for track in legs for _, p, _, _ in track if isinstance(p, SitePos)}
+    named = {p.site for loop in loops for _, p in loop if isinstance(p, SitePos)}
     if metric.variant == "matrix":
         return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
     # math.dist(p, q) <= 1e-9 decides Metric.distance(w, s) <= VISIT_TOL:
@@ -278,13 +270,14 @@ def _sites_near(legs: list[list[tuple]], metric: Metric, unit: int):
     return groups
 
 
-def _track_visits(legs: list[tuple], line: bool, near, tol: int) -> dict[int, list[tuple]]:
+def _track_visits(loop: list[tuple], line: bool, near, tol: int) -> dict[int, list[tuple]]:
     """Visit intervals per visited site within one period of a single track,
     each site's in time order within [t_first, t_first + period]; instantaneous
-    visits are zero-length.  `legs` are _legs, `near` is _sites_near and `tol`
+    visits are zero-length.  `loop` is the track's loop in _visits' unit 1/U,
+    each pair of consecutive points a leg, `near` is _sites_near and `tol`
     is floor(U * VISIT_TOL)."""
     visits: dict[int, list[tuple]] = {}
-    for t0, p0, t1, p1 in legs:
+    for (t0, p0), (t1, p1) in zip(loop, loop[1:]):
         if line:
             lo, hi = min(p0, p1), max(p0, p1)
             keys, order = near
@@ -302,8 +295,8 @@ def _track_visits(legs: list[tuple], line: bool, near, tol: int) -> dict[int, li
             for s in near[p0.site]:
                 visits.setdefault(s, []).append(span)
     # The end of each leg is the start of the next, so endpoint visits are
-    # recorded once per leg start; the final wrap leg ends at t_first+period,
-    # which is the first leg's start in the next period.
+    # recorded once per leg start; the loop's last point, at t_first+period,
+    # is its first in the next period.
     return visits
 
 
@@ -344,23 +337,22 @@ def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
 
 def _visits(evaluation: tuple, metric: Metric) -> tuple[int, list[int], list[dict]]:
     """(U, periods, visits) of the schedule whose _evaluation is given: the
-    evaluation's time unit 1/U, with the site coordinates and, on the line,
-    the pass-through factor (module docstring) folded in, each track's
-    period, and each track's _track_visits, all ints in that unit.  A
-    track's legs run from its first waypoint to that waypoint one period
-    later."""
-    unit, legs = evaluation
+    evaluation's time unit 1/U, on the line times the site-denominator
+    and pass-through factors (module docstring), each track's period, its
+    loop's last time minus its first, and each track's _track_visits, all
+    ints in that unit."""
+    unit, loops = evaluation
     line = metric.variant == "line"
     if line:  # the site coordinates' denominators, then the pass-through factor
         m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
-        m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0)
-                   for track in legs for t0, x0, t1, x1 in track if x1 != x0))
+        m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0) for loop in loops
+                   for (t0, x0), (t1, x1) in zip(loop, loop[1:]) if x1 != x0))
         unit *= m
-        legs = [[(t0 * m, x0 * m, t1 * m, x1 * m) for t0, x0, t1, x1 in track] for track in legs]
-    near = _sites_near(legs, metric, unit)
+        loops = [[(t * m, x * m) for t, x in loop] for loop in loops]
+    near = _sites_near(loops, metric, unit)
     tol = floor(unit * VISIT_TOL)
-    return (unit, [track[-1][2] - track[0][0] for track in legs],
-            [_track_visits(track, line, near, tol) for track in legs])
+    return (unit, [loop[-1][0] - loop[0][0] for loop in loops],
+            [_track_visits(loop, line, near, tol) for loop in loops])
 
 
 def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyReport:

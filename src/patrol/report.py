@@ -64,7 +64,7 @@ def build_report(
 
     Every solver output must pass speed validation; a violation here is
     a solver bug, not an input problem.  The schedule is expanded and
-    its legs built once, for the visits and the speed check.
+    each track's loop read once, for the visits and the speed check.
     """
     evaluation = _evaluation(schedule, instance.metric)
     return _build_report(schedule, instance, algo, k, L_accepted, lower_bound,

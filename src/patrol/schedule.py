@@ -86,18 +86,21 @@ class RobotTrack:
         if times[-1] - times[0] > self.period:
             raise ScheduleFormatError("waypoints span more than one period")
 
+    def _loop(self) -> list[tuple[Fraction, Position]]:
+        """The ends of the track's legs in order: its waypoints, then its
+        first waypoint one period later, unless the last waypoint already
+        closes the loop, as a full-period track's must."""
+        (t_first, p_first), (t_last, p_last) = self.waypoints[0], self.waypoints[-1]
+        if t_last - t_first < self.period:
+            return [*self.waypoints, (t_first + self.period, p_first)]
+        if p_last != p_first:
+            raise ScheduleFormatError("full-period track must wrap to its start")
+        return list(self.waypoints)
+
     def legs(self) -> list[tuple[Fraction, Position, Fraction, Position]]:
         """Consecutive (t0, p0, t1, p1) legs including the wraparound leg."""
-        out = []
-        for (t0, p0), (t1, p1) in zip(self.waypoints, self.waypoints[1:]):
-            out.append((t0, p0, t1, p1))
-        t_first, p_first = self.waypoints[0]
-        t_last, p_last = self.waypoints[-1]
-        if t_last - t_first < self.period:
-            out.append((t_last, p_last, t_first + self.period, p_first))
-        elif p_last != p_first:
-            raise ScheduleFormatError("full-period track must wrap to its start")
-        return out
+        points = self._loop()
+        return [a + b for a, b in zip(points, points[1:])]
 
 
 @dataclass(frozen=True)

@@ -691,7 +691,7 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
     # tour fits length3 / D, and a gap g / D over a budget of (2/3 + hops)
     # windows, as reduced (numerator, denominator) pairs
-    values = {(length3, D) for length3 in {length3 for length3, _, _ in summaries.rows}}
+    values = {(length3, D) for length3, _, _ in summaries.atoms}
     values.update((3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
     reduced = set()
     for num, den in values:
