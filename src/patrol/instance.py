@@ -119,8 +119,9 @@ class Instance:
 
     _memo keeps what solvers derive from the whole instance: the weight
     classes of weight_classes() under "dyadic", shared by the time-window
-    solver, the metric solver and its lower bound, and the time-window
-    summary pool (its atomic table included) under "summaries"; it takes
+    solver, the metric solver and its lower bound, the time-window
+    summary pool (its atomic table included) under "summaries", and
+    lower_bound_metric's bound for k under ("lower_bound", k); it takes
     no part in equality, hashing or repr.
     """
 

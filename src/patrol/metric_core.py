@@ -31,7 +31,9 @@ class Tree:
 
     @staticmethod
     def build(vertices: Sequence[int], edges: Sequence[tuple[int, int, Fraction]]) -> "Tree":
-        total = sum((e[2] for e in edges), Fraction(0))
+        """The lengths are summed as ints over the lcm of their denominators."""
+        M = lcm(*(e[2].denominator for e in edges))
+        total = Fraction(sum(e[2].numerator * (M // e[2].denominator) for e in edges), M)
         return Tree(tuple(vertices), tuple(edges), total)
 
 
@@ -137,10 +139,12 @@ def _preorder(adj: dict[int, list[int]], start: int) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _walk_lengths(order: Sequence[int], metric: Metric) -> tuple[list[Fraction], list[Fraction]]:
-    """Step lengths of a vertex walk and their prefix sums (starting at 0)."""
+def _walk_lengths(order: Sequence[int], metric: Metric) -> tuple[int, list[int]]:
+    """(M, prefix): the prefix sums (starting at 0) of a vertex walk's step
+    lengths, as ints in units of 1/M, M the lcm of the steps' denominators."""
     steps = [metric.distance(a, b) for a, b in zip(order, order[1:])]
-    return steps, list(accumulate(steps, initial=Fraction(0)))
+    M = lcm(*(d.denominator for d in steps))
+    return M, list(accumulate((d.numerator * (M // d.denominator) for d in steps), initial=0))
 
 
 def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
@@ -153,10 +157,11 @@ def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
     if start not in tree.vertices:
         raise ValueError(f"start {start} is not a vertex of the tree")
     order = _preorder(_adjacency(tree.vertices, tree.edges), start)
-    return Tour(order, _walk_lengths(order, metric)[1][-1])
+    M, prefix = _walk_lengths(order, metric)
+    return Tour(order, Fraction(prefix[-1], M))
 
 
-def _cut_walk(prefix: Sequence[Fraction], cap: Fraction, limit=None) -> list[tuple[int, int]]:
+def _cut_walk(prefix: Sequence[int], cap: int, limit=None) -> list[tuple[int, int]]:
     """The one cut rule, for a walk with prefix lengths `prefix` (steps are
     non-negative): greedy pieces of length <= cap, dropping the step across
     each cut.  cap may be 0, keeping only zero-length steps in a piece.
@@ -177,13 +182,16 @@ def partition_tour(tour: Tour, delta: Fraction, metric: Metric) -> list[Tour]:
     (the boundary site stays with the earlier piece).  Each cut is made
     only when extending would exceed delta, so piece j plus its dropped
     edge sum to more than delta; hence at most ceil(len/delta) pieces.
+    The walk's prefix lengths are ints in units of 1/M, and a piece of
+    x/M fits under delta exactly when x <= floor(delta * M), so the cut
+    runs on that int cap.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    _, prefix = _walk_lengths(tour.vertices, metric)
+    M, prefix = _walk_lengths(tour.vertices, metric)
     return [
-        Tour(tour.vertices[first : last + 1], prefix[last] - prefix[first])
-        for first, last in _cut_walk(prefix, delta)
+        Tour(tour.vertices[first : last + 1], Fraction(prefix[last] - prefix[first], M))
+        for first, last in _cut_walk(prefix, delta.numerator * M // delta.denominator)
     ]
 
 
@@ -198,7 +206,9 @@ def tree_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     bisection need not find the smallest accepted B.  What holds is that
     its B is accepted and its predecessor on the search grid is not, so
     B < optimum + |MST| / 2^120 and every piece is at most 4B: 4 times
-    the optimum, up to that grid step.  Each distinct
+    the optimum, up to that grid step.  The bisection's own decisions
+    define the cover; a probe whose answer earlier cuts already settle
+    costs no cut (see _search_cover).  Each distinct
     (sorted sites, t) is computed once per Metric and kept in its private
     memo, so repeated calls return the same TreeCover object.
     """
@@ -224,8 +234,18 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
     the probe at once.  Each kept count's walks are built once, with
     prefix lengths in units of 1/M (M the lcm of the step denominators),
     and are cut at floor(4 * B * M), which keeps the same vertices as the
-    exact cap 4B.  A probe returns each walk's cut pieces, and the trees
-    are built from the accepted probe's, with the exact steps."""
+    exact cap 4B.
+
+    A probe that is already settled costs no cut.  Within a regime (one
+    kept count) the walks are fixed and the cap only rises with j, and
+    the greedy cut makes no more pieces under a larger cap, so acceptance
+    is monotone there.  A cut's pieces stay the same for every cap from
+    its longest piece to one below its shortest piece plus the next step,
+    so a rejection settles its regime up to that cap and an acceptance
+    from the longest piece; each regime keeps the largest j known to
+    reject and the smallest known to accept, and a probe inside either
+    range is answered without a cut.  The trees are built from one more
+    cut, at the j found, with the exact steps."""
     base = mst(sites, metric)
     if t == 1 or len(base.vertices) == 1:
         return TreeCover((base,), base.total_length)
@@ -257,33 +277,59 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
             ]
         return regimes[kept]
 
-    def cut(j: int) -> Optional[list]:
-        """(walk, steps, pieces) of each component, or None past t pieces."""
-        kept = bisect_right(ordered, j)
-        if len(base.vertices) - kept > t:
-            return None
+    def cut(j: int, kept: int) -> tuple[bool, list]:
+        """(accepted, [(walk, steps, prefix, pieces)]) at probe j: each
+        component's cut pieces, up to the first walk that passes t pieces."""
         M, comps = walks(j, kept)
         cap = TREE_COVER_BETA * P * j * M // scale
         cuts, left = [], t
         for order, steps, prefix in comps:
             pieces = _cut_walk(prefix, cap, left)
+            cuts.append((order, steps, prefix, pieces))
             left -= len(pieces)
             if left < 0:
-                return None
-            cuts.append((order, steps, pieces))
-        return cuts
+                return False, cuts
+        return True, cuts
 
-    cuts = cut(0)
-    if cuts is None:
-        _, cuts = smallest_accepted(1, 2**120, cut)
-    if cuts is None:
+    settled: dict[int, list[int]] = {}
+
+    def accepts(j: int) -> Optional[bool]:
+        """True if probe j accepts, None if it rejects."""
+        kept = bisect_right(ordered, j)
+        known = settled.get(kept)  # [largest j known to reject, smallest known to accept]
+        if known is None:
+            lo = ordered[kept - 1] if kept else 0  # the regime is [lo, hi]
+            hi = ordered[kept] - 1 if kept < len(ordered) else 2**120
+            # past t components the whole regime rejects
+            known = settled[kept] = [hi if len(base.vertices) - kept > t else lo - 1, hi + 1]
+        if j <= known[0]:
+            return None
+        if j >= known[1]:
+            return True
+        ok, cuts = cut(j, kept)
+        # cap(j) = j * unit // scale, and with unit = 0 (|MST| = 0) every cap
+        # is 0; each bound is clamped by the other, which lies in the regime
+        unit = TREE_COVER_BETA * P * regimes[kept][0]
+        if ok:
+            longest = max(prefix[b] - prefix[a] for _, _, prefix, pieces in cuts for a, b in pieces)
+            known[1] = max(known[0] + 1, -(-longest * scale // unit) if unit else 0)
+        else:
+            shortest = min(prefix[b + 1] - prefix[a] for _, _, prefix, pieces in cuts
+                           for a, b in pieces if b + 1 < len(prefix))
+            known[0] = min(known[1] - 1, (shortest * scale - 1) // unit if unit else 2**120)
+        return ok or None
+
+    j, ok = (0, True) if accepts(0) else smallest_accepted(1, 2**120, accepts)
+    if ok:
+        _, cuts = cut(j, bisect_right(ordered, j))
+    else:
         # even B = |MST| rejects: the walk's shortcut steps exceed 4|MST|,
         # which a matrix valid only within TRIANGLE_TOL allows (|MST| = 0
         # among them); one tree along the whole walk covers every site
-        _, ((order, steps, _),) = walks(2**120, len(ordered))
-        cuts = [(order, steps, [(0, len(order) - 1)])]
+        _, ((order, steps, prefix),) = walks(2**120, len(ordered))
+        cuts = [(order, steps, prefix, [(0, len(order) - 1)])]
     trees = []
-    for order, steps, pieces in cuts:
+    for order, steps, _, pieces in cuts:
         for first, last in pieces:
             run = order[first : last + 1]
             edges = [(min(a, b), max(a, b), d) for a, b, d in zip(run, run[1:], steps[first:])]

@@ -271,7 +271,16 @@ def lower_bound_metric(instance: Instance, k: int) -> Fraction:
     sites at the smallest weight handles instances whose classes are
     individually coverable for free.  Small site sets use the exact
     cover, larger ones the approximate cover divided by its factor.
+    Each k's bound is computed once per Instance and kept in its memo.
     """
+    bound = instance._memo.get(("lower_bound", k))
+    if bound is None:  # setdefault: threads racing here all get one object
+        bound = instance._memo.setdefault(("lower_bound", k), _lower_bound(instance, k))
+    return bound
+
+
+def _lower_bound(instance: Instance, k: int) -> Fraction:
+    """lower_bound_metric without the memo."""
     if instance.n <= k:
         return Fraction(0)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from typing import Sequence, Union
 
@@ -165,18 +165,21 @@ def expand_round_robin(
     rounds = h * lcm(*(len(paths) for paths in trees))
     start = trees[0][0][0]
     walk = chain.from_iterable(trees[r % h][r // h % len(trees[r % h])] for r in range(rounds))
-    t, pos = Fraction(0), start
-    waypoints: list[tuple[Fraction, Position]] = [(t, SitePos(start))]
+    moves, pos = [], start  # (positive step, site it ends at)
     for v in chain(walk, (start,)):
         step = metric.distance(pos, v)
         if step > 0:
-            t += step
-            waypoints.append((t, SitePos(v)))
+            moves.append((step, v))
         pos = v
-    if t == 0:
-        return RobotTrack(Fraction(1), (waypoints[0],))
-    # the last waypoint, at time t, is where the track wraps to its start
-    return RobotTrack(t, tuple(waypoints[:-1]))
+    first = (Fraction(0), SitePos(start))
+    if not moves:
+        return RobotTrack(Fraction(1), (first,))
+    # the step times are summed as ints over the lcm of the steps' denominators
+    M = lcm(*(step.denominator for step, _ in moves))
+    times = accumulate(step.numerator * (M // step.denominator) for step, _ in moves)
+    waypoints = [first] + [(Fraction(t, M), SitePos(v)) for t, (_, v) in zip(times, moves)]
+    # the last waypoint is where the track wraps to its start
+    return RobotTrack(waypoints[-1][0], tuple(waypoints[:-1]))
 
 
 def stationary_track(pos: Position) -> RobotTrack:

@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from patrol import metric_core
 from patrol.generate import generate_instance
-from patrol.instance import dump_instance, line_instance
+from patrol.instance import dump_instance, line_instance, matrix_instance
 from patrol.metric_core import TREE_COVER_BETA, Tree, mst, tree_cover
 from conftest import random_matrix_instance
 
@@ -131,6 +132,71 @@ def test_tree_cover_matches_original_bisection():
                 assert cover.max_length == max_length
                 cases += 1
     assert cases == 32 * 3 * 4
+
+
+def hub_matrix(hub):
+    """Valid within TRIANGLE_TOL: site 0 is within `hub` of all, the others
+    1e-10 apart, so the MST walk's shortcuts exceed 4|MST| (|MST| = 0 when
+    hub = 0) and even B = |MST| rejects."""
+    data = [["0" if i == j else hub if 0 in (i, j) else "1e-10" for j in range(5)]
+            for i in range(5)]
+    return matrix_instance(data, [1] * 5).metric
+
+
+def test_tree_cover_hard_cases_match_original_bisection():
+    # acceptance is not monotone below the optimum here: B = 0.119|MST|
+    # accepts with an 11.2222 cover, but the bisection's answer is larger
+    metric = generate_instance("euclidean", 40, 4).metric
+    sites = [0, 2, 3, 7, 9, 10, 13, 14, 15, 16, 18, 21, 23, 26, 27, 28, 32, 33, 37, 38]
+    base = mst(sites, metric)
+    early = reference_cover_at(base, Fraction(119, 1000) * base.total_length, metric)
+    assert len(early) <= 3 and max(p.total_length for p in early) < Fraction(1123, 100)
+    assert tree_cover(sites, metric, 3).max_length == Fraction(129453954924873113, 10**16)
+    cases = [(sites, metric, 3)] + [(range(5), hub_matrix(hub), 4) for hub in ("0", "1e-12")]
+    for case_sites, case_metric, t in cases:
+        trees, max_length = reference_tree_cover(case_sites, case_metric, t)
+        cover = tree_cover(case_sites, case_metric, t)
+        assert cover.trees == trees
+        assert [tr.edges for tr in cover.trees] == [tr.edges for tr in trees]
+        assert cover.max_length == max_length
+
+
+@pytest.mark.parametrize("hub", ["0", "1e-12"])
+def test_tree_cover_falls_back_to_the_whole_walk(hub):
+    # every B in [0, |MST|] cuts the walk 0-1-2-3-4 into at least 4 pieces
+    # (4|MST| is below its 1e-10 steps), so for t = 2, 3 the original
+    # bisection accepted nothing; the cover is one tree along the whole walk
+    metric = hub_matrix(hub)
+    base = mst(range(5), metric)
+    assert 4 * base.total_length < Fraction("1e-10")
+    assert len(reference_cover_at(base, base.total_length, metric)) == 4
+    walk = reference_walk(base.vertices, base.edges, 0, metric)
+    edges = [(min(a, b), max(a, b), metric.distance(a, b)) for a, b in zip(walk, walk[1:])]
+    whole = Tree.build(sorted(walk), edges)
+    for t in (2, 3):
+        cover = tree_cover(range(5), metric, t)
+        assert cover.trees == (whole,) and cover.trees[0].edges == whole.edges
+        assert cover.max_length == whole.total_length == Fraction(hub) + 3 * Fraction("1e-10")
+
+
+def test_tree_cover_search_cuts_only_unsettled_probes(monkeypatch):
+    # the bisection makes about 120 probes, but a probe that an earlier cut
+    # in its regime (the same kept MST edges) already settles costs no cut
+    cuts = []
+    cut_walk = metric_core._cut_walk
+
+    def counted_cut_walk(*args):
+        cuts.append(args)
+        return cut_walk(*args)
+
+    monkeypatch.setattr(metric_core, "_cut_walk", counted_cut_walk)
+    instances = [generate_instance("euclidean", 12, seed, wmax=1) for seed in range(1, 15)]
+    instances.append(generate_instance("clustered", 24, 0))
+    for inst in instances:
+        for t in (2, 3, 4):
+            cuts.clear()
+            tree_cover(inst.sites, inst.metric, t)
+            assert 0 < len(cuts) <= 32, (inst.n, t, len(cuts))
 
 
 def test_tree_cover_threshold_zero():

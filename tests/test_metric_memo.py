@@ -93,3 +93,17 @@ def test_matrix_zeros_that_are_not_transitive_keep_the_scan():
     inst = matrix_instance([[0, 0, tiny], [0, 0, 0], [tiny, 0, 0]], [1, 1, 1])
     assert all(d == 0 for _, _, d in mst(inst.sites, inst.metric).edges)
     assert _closest_positive_distance(inst) == tiny
+
+
+def test_lower_bound_is_memoized_per_instance_and_k():
+    inst = generate_instance("clustered", 24, 0)
+    fresh = generate_instance("clustered", 24, 0)
+    first = lower_bound_metric(inst, 2)
+    assert lower_bound_metric(inst, 2) is first
+    other = lower_bound_metric(inst, 3)
+    assert lower_bound_metric(inst, 3) is other
+    assert inst._memo[("lower_bound", 2)] is first and inst._memo[("lower_bound", 3)] is other
+    # an equal instance has its own memo and computes its own bound
+    assert inst == fresh and ("lower_bound", 2) not in fresh._memo
+    again = lower_bound_metric(fresh, 2)
+    assert again == first and fresh._memo[("lower_bound", 2)] is again
