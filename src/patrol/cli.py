@@ -28,7 +28,7 @@ from .errors import (
     ScheduleFormatError,
     UnvisitedSiteError,
 )
-from .evaluate import _evaluation, _max_weighted_latency, _speed_violations, _visits
+from .evaluate import max_weighted_latency, validate_speed
 from .generate import KINDS, generate_instance
 from .instance import Instance, dump_instance, load_instance
 from .line_uniform import solve_line_single_weighted, solve_line_uniform
@@ -118,14 +118,13 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     instance = _read_instance(args.instance)
     schedule = load_schedule(_read(args.schedule, ScheduleFormatError))
-    evaluation = _evaluation(schedule, instance.metric)  # one expansion for both checks
-    violations = _speed_violations(evaluation, instance.metric)
+    violations = validate_speed(schedule, instance.metric)
     if violations:
         for v in violations:
             print(f"speed violation: {v}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        latency = _max_weighted_latency(_visits(evaluation, instance.metric), instance)
+        latency = max_weighted_latency(schedule, instance)  # reuses the speed check's loops
     except UnvisitedSiteError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID

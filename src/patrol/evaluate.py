@@ -22,8 +22,10 @@ decides exactly as its decimal read would.  A per-site row holds its latency
 and weighted latency as ints in lowest terms, and a Fraction is built
 only where one is read: the report's max, or a row's property.
 _visits is the one visit rule: the latencies here and the time-window
-check of an accepted schedule both read it, on the schedule's
-_evaluation, which a caller that also checks speed builds once.
+check of an accepted schedule both read it.  _evaluation and _visits
+each keep their last result in one slot of the Metric's memo, for the
+schedule object they were given, so validate_speed then
+max_weighted_latency expand, loop and scale each track once.
 
 A leg costs O(log n + visits): line legs bisect the coordinates sorted
 once per evaluation, and a waypoint site's co-location group (the sites
@@ -196,7 +198,12 @@ def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tupl
     are checked, and every track's _loop in it as (t, x) ints, x the
     coordinate on the line and the position elsewhere.  The loop's last
     time is t_first + period, so U takes in every period.  validate_speed
-    and _visits each read one; a caller that needs both builds it once."""
+    and _visits each read it.  The metric's memo keeps the last one under
+    "evaluation", with the schedule it is for; a schedule that raises
+    leaves the slot as it was."""
+    kept = metric._memo.get("evaluation")
+    if kept is not None and kept[0] is schedule:
+        return kept[1]
     _check_site_ids(schedule, metric.n)
     line = metric.variant == "line"
     loops = [[(t, _line_coord(p, metric)) if line else (t, p) for t, p in track._loop()]
@@ -205,8 +212,10 @@ def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tupl
     if line:
         dens += [x.denominator for loop in loops for _, x in loop]
     unit = lcm(*dens)
-    return unit, [[(_scale(t, unit), _scale(x, unit) if line else x) for t, x in loop]
-                  for loop in loops]
+    evaluation = unit, [[(_scale(t, unit), _scale(x, unit) if line else x) for t, x in loop]
+                        for loop in loops]
+    metric._memo["evaluation"] = schedule, evaluation
+    return evaluation
 
 
 def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
@@ -214,12 +223,7 @@ def validate_speed(schedule: Schedule, metric: Metric) -> list[SpeedViolation]:
     integer unit 1/U: a line leg fails when |X1-X0| - (T1-T0) > floor(U*VISIT_TOL),
     any other leg of distance n/q when (n*U - (T1-T0)*q) * 10**9 > U*q, which
     is n/q - (T1-T0)/U > VISIT_TOL on ints."""
-    return _speed_violations(_evaluation(schedule, metric), metric)
-
-
-def _speed_violations(evaluation: tuple, metric: Metric) -> list[SpeedViolation]:
-    """validate_speed on the schedule's _evaluation."""
-    unit, loops = evaluation
+    unit, loops = _evaluation(schedule, metric)
     line = metric.variant == "line"
     tol = floor(unit * VISIT_TOL)
     violations = []
@@ -335,13 +339,17 @@ def _joint_gap(served: list[tuple[int, list]], total: int) -> int:
     return _max_gap(intervals, total)
 
 
-def _visits(evaluation: tuple, metric: Metric) -> tuple[int, list[int], list[dict]]:
-    """(U, periods, visits) of the schedule whose _evaluation is given: the
-    evaluation's time unit 1/U, on the line times the site-denominator
-    and pass-through factors (module docstring), each track's period, its
-    loop's last time minus its first, and each track's _track_visits, all
-    ints in that unit."""
-    unit, loops = evaluation
+def _visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], list[dict]]:
+    """(U, periods, visits) of the schedule: its _evaluation's time unit
+    1/U, on the line times the site-denominator and pass-through factors
+    (module docstring), each track's period, its loop's last time minus
+    its first, and each track's _track_visits, all ints in that unit.
+    The metric's memo keeps the last one under "visits", as _evaluation
+    keeps its own; readers must not change the lists."""
+    kept = metric._memo.get("visits")
+    if kept is not None and kept[0] is schedule:
+        return kept[1]
+    unit, loops = _evaluation(schedule, metric)
     line = metric.variant == "line"
     if line:  # the site coordinates' denominators, then the pass-through factor
         m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
@@ -351,8 +359,10 @@ def _visits(evaluation: tuple, metric: Metric) -> tuple[int, list[int], list[dic
         loops = [[(t * m, x * m) for t, x in loop] for loop in loops]
     near = _sites_near(loops, metric, unit)
     tol = floor(unit * VISIT_TOL)
-    return (unit, [loop[-1][0] - loop[0][0] for loop in loops],
-            [_track_visits(loop, line, near, tol) for loop in loops])
+    visits = (unit, [loop[-1][0] - loop[0][0] for loop in loops],
+              [_track_visits(loop, line, near, tol) for loop in loops])
+    metric._memo["visits"] = schedule, visits
+    return visits
 
 
 def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyReport:
@@ -368,14 +378,7 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     DEFAULT_EVENT_CAP visit events, else PeriodOverflowError; every site
     is checked before any site is unrolled.
     """
-    visits = _visits(_evaluation(schedule, instance.metric), instance.metric)
-    return _max_weighted_latency(visits, instance)
-
-
-def _max_weighted_latency(visits: tuple, instance: Instance) -> LatencyReport:
-    """max_weighted_latency on the schedule's _visits, for a caller
-    that has already read them."""
-    unit, periods, per_track = visits
+    unit, periods, per_track = _visits(schedule, instance.metric)
     checked, joint_events = [], 0
     for s in instance.sites:
         served = [(period, vis[s]) for period, vis in zip(periods, per_track) if s in vis]

@@ -36,10 +36,13 @@ class Metric:
     binary value).  _memo keeps what solvers derive
     from the metric alone: each Euclidean distance, converted once and
     kept under the int i * n + j for its pair i <= j; metric_core.mst per
-    (sorted sites, "mst"); and metric_core.tree_cover per (sorted sites,
-    t).  It takes no part in equality, hashing or repr.  A Metric
-    validates itself when built, its variant and that variant's data
-    field first.
+    (sorted sites, "mst"); metric_core.tree_cover per (sorted sites, t);
+    and the last schedule measured on it, as (schedule, result) under
+    "evaluation" and "visits" (evaluate._evaluation and _visits), found
+    again only for that same schedule object.  Threads that race on a slot
+    only recompute.  It takes no part in equality, hashing or repr.  A
+    Metric validates itself when built, its variant and that variant's
+    data field first.
     """
 
     variant: str

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .evaluate import LatencyReport, _evaluation, _max_weighted_latency, _speed_violations, _visits
+from .evaluate import LatencyReport, max_weighted_latency, validate_speed
 from .instance import Instance
 from .rationals import format_fraction, to_float
 from .schedule import Schedule
@@ -63,34 +63,19 @@ def build_report(
     """Measure a schedule with the exact evaluator and wrap it up.
 
     Every solver output must pass speed validation; a violation here is
-    a solver bug, not an input problem.  The schedule is expanded and
-    each track's loop read once, for the visits and the speed check.
+    a solver bug, not an input problem.  validate_speed and
+    max_weighted_latency share the schedule's evaluation through the
+    metric's memo, so each track's loop is read once for both, and a
+    solver that has checked its schedule's visits already reuses them.
     """
-    evaluation = _evaluation(schedule, instance.metric)
-    return _build_report(schedule, instance, algo, k, L_accepted, lower_bound,
-                         evaluation, _visits(evaluation, instance.metric))
-
-
-def _build_report(
-    schedule: Schedule,
-    instance: Instance,
-    algo: str,
-    k: int,
-    L_accepted: Fraction,
-    lower_bound: Fraction,
-    evaluation: tuple,
-    visits: tuple,
-) -> SolveReport:
-    """build_report on the schedule's _evaluation and _visits, for a
-    solver that has already built them."""
-    violations = _speed_violations(evaluation, instance.metric)
+    violations = validate_speed(schedule, instance.metric)
     if violations:
         raise AssertionError(f"solver produced an invalid schedule: {violations[0]}")
     return SolveReport(
         schedule=schedule,
         L_accepted=L_accepted,
         lower_bound=lower_bound,
-        latency=_max_weighted_latency(visits, instance),
+        latency=max_weighted_latency(schedule, instance),
         algo=algo,
         k=k,
     )

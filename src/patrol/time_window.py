@@ -20,7 +20,7 @@ doubles any site's visit gap.  That periodic schedule, the one
 returned, is what validate_standard checks, block by block over its
 whole period, with the evaluator's visit rule (evaluate._visits).  A
 solve runs that rule once: the check and its latency report read the
-same visits.
+same visits, which the metric's memo keeps.
 
 There is one summary form, AtomicRep: a tuple of ints (start, end,
 left, right, before3, after3, span) with the slacks counted in thirds of
@@ -71,11 +71,11 @@ from math import floor, gcd, inf, lcm
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
-from .evaluate import _evaluation, _visits
+from .evaluate import _visits
 from .instance import Instance, weight_classes
 from .line_uniform import _min_cover_cap
 from .rationals import smallest_accepted
-from .report import SolveReport, _build_report, build_report
+from .report import SolveReport, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 
 DEFAULT_STATE_CAP = 200_000
@@ -143,11 +143,18 @@ def _scaled(coords: Sequence[Fraction]) -> tuple:
 
 
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
-    """All single-window summaries: every visiting 4-tuple whose canonical
-    tour fits in L/3, plus the single pure-travel summary."""
+    """All single-window summaries: every visiting 4-tuple (start, end,
+    left, right), in product order, whose canonical tour fits in L/3,
+    plus the single pure-travel summary.  The tour's length times 3D is
+    _SummaryPool's length3."""
     summaries = _summary_pool(instance)
     cap = floor(L * summaries.D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
-    return [rep for length3, _, rep in summaries.rows if length3 <= cap] + [type_two()]
+    sites = list(enumerate(summaries.X))
+    return [AtomicRep(s, e, left, right, 0, 2, 1)
+            for s, xs in sites for e, xe in sites
+            for left, xl in sites if xl <= min(xs, xe)
+            for right, xr in sites
+            if xr >= max(xs, xe) and 6 * (xr - xl) - 3 * abs(xs - xe) <= cap] + [type_two()]
 
 
 def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
@@ -270,18 +277,19 @@ class _SummaryPool:
     solve, since none depends on L (slacks count thirds of L): the pair
     loops run on small ints.  D, X, low and high are as in _scaled.
 
-    rows are the atomic table: the visiting 4-tuples in product order as
-    (length3, kill3, AtomicRep), length3 = 3 * D * canonical tour length.
-    The canonical length of s -> e through the extremes l <= s, e <= r is
+    atoms is the atomic table: one row (length3, kill3, id) per coordinate
+    class (start, end, left, right) of visiting 4-tuples, in product
+    order, with length3 = 3 * D * canonical tour length.  The canonical
+    length of s -> e through the extremes l <= s, e <= r is
     (r - l) + min((s - l) + (r - e), (r - s) + (e - l)), which is
-    2(r - l) - |s - e|.  The atom prune keeps a row exactly at the caps
-    floor(L * D) in [length3, kill3).  The rows of one coordinate class
-    (start, end, left, right) share a tour, and the first in product
-    order stands for all (the later ones get kill3 = length3).  That first row is dropped once a strictly wider
-    hull over the same ends fits.  Widening a hull by d on either side
-    lengthens both detours by d, so the tour by 2d: the shortest wider
-    hull reaches the nearest coordinate beyond one side, and kill3 is inf
-    when there is none.
+    2(r - l) - |s - e|.  The 4-tuples of one class share a tour, and the
+    first in product order, the one of the lowest site index at each
+    coordinate, stands for all.  The atom prune keeps a row exactly at
+    the caps floor(L * D) in [length3, kill3): it is dropped once a
+    strictly wider hull over the same ends fits.  Widening a hull by d on
+    either side lengthens both detours by d, so the tour by 2d: the
+    shortest wider hull reaches the nearest coordinate beyond one side,
+    and kill3 is inf when there is none.
 
     pool[i] is the interned summary i and ids its inverse; masks[i] marks
     the sites of i's level (a span fixes the level) inside i's hull, kept
@@ -289,18 +297,17 @@ class _SummaryPool:
     gap, slack3) for summaries a then b, so a probe decides a pair with
     one integer compare.  slack3s[i] (before3 + after3) and widths[i]
     (the scaled hull width, 0 for pure travel) are i's terms of the score
-    ranking(L) returns.  atoms holds (length3, kill3, id) for each row
-    that the atom prune keeps at some cap, in table order, and travel is
-    the pure-travel atom's id.  The masks read the weight classes, so the
-    pool lives on the Instance, not on its Metric.
+    ranking(L) returns.  travel is the pure-travel atom's id.  The masks
+    read the weight classes, so the pool lives on the Instance, not on
+    its Metric.
 
-    The table is built in one pass: the rows an atom prune keeps are the
-    first of their classes, all distinct, so each takes the next id as
-    it is made, with the level-0 hull mask computed once per (left,
-    right); ids 0 .. len(atoms) - 1 are the atoms in table order and
-    travel comes next.  intern, which the joins use, takes _junction's
-    plain tuples and AtomicReps alike (an AtomicRep equals and hashes like
-    its plain tuple) and builds an AtomicRep only for a new plain tuple."""
+    The table is built in one pass over the 4-tuples of those lowest
+    sites, each its class's atom, so each takes the next id as it is
+    made, with the level-0 hull mask computed once per (left, right);
+    ids 0 .. len(atoms) - 1 are the atoms in table order and travel
+    comes next.  intern, which the joins use, takes _junction's plain
+    tuples and AtomicReps alike (an AtomicRep equals and hashes like its
+    plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
         self.D, self.X, self.low, self.high = _scaled(instance.metric.coords)
@@ -315,36 +322,28 @@ class _SummaryPool:
         self.widths: list[int] = []
         self.hulls: dict[tuple[int, int, int], int] = {}
         self.joins: dict[tuple[int, int], tuple[int, int, int]] = {}
-        self.rows = rows = []
         self.atoms = atoms = []
         pool, ids, masks, widths, hulls = self.pool, self.ids, self.masks, self.widths, self.hulls
         sites = [(bit, X[s]) for bit, s in enumerate(self.level_sites.get(0, ()))]
-        # product order meets a class first at the lowest index of each site
-        lead = [X.index(x) == i for i, x in enumerate(X)]
+        leads = [(i, x) for i, x in enumerate(X) if X.index(x) == i]  # one site per coordinate
         new = tuple.__new__  # AtomicRep(...) without its Python-level __new__
-        for s, xs in enumerate(X):
-            for e, xe in enumerate(X):
+        for s, xs in leads:
+            for e, xe in leads:
                 lo, hi = (xs, xe) if xs <= xe else (xe, xs)
                 ends3 = 3 * (hi - lo)
-                rights = [(r, xr, lead[r]) for r, xr in enumerate(X) if xr >= hi]
-                for left, xl in enumerate(X):
+                rights = [(r, xr) for r, xr in leads if xr >= hi]
+                for left, xl in leads:
                     if xl > lo:
                         continue
-                    first = lead[s] and lead[e] and lead[left]
-                    for right, xr, lead_right in rights:
+                    for right, xr in rights:
                         length3 = 6 * (xr - xl) - ends3
-                        rep = new(AtomicRep, (s, e, left, right, 0, 2, 1))
-                        if not (first and lead_right):
-                            rows.append((length3, length3, rep))
-                            continue
                         widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
                         kill3 = length3 + 6 * widen if widen < inf else inf
-                        rows.append((length3, kill3, rep))
-                        # a lead row is its class's atom: interned here, in row order
                         mask = hulls.get((1, left, right))
                         if mask is None:
                             mask = hulls[1, left, right] = sum(
                                 1 << bit for bit, x in sites if xl <= x <= xr)
+                        rep = new(AtomicRep, (s, e, left, right, 0, 2, 1))
                         atoms.append((length3, kill3, len(pool)))
                         ids[rep] = len(pool)
                         pool.append(rep)
@@ -597,18 +596,17 @@ def validate_standard(std: StandardSchedule, instance: Instance) -> bool:
     """Every site of rounded weight 2^-j is visited in each aligned block
     of 2^j windows, over the whole period 2D of the cyclified schedule
     (both halves) and by the evaluator's visit rule."""
-    schedule = cyclify(std)
-    visits = _visits(_evaluation(schedule, instance.metric), instance.metric)
-    return _blocks_met(std.levels, schedule, instance, visits)
+    return _blocks_met(std.levels, cyclify(std), instance)
 
 
-def _blocks_met(levels: int, schedule: Schedule, instance: Instance, visits) -> bool:
+def _blocks_met(levels: int, schedule: Schedule, instance: Instance) -> bool:
     """validate_standard on schedule, the cyclified standard schedule of m
-    = levels, and its _visits, which the solver's latency report reads
-    too.  Visits are ints in the unit 1/U, so with P = 2D * U, every moving
-    track's period, block b is [b * P, (b + 1) * P] once visit times are
-    scaled by 2^(m+1-j).  A stationary track covers its sites at all times."""
-    _, periods, per_track = visits
+    = levels, by its _visits, which the solver's latency report then
+    finds in the metric's memo.  Visits are ints in the unit 1/U, so with
+    P = 2D * U, every moving track's period, block b is [b * P, (b + 1) * P]
+    once visit times are scaled by 2^(m+1-j).  A stationary track covers
+    its sites at all times."""
+    _, periods, per_track = _visits(schedule, instance.metric)
     moving = [r for r, track in enumerate(schedule.robots) if len(track.waypoints) > 1]
     still = set().union(*(vis for r, vis in enumerate(per_track) if r not in moving))
     period = max((periods[r] for r in moving), default=0)
@@ -759,9 +757,6 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
     best = _best(instance, L, chain([first], rest))
 
     schedule = cyclify(_realize(best, instance, L))
-    evaluation = _evaluation(schedule, instance.metric)
-    visits = _visits(evaluation, instance.metric)
-    if not _blocks_met(best.level, schedule, instance, visits):
+    if not _blocks_met(best.level, schedule, instance):
         raise AssertionError("accepted schedule violates its visit windows")
-    return _build_report(schedule, instance, "line-weighted", k, L, line_lower_bound(instance, k),
-                         evaluation, visits)
+    return build_report(schedule, instance, "line-weighted", k, L, line_lower_bound(instance, k))

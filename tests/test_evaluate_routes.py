@@ -1,9 +1,13 @@
-"""`patrol evaluate` against the library's public evaluator.
+"""`patrol evaluate` against the library's public evaluator, and the
+evaluation that the evaluator's public pair shares.
 
-cli.cmd_evaluate builds one _evaluation and reads it for both the speed
-check and the visits; the bench and most tests call validate_speed and
-max_weighted_latency, which build their own.  The two routes must print
-and return the same thing on every kind of schedule.
+cli.cmd_evaluate, report.build_report and the time-window solve call
+validate_speed and max_weighted_latency, as the bench and the tests do.
+The command must print and return what the library returns on every kind
+of schedule.  The pair reads each track's loop once: the metric's memo
+keeps the last schedule's evaluation and visits for that schedule object
+only, keeps nothing for a schedule that raises, and its visit lists are
+not changed by any reader.
 """
 
 import json
@@ -12,8 +16,8 @@ from fractions import Fraction
 import pytest
 
 from patrol.cli import EXIT_INVALID, EXIT_OK, main
-from patrol.errors import UnvisitedSiteError
-from patrol.evaluate import max_weighted_latency, validate_speed
+from patrol.errors import ScheduleFormatError, UnvisitedSiteError
+from patrol.evaluate import _visits, max_weighted_latency, validate_speed
 from patrol.instance import (
     dump_instance,
     euclidean_instance,
@@ -116,3 +120,95 @@ def test_cli_evaluate_matches_the_library(case, branch, tmp_path, capsys):
     assert got_branch == branch
     code = main(["evaluate", "--instance", str(inst_path), "--schedule", str(sched_path)])
     assert (code, *capsys.readouterr()) == want
+
+
+CASES = (line_edges, matrix, euclidean, round_robin, jointly_served, too_fast, unvisited)
+
+
+def measure(schedule, inst):
+    """(speed violations, latency rows or the UnvisitedSiteError's text)."""
+    violations = validate_speed(schedule, inst.metric)
+    try:
+        return violations, max_weighted_latency(schedule, inst)
+    except UnvisitedSiteError as exc:
+        return violations, str(exc)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """How many times RobotTrack._loop has run."""
+    calls = []
+    original = RobotTrack._loop
+
+    def counted(track):
+        calls.append(track)
+        return original(track)
+
+    monkeypatch.setattr(RobotTrack, "_loop", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_public_pair_reads_each_loop_once(case, loop_calls):
+    inst, schedule = case()
+    tracks = len(schedule.robots)
+    measure(schedule, inst)
+    assert len(loop_calls) == tracks
+    measure(schedule, inst)  # again: both halves are found in the memo
+    assert len(loop_calls) == tracks
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_equal_but_distinct_objects_are_evaluated_again(case, loop_calls):
+    inst, schedule = case()
+    want = measure(schedule, inst)
+    other_inst, other_schedule = case()
+    assert other_schedule == schedule and other_schedule is not schedule
+    assert other_inst.metric == inst.metric and other_inst.metric is not inst.metric
+    for pair in ((other_schedule, inst), (schedule, other_inst), (other_schedule, other_inst)):
+        before = len(loop_calls)
+        assert measure(*pair) == want
+        assert len(loop_calls) == before + len(schedule.robots)
+
+
+def test_an_evaluation_that_raises_keeps_no_slot():
+    inst = line_instance([0, 4, 7], [1, 1, 1])
+    bad = Schedule((track(8, (0, SitePos(0)), (4, SitePos(3))),))
+    for _ in range(2):
+        with pytest.raises(ScheduleFormatError, match="site 3 is out of range"):
+            validate_speed(bad, inst.metric)
+        with pytest.raises(ScheduleFormatError, match="site 3 is out of range"):
+            max_weighted_latency(bad, inst)
+        assert "evaluation" not in inst.metric._memo and "visits" not in inst.metric._memo
+    # a raise leaves the last good schedule's slots as they were
+    zigzag = Schedule((track(14, (0, 0), (7, 7)),))
+    max_weighted_latency(zigzag, inst)
+    with pytest.raises(ScheduleFormatError):
+        max_weighted_latency(bad, inst)
+    assert inst.metric._memo["evaluation"][0] is zigzag and inst.metric._memo["visits"][0] is zigzag
+
+
+def test_a_metric_keeps_one_schedule():
+    inst, first = jointly_served()
+    _, second = too_fast()
+    measure(first, inst)
+    validate_speed(second, inst.metric)
+    memo = inst.metric._memo
+    assert {key for key in memo if isinstance(key, str)} == {"evaluation", "visits"}
+    assert memo["evaluation"][0] is second and memo["visits"][0] is first
+    max_weighted_latency(second, inst)
+    assert memo["evaluation"][0] is second and memo["visits"][0] is second
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_readers_leave_the_shared_visits_alone(case):
+    """Evaluating twice gives the rows of a fresh metric, and leaves the
+    kept visits as they were."""
+    inst, schedule = case()
+    fresh_inst, fresh_schedule = case()
+    want = measure(fresh_schedule, fresh_inst)
+    got = measure(schedule, inst)
+    kept = repr(_visits(schedule, inst.metric))
+    assert measure(schedule, inst) == got == want
+    assert repr(_visits(schedule, inst.metric)) == kept
+

@@ -469,27 +469,28 @@ def test_candidate_windows_are_the_int_pairs_as_fractions():
 
 def test_line_weighted_solve_reads_visits_once(monkeypatch):
     """One visit pass per line-weighted solve: the visit-window check and
-    the latency report share it, it reads the legs (evaluate._evaluation)
-    of the returned schedule, and the report's latencies equal a fresh
-    evaluation of that schedule."""
+    the latency report share it through the metric's memo, so the solve
+    builds one visit lookup (evaluate._sites_near), and measuring the
+    returned schedule again builds none.  The report's latencies equal an
+    evaluation of that schedule on a fresh instance."""
     import patrol.evaluate
-    import patrol.report
 
     calls = []
-    original = patrol.evaluate._visits
+    original = patrol.evaluate._sites_near
 
-    def spy(evaluation, metric):
-        calls.append(evaluation)
-        return original(evaluation, metric)
+    def spy(loops, metric, unit):
+        calls.append(unit)
+        return original(loops, metric, unit)
 
-    for module in (patrol.evaluate, patrol.report, time_window):
-        monkeypatch.setattr(module, "_visits", spy)
+    monkeypatch.setattr(patrol.evaluate, "_sites_near", spy)
     for k, n, seed in [(1, 5, 1), (1, 6, 2), (2, 4, 3), (2, 5, 1), (3, 4, 2)]:
         inst = generate_instance("line-weighted", n, seed, wmax=4)
         calls.clear()
         report = solve_line_weighted(inst, k)
-        assert calls == [patrol.evaluate._evaluation(report.schedule, inst.metric)], (k, n, seed)
-        fresh = max_weighted_latency(report.schedule, inst)
+        assert max_weighted_latency(report.schedule, inst) == report.latency
+        assert len(calls) == 1, (k, n, seed)
+        fresh = max_weighted_latency(report.schedule, generate_instance("line-weighted", n, seed,
+                                                                        wmax=4))
         assert report.latency == fresh and report.measured_latency == fresh.max_weighted
 
 

@@ -12,7 +12,9 @@ original Fraction visit rule on the schedule before reversal.  The
 integer atom prune that later ran on every probe is kept here too, held
 to the original, and the cap ranges of the solver's atomic table are
 held to it.  The summary pool's one-pass build is held table by table
-to a build that interns each atom row by row.
+to a build that interns each atom row by row, and to the one-pass build
+that still made every visiting 4-tuple's row, coincident coordinates
+included, before the pool kept only the atoms.
 """
 
 import random
@@ -186,8 +188,8 @@ def test_atom_table_matches_enumerate_and_prune():
     windows = 0
     for inst in sweep(1, 60, 6, 4):
         pool = time_window._summary_pool(inst)
-        D, X, rows = pool.D, pool.X, pool.rows
-        caps = {cap for length3, kill3, _ in rows for cap in (length3, kill3) if cap != inf}
+        D, X = pool.D, pool.X
+        caps = {cap for length3, kill3, _ in pool.atoms for cap in (length3, kill3) if cap != inf}
         Ls = set(candidate_window_lengths(inst, 1))
         Ls.update(Fraction(c, D) for cap in caps for c in (cap, cap - 1))
         for L in Ls:
@@ -234,7 +236,8 @@ def test_dp_levels_and_solves_match_reference(dp_cases, request):
 
 def reference_summary_pool(instance):
     """_SummaryPool as it was first built: the whole atomic table row by
-    row, then each atom of it interned through intern, one row at a time."""
+    row, then each atom of it interned through intern, one row at a time.
+    The table itself is not kept: the pool holds only its atoms."""
     pool = object.__new__(time_window._SummaryPool)
     pool.D, pool.X, pool.low, pool.high = time_window._scaled(instance.metric.coords)
     X = pool.X
@@ -242,7 +245,7 @@ def reference_summary_pool(instance):
     steps = [b - a for a, b in zip(values, values[1:])]
     step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
     lead = [X.index(x) == i for i, x in enumerate(X)]
-    pool.rows = rows = []
+    rows = []
     for s, xs in enumerate(X):
         for e, xe in enumerate(X):
             lo, hi = min(xs, xe), max(xs, xe)
@@ -267,7 +270,7 @@ def reference_summary_pool(instance):
     return pool
 
 
-POOL_TABLES = ("D", "X", "low", "high", "rows", "level_sites", "pool", "ids", "masks",
+POOL_TABLES = ("D", "X", "low", "high", "level_sites", "pool", "ids", "masks",
                "slack3s", "widths", "hulls", "joins", "atoms", "travel")
 
 
@@ -275,8 +278,7 @@ def pool_tables(pool):
     """Every table of a summary pool, with each key's type beside it, as
     an AtomicRep and its plain tuple compare equal."""
     return {name: getattr(pool, name) for name in POOL_TABLES} | {
-        "types": ([type(rep) for _, _, rep in pool.rows], [type(rep) for rep in pool.pool],
-                  [type(key) for key in pool.ids])}
+        "types": ([type(rep) for rep in pool.pool], [type(key) for key in pool.ids])}
 
 
 def test_one_pass_pool_matches_per_row_intern_build():
@@ -302,6 +304,78 @@ def test_one_pass_pool_matches_per_row_intern_build():
         coincident += len(set(inst.metric.coords)) < inst.n
     assert solved > 80 and joined > 40 and coincident > 20, (solved, joined, coincident)
     assert sum(levels[m] for m in levels if m > 1) > 40, levels
+
+
+def whole_table_summary_pool(instance):
+    """_SummaryPool as it was built in one pass over every visiting
+    4-tuple: rows kept every tuple as (length3, kill3, AtomicRep), and a
+    row whose sites were each the lowest index of its coordinate was
+    its class's atom, interned as it was made."""
+    pool = object.__new__(time_window._SummaryPool)
+    pool.D, pool.X, pool.low, pool.high = time_window._scaled(instance.metric.coords)
+    X = pool.X
+    values = sorted(set(X))
+    steps = [b - a for a, b in zip(values, values[1:])]
+    step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
+    pool.level_sites = dict(weight_classes(instance).classes)
+    pool.pool, pool.ids, pool.masks, pool.widths, pool.hulls, pool.joins = [], {}, [], [], {}, {}
+    rows, atoms = [], []
+    sites = [(bit, X[s]) for bit, s in enumerate(pool.level_sites.get(0, ()))]
+    lead = [X.index(x) == i for i, x in enumerate(X)]
+    for s, xs in enumerate(X):
+        for e, xe in enumerate(X):
+            lo, hi = (xs, xe) if xs <= xe else (xe, xs)
+            ends3 = 3 * (hi - lo)
+            rights = [(r, xr, lead[r]) for r, xr in enumerate(X) if xr >= hi]
+            for left, xl in enumerate(X):
+                if xl > lo:
+                    continue
+                first = lead[s] and lead[e] and lead[left]
+                for right, xr, lead_right in rights:
+                    length3 = 6 * (xr - xl) - ends3
+                    rep = tuple.__new__(AtomicRep, (s, e, left, right, 0, 2, 1))
+                    if not (first and lead_right):
+                        rows.append((length3, length3, rep))
+                        continue
+                    widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                    kill3 = length3 + 6 * widen if widen < inf else inf
+                    rows.append((length3, kill3, rep))
+                    mask = pool.hulls.get((1, left, right))
+                    if mask is None:
+                        mask = pool.hulls[1, left, right] = sum(
+                            1 << bit for bit, x in sites if xl <= x <= xr)
+                    atoms.append((length3, kill3, len(pool.pool)))
+                    pool.ids[rep] = len(pool.pool)
+                    pool.pool.append(rep)
+                    pool.masks.append(mask)
+                    pool.widths.append(xr - xl)
+    pool.atoms = atoms
+    pool.slack3s = [2] * len(pool.pool)
+    pool.travel = pool.intern(type_two())
+    return pool, rows
+
+
+def test_atom_pool_matches_whole_table_build():
+    """The pool built over one site per coordinate holds the tables of
+    the build that made every 4-tuple's row, and enumerate_atomics, which
+    now enumerates its own 4-tuples, lists that table's rows that fit at
+    every candidate window, at each row's length3 / D and one cap below."""
+    coincident = windows = 0
+    for inst in sweep(9, 400, 6, 4):
+        want, rows = whole_table_summary_pool(inst)
+        assert pool_tables(time_window._SummaryPool(inst)) == pool_tables(want), inst
+        coincident += len(set(inst.metric.coords)) < inst.n
+        if inst.n > 4:
+            continue
+        caps = {c for length3, _, _ in rows for c in (length3, length3 - 1)}
+        Ls = set(candidate_window_lengths(inst, 1)) | {Fraction(c, want.D) for c in caps}
+        for L in Ls:
+            cap = L.numerator * want.D // L.denominator
+            got = enumerate_atomics(inst, L)
+            assert got == [rep for length3, _, rep in rows if length3 <= cap] + [type_two()]
+            assert all(type(rep) is AtomicRep for rep in got)
+            windows += 1
+    assert coincident > 150 and windows > 1000, (coincident, windows)
 
 
 def test_table_leaves_metric_identity_alone():
