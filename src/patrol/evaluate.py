@@ -27,15 +27,17 @@ each keep their last result in one slot of the Metric's memo, for the
 schedule object they were given, so validate_speed then
 max_weighted_latency expand, loop and scale each track once.
 
-A leg costs O(log n + visits): line legs bisect the coordinates sorted
-once per evaluation, and a waypoint site's co-location group (the sites
-within the tolerance) is found once per evaluation, by one matrix row
-scan or a bisection window on the first Euclidean coordinate.  A site
-served by one robot takes the cyclic max gap of its in-order visits; a
-jointly served site is unrolled over the common period, at absolute
-times, within an event budget shared by the whole evaluation, and when
-all its visits are instants only their start times are unrolled and
-sorted, as ints.
+A leg costs O(log n + visits): line legs bisect the metric's axis
+(Metric.axis: the coordinates as ints, sorted once per metric), scaled
+to the evaluation's unit, and a waypoint site's co-location group (the
+sites within the tolerance) is found once per evaluation, by one matrix
+row scan or a bisection window on the first Euclidean coordinate.  The
+latency loop groups each track's visits by site once, then makes one
+row per site.  A site served by one robot takes the cyclic max gap of
+its in-order visits; a jointly served site is unrolled over the common
+period, at absolute times, within an event budget shared by the whole
+evaluation, and when all its visits are instants only their start times
+are unrolled and sorted, as ints.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ from typing import NamedTuple
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import format_fraction, format_ratio, to_float, to_fraction
+from .rationals import (_decimal_scale, _format_scaled, format_fraction, format_ratio, to_float,
+                        to_fraction)
 from .schedule import CoordPos, EdgePos, Position, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
@@ -111,17 +114,23 @@ class LatencyReport:
         return self.per_site[site].latency
 
     def to_json_dict(self) -> dict:
-        weights, rows = {}, []  # each distinct weight is formatted once
-        for s in self.per_site:
-            w = s.weight
+        """The rows as decimal or "p/q" texts: each distinct weight is
+        formatted once, and each distinct denominator's power of ten
+        (_decimal_scale) is found once per call."""
+        weights, scales, rows = {}, {}, []
+        for site, w, num, den, wnum, wden in self.per_site:
             key = w.numerator, w.denominator
             weight = weights.get(key)
             if weight is None:
                 weight = weights[key] = format_ratio(*key)
-            latency = weighted = format_ratio(s.num, s.den)
-            if (s.wnum, s.wden) != (s.num, s.den):
-                weighted = format_ratio(s.wnum, s.wden)
-            rows.append({"site": s.site, "latency": latency, "weight": weight,
+            if den not in scales:
+                scales[den] = _decimal_scale(den)
+            latency = weighted = _format_scaled(num, den, scales[den])
+            if wnum != num or wden != den:
+                if wden not in scales:
+                    scales[wden] = _decimal_scale(wden)
+                weighted = _format_scaled(wnum, wden, scales[wden])
+            rows.append({"site": site, "latency": latency, "weight": weight,
                          "weighted": weighted})
         return {"max_weighted": format_fraction(self.max_weighted),
                 "argmax_site": self.argmax_site, "per_site": rows}
@@ -245,15 +254,15 @@ def _sites_near(loops: list[list[tuple]], metric: Metric, unit: int):
     """The visit lookup of one evaluation's loops, built once for all
     their legs.
 
-    Line metrics: site ids sorted by coordinate, with the sorted integer
-    coordinates in the unit 1/unit, for bisection.  Other metrics: the
-    co-location group (sites within VISIT_TOL) of every site a loop point
-    names, which is every site a waypoint names.
+    Line metrics: the site ids in the metric's axis order, with their
+    integer coordinates in the unit 1/unit, sorted for bisection.  Other
+    metrics: the co-location group (sites within VISIT_TOL) of every site
+    a loop point names, which is every site a waypoint names.
     """
-    if metric.variant == "line":
-        scaled = [_scale(c, unit) for c in metric.coords]
-        order = sorted(range(metric.n), key=scaled.__getitem__)
-        return [scaled[s] for s in order], order
+    if metric.variant == "line":  # the axis' D divides unit (_visits)
+        D, X, order = metric.axis()
+        m = unit // D
+        return [X[s] * m for s in order], order
     named = {p.site for loop in loops for _, p in loop if isinstance(p, SitePos)}
     if metric.variant == "matrix":
         return {w: [s for s, d in enumerate(metric.matrix[w]) if d <= VISIT_TOL] for w in named}
@@ -281,26 +290,35 @@ def _track_visits(loop: list[tuple], line: bool, near, tol: int) -> dict[int, li
     each pair of consecutive points a leg, `near` is _sites_near and `tol`
     is floor(U * VISIT_TOL)."""
     visits: dict[int, list[tuple]] = {}
+    visit = visits.setdefault
     for (t0, p0), (t1, p1) in zip(loop, loop[1:]):
         if line:
-            lo, hi = min(p0, p1), max(p0, p1)
+            lo, hi = (p0, p1) if p0 <= p1 else (p1, p0)
             keys, order = near
+            a, b = bisect_left(keys, lo - tol), bisect_right(keys, hi + tol)
+            if p0 == p1:
+                span = (t0, t1)
+                for s in order[a:b]:
+                    visit(s, []).append(span)
+                continue
             g = gcd(t1 - t0, hi - lo)  # dt*k/dx = rate*k/step, and step divides k
             rate, step = (t1 - t0) // g, (hi - lo) // g
-            for i in range(bisect_left(keys, lo - tol), bisect_right(keys, hi + tol)):
-                if p0 == p1:
-                    visits.setdefault(order[i], []).append((t0, t1))
-                else:
-                    k, rest = divmod(abs(min(max(keys[i], lo), hi) - p0), step)
-                    assert not rest, "pass-through time off the unit grid"
-                    visits.setdefault(order[i], []).append((tc := t0 + rate * k, tc))
+            for s, x in zip(order[a:b], keys[a:b]):
+                k, rest = divmod(abs((lo if x < lo else hi if x > hi else x) - p0), step)
+                assert not rest, "pass-through time off the unit grid"
+                tc = t0 + rate * k
+                visit(s, []).append((tc, tc))
         elif isinstance(p0, SitePos):
             span = (t0, t1) if p0 == p1 else (t0, t0)
             for s in near[p0.site]:
-                visits.setdefault(s, []).append(span)
-    # The end of each leg is the start of the next, so endpoint visits are
-    # recorded once per leg start; the loop's last point, at t_first+period,
-    # is its first in the next period.
+                visit(s, []).append(span)
+    # Off the line a leg records the visits at its start only: its end is
+    # the next leg's start, and the loop's last point, at t_first + period,
+    # is its first in the next period.  A line leg's bisection window holds
+    # both of its ends, so a site at a waypoint between two legs gets that
+    # instant twice, once from each leg, and a site at the loop's first
+    # point gets t_first and t_first + period.  The max gap is unchanged,
+    # but DEFAULT_EVENT_CAP counts every copy.
     return visits
 
 
@@ -352,7 +370,7 @@ def _visits(schedule: Schedule, metric: Metric) -> tuple[int, list[int], list[di
     unit, loops = _evaluation(schedule, metric)
     line = metric.variant == "line"
     if line:  # the site coordinates' denominators, then the pass-through factor
-        m = lcm(unit, *(c.denominator for c in metric.coords)) // unit
+        m = lcm(unit, metric.axis()[0]) // unit
         m *= lcm(*(abs(x1 - x0) // gcd(x1 - x0, t1 - t0) for loop in loops
                    for (t0, x0), (t1, x1) in zip(loop, loop[1:]) if x1 != x0))
         unit *= m
@@ -379,42 +397,48 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     is checked before any site is unrolled.
     """
     unit, periods, per_track = _visits(schedule, instance.metric)
-    checked, joint_events = [], 0
-    for s in instance.sites:
-        served = [(period, vis[s]) for period, vis in zip(periods, per_track) if s in vis]
+    served_by: list[list] = [[] for _ in instance.sites]  # (period, visits), in track order
+    for period, vis in zip(periods, per_track):
+        for s, visits in vis.items():
+            served_by[s].append((period, visits))
+    joint_events = 0
+    for s, served in enumerate(served_by):
         if not served:
             raise UnvisitedSiteError(s, _name(instance, s))
         # a site one robot serves repeats with its period; only joint sites unroll
         if len(served) == 1:
-            total, events = served[0][0], len(served[0][1])
+            events = len(served[0][1])
         else:
             total = lcm(*(period for period, _ in served))
             events = sum(total // period * len(visits) for period, visits in served)
+            joint_events += events
         if events > DEFAULT_EVENT_CAP:
             raise PeriodOverflowError(
                 f"site {s} needs {events} visit events over the common period; "
                 f"cap is {DEFAULT_EVENT_CAP}"
             )
-        joint_events += events if len(served) > 1 else 0
         if joint_events > DEFAULT_EVENT_CAP:
             raise PeriodOverflowError(f"jointly served sites up to site {s} need {joint_events} "
                                       f"visit events in total; cap is {DEFAULT_EVENT_CAP}")
-        checked.append((s, served, total))
 
-    rows, best = [], None
-    for s, served, total in checked:
-        gap = _max_gap(served[0][1], total) if len(served) == 1 else _joint_gap(served, total)
+    rows, new, weights = [], tuple.__new__, instance.weights
+    best, best_num, best_den = 0, -1, 1
+    for s, served in enumerate(served_by):
+        if len(served) == 1:
+            gap = _max_gap(served[0][1], served[0][0])
+        else:
+            gap = _joint_gap(served, lcm(*(period for period, _ in served)))
         g = gcd(gap, unit)
         num, den = gap // g, unit // g
-        weight = instance.weights[s]
+        weight = weights[s]
         wn, wd = weight.numerator, weight.denominator
         g1, g2 = gcd(num, wd), gcd(wn, den)  # cross-reduced, as Fraction products are
-        row = SiteLatency(s, weight, num, den, num // g1 * (wn // g2), den // g2 * (wd // g1))
-        rows.append(row)
+        wnum, wden = num // g1 * (wn // g2), den // g2 * (wd // g1)
+        rows.append(new(SiteLatency, (s, weight, num, den, wnum, wden)))
         # strict: the first (smallest) site of the highest weighted latency
-        if best is None or row.wnum * best.wden > best.wnum * row.wden:
-            best = row
-    return LatencyReport(tuple(rows), best.weighted, best.site)
+        if wnum * best_den > best_num * wden:
+            best, best_num, best_den = s, wnum, wden
+    return LatencyReport(tuple(rows), Fraction(best_num, best_den), best)
 
 
 def _name(instance: Instance, site: int) -> str | None:

@@ -37,6 +37,7 @@ class Metric:
     from the metric alone: each Euclidean distance, converted once and
     kept under the int i * n + j for its pair i <= j; metric_core.mst per
     (sorted sites, "mst"); metric_core.tree_cover per (sorted sites, t);
+    a line's integer axis, axis(), under "axis";
     and the last schedule measured on it, as (schedule, result) under
     "evaluation" and "visits" (evaluate._evaluation and _visits), found
     again only for that same schedule object.  Threads that race on a slot
@@ -73,6 +74,19 @@ class Metric:
         if d is None:  # setdefault: threads racing here all get one object
             d = self._memo.setdefault(pair, float_to_fraction(math.dist(points[i], points[j])))
         return d
+
+    def axis(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(D, X, order) of a line metric, built once: D is the lcm of the
+        coordinate denominators, X[i] = coords[i] * D as an int, and order
+        the site ids sorted by X, ties by id."""
+        axis = self._memo.get("axis")
+        if axis is None:
+            coords = self.coords
+            D = math.lcm(*{c.denominator for c in coords})
+            X = tuple([c.numerator * (D // c.denominator) for c in coords])
+            order = tuple(sorted(range(len(X)), key=X.__getitem__))
+            axis = self._memo.setdefault("axis", (D, X, order))
+        return axis
 
     def validate(self) -> None:
         data = _METRIC_DATA.get(self.variant)
@@ -168,7 +182,7 @@ class Instance:
         """Site indices sorted by coordinate (ties by index)."""
         if not self.is_line():
             raise InstanceError("not a line instance")
-        return sorted(self.sites, key=lambda i: (self.metric.coords[i], i))
+        return list(self.metric.axis()[2])
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,12 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     if k < 1:
         raise ValueError("k must be positive")
     scale = lcm(*(p.denominator for p in pts))
-    ipts = sorted(p.numerator * (scale // p.denominator) for p in pts)
+    return _cover(sorted(p.numerator * (scale // p.denominator) for p in pts), scale, k)
+
+
+def _cover(ipts: list[int], scale: int, k: int) -> IntervalCover:
+    """min_interval_cover of the sorted ints ipts, which are the points
+    times scale."""
     _, pieces = _min_cover_cap(ipts, k)
     intervals = [(Fraction(ipts[i], scale), Fraction(ipts[j], scale)) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)
@@ -80,7 +85,8 @@ def min_interval_cover(points, k: int) -> IntervalCover:
 
 def solve_line_uniform(instance: Instance, k: int) -> SolveReport:
     """Optimal uniform-weight schedule: disjoint zigzags over a minimum
-    k-interval cover.  The optimum value is 2 * weight * cover length."""
+    k-interval cover of the metric's axis, its coordinates as sorted
+    ints.  The optimum value is 2 * weight * cover length."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("line-uniform needs a line instance")
     w = instance.uniform_weight()
@@ -88,7 +94,8 @@ def solve_line_uniform(instance: Instance, k: int) -> SolveReport:
         raise IncompatibleAlgorithmError("line-uniform needs uniform weights")
     if k < 1:
         raise ValueError("k must be positive")
-    cover = min_interval_cover(instance.metric.coords, k)
+    D, X, order = instance.metric.axis()
+    cover = _cover([X[s] for s in order], D, k)
     tracks = tuple(zigzag_track(a, b) for a, b in cover.intervals)
     optimum = 2 * w * cover.max_length
     return build_report(

@@ -18,7 +18,9 @@ import pytest
 from patrol.cli import EXIT_INVALID, EXIT_OK, main
 from patrol.errors import ScheduleFormatError, UnvisitedSiteError
 from patrol.evaluate import _visits, max_weighted_latency, validate_speed
+from patrol.line_uniform import solve_line_uniform
 from patrol.instance import (
+    Metric,
     dump_instance,
     euclidean_instance,
     line_instance,
@@ -194,10 +196,30 @@ def test_a_metric_keeps_one_schedule():
     measure(first, inst)
     validate_speed(second, inst.metric)
     memo = inst.metric._memo
-    assert {key for key in memo if isinstance(key, str)} == {"evaluation", "visits"}
+    assert {key for key in memo if isinstance(key, str)} == {"axis", "evaluation", "visits"}
     assert memo["evaluation"][0] is second and memo["visits"][0] is first
     max_weighted_latency(second, inst)
     assert memo["evaluation"][0] is second and memo["visits"][0] is second
+
+
+def test_a_line_uniform_solve_builds_its_axis_once(monkeypatch):
+    """The cover, the evaluation and the report of a line-uniform solve
+    all read the one integer axis the metric keeps."""
+    inst = line_instance([Fraction(7, 3), 0, 5, Fraction(1, 2), 5, 9], [2] * 6)
+    reads, builds, axis = [], [], Metric.axis
+
+    def counted(metric):
+        reads.append(metric)
+        if "axis" not in metric._memo:
+            builds.append(metric)
+        return axis(metric)
+
+    monkeypatch.setattr(Metric, "axis", counted)
+    report = solve_line_uniform(inst, 2)
+    report.to_json_dict(seconds=0.0)
+    assert builds == [inst.metric] and len(reads) >= 3
+    assert set(reads) == {inst.metric} and inst.metric._memo["axis"] == (
+        6, (14, 0, 30, 3, 30, 54), (1, 3, 0, 2, 4, 5))
 
 
 @pytest.mark.parametrize("case", CASES)
