@@ -54,8 +54,7 @@ from typing import NamedTuple
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import (_decimal_scale, _format_scaled, format_fraction, format_ratio, to_float,
-                        to_fraction)
+from .rationals import format_fraction, format_ratio, to_float, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
@@ -114,22 +113,15 @@ class LatencyReport:
         return self.per_site[site].latency
 
     def to_json_dict(self) -> dict:
-        """The rows as decimal or "p/q" texts: each distinct weight is
-        formatted once, and each distinct denominator's power of ten
-        (_decimal_scale) is found once per call."""
-        weights, scales, rows = {}, {}, []
+        weights, rows = {}, []  # each distinct weight is formatted once
         for site, w, num, den, wnum, wden in self.per_site:
             key = w.numerator, w.denominator
             weight = weights.get(key)
             if weight is None:
                 weight = weights[key] = format_ratio(*key)
-            if den not in scales:
-                scales[den] = _decimal_scale(den)
-            latency = weighted = _format_scaled(num, den, scales[den])
+            latency = weighted = format_ratio(num, den)
             if wnum != num or wden != den:
-                if wden not in scales:
-                    scales[wden] = _decimal_scale(wden)
-                weighted = _format_scaled(wnum, wden, scales[wden])
+                weighted = format_ratio(wnum, wden)
             rows.append({"site": site, "latency": latency, "weight": weight,
                          "weighted": weighted})
         return {"max_weighted": format_fraction(self.max_weighted),
@@ -401,7 +393,7 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
     for period, vis in zip(periods, per_track):
         for s, visits in vis.items():
             served_by[s].append((period, visits))
-    joint_events = 0
+    joint_events, totals = 0, {}  # totals: each joint site's common period
     for s, served in enumerate(served_by):
         if not served:
             raise UnvisitedSiteError(s, _name(instance, s))
@@ -409,7 +401,7 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
         if len(served) == 1:
             events = len(served[0][1])
         else:
-            total = lcm(*(period for period, _ in served))
+            total = totals[s] = lcm(*(period for period, _ in served))
             events = sum(total // period * len(visits) for period, visits in served)
             joint_events += events
         if events > DEFAULT_EVENT_CAP:
@@ -427,7 +419,7 @@ def max_weighted_latency(schedule: Schedule, instance: Instance) -> LatencyRepor
         if len(served) == 1:
             gap = _max_gap(served[0][1], served[0][0])
         else:
-            gap = _joint_gap(served, lcm(*(period for period, _ in served)))
+            gap = _joint_gap(served, totals[s])
         g = gcd(gap, unit)
         num, den = gap // g, unit // g
         weight = weights[s]

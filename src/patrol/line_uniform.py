@@ -55,28 +55,24 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     by at most k intervals.
 
     The coordinates are scaled to integers by one common denominator D
-    (the lcm of their denominators), and the smallest integer length in
-    [0, span * D] at which the greedy sweep needs at most k intervals is
-    found by bisection: O(log(span * D)) probes, each an early-exit sweep
-    of O(k log n).  This is exact because feasibility is monotone in the
-    length and the optimum is a pairwise coordinate difference (any
-    optimal interval can be shrunk to span exactly its leftmost and
-    rightmost point), which is an integer after scaling.  The cover is
-    the accepted sweep at that length; the points are sorted as ints, and
-    only the ends of its intervals become Fractions again.
+    (the lcm of their distinct denominators), and the smallest integer
+    length in [0, span * D] at which the greedy sweep needs at most k
+    intervals is found by bisection: O(log(span * D)) probes, each an
+    early-exit sweep of O(k log n).  This is exact because feasibility is
+    monotone in the length and the optimum is a pairwise coordinate
+    difference (any optimal interval can be shrunk to span exactly its
+    leftmost and rightmost point), which is an integer after scaling.
+    The cover is the accepted sweep at that length; the points are read
+    once, as (numerator, denominator) pairs, and sorted as ints, and only
+    the ends of its intervals become Fractions again.
     """
-    pts = [p if type(p) is Fraction else Fraction(p) for p in points]
-    if not pts:
+    pairs = [(p if type(p) is Fraction else Fraction(p)).as_integer_ratio() for p in points]
+    if not pairs:
         raise ValueError("no points to cover")
     if k < 1:
         raise ValueError("k must be positive")
-    scale = lcm(*(p.denominator for p in pts))
-    return _cover(sorted(p.numerator * (scale // p.denominator) for p in pts), scale, k)
-
-
-def _cover(ipts: list[int], scale: int, k: int) -> IntervalCover:
-    """min_interval_cover of the sorted ints ipts, which are the points
-    times scale."""
+    scale = lcm(*{den for _, den in pairs})
+    ipts = sorted([num * (scale // den) for num, den in pairs])
     _, pieces = _min_cover_cap(ipts, k)
     intervals = [(Fraction(ipts[i], scale), Fraction(ipts[j], scale)) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)
@@ -85,8 +81,7 @@ def _cover(ipts: list[int], scale: int, k: int) -> IntervalCover:
 
 def solve_line_uniform(instance: Instance, k: int) -> SolveReport:
     """Optimal uniform-weight schedule: disjoint zigzags over a minimum
-    k-interval cover of the metric's axis, its coordinates as sorted
-    ints.  The optimum value is 2 * weight * cover length."""
+    k-interval cover.  The optimum value is 2 * weight * cover length."""
     if not instance.is_line():
         raise IncompatibleAlgorithmError("line-uniform needs a line instance")
     w = instance.uniform_weight()
@@ -94,8 +89,7 @@ def solve_line_uniform(instance: Instance, k: int) -> SolveReport:
         raise IncompatibleAlgorithmError("line-uniform needs uniform weights")
     if k < 1:
         raise ValueError("k must be positive")
-    D, X, order = instance.metric.axis()
-    cover = _cover([X[s] for s in order], D, k)
+    cover = min_interval_cover(instance.metric.coords, k)
     tracks = tuple(zigzag_track(a, b) for a, b in cover.intervals)
     optimum = 2 * w * cover.max_length
     return build_report(

@@ -11,18 +11,15 @@ not that double's exact binary value.
 Numbers are read and written on integers.  A plain ASCII decimal
 [-+]digits[.digits][e[-+]digits] (every float repr and every number
 format_fraction writes) is read as its integer digits times a power of
-ten, a fixed-point one by a single regular-expression match; any other
-text goes to Fraction(text), so each Python version keeps its own rules
-and error messages for those.  A decimal is written by scaling the
-numerator to the denominator's power of ten (format_ratio takes the two
-ints of a ratio already in lowest terms; a writer of many ratios finds
-each denominator's power once, with _decimal_scale), and a number past
-int()'s digit limit or the double range raises ResourceLimitError.
+ten; any other text goes to Fraction(text), so each Python version keeps
+its own rules and error messages for those.  A decimal is written by
+scaling the numerator to the denominator's power of ten (format_ratio
+takes the two ints of a ratio already in lowest terms), and a number
+past int()'s digit limit or the double range raises ResourceLimitError.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from math import isfinite, log2
@@ -33,8 +30,6 @@ from .errors import ResourceLimitError
 Real = Union[int, float, str, Fraction]
 
 _LOG2_5 = log2(5)
-# [-+]digits[.digits] in ASCII, no exponent: to_fraction's fast path
-_FIXED_POINT = re.compile(r"([-+]?)([0-9]*)(?:\.([0-9]*))?").fullmatch
 
 
 def to_fraction(value: Real) -> Fraction:
@@ -45,20 +40,14 @@ def to_fraction(value: Real) -> Fraction:
     repr, so a JSON literal 2.5 parses to exactly 5/2).  A decimal
     exponent may not exceed sys.int_info.default_max_str_digits in
     magnitude, the digit limit int() already puts on strings: "1e10000000"
-    would otherwise take seconds to expand.  A fixed-point ASCII text
-    (no exponent) is read first, and after that check any other plain
-    ASCII decimal: on integers, with the whole and fractional digits
-    converted separately as Fraction(text) does.  Every other string
-    (inner spaces, "_", "E", non-ASCII digits, ...) is Fraction(text)'s
-    to accept or reject.
+    would otherwise take seconds to expand.  That check comes first; a
+    plain ASCII decimal is then read on integers, with its whole and
+    fractional digits converted separately as Fraction(text) does, and
+    every other string (inner spaces, "_", "E", non-ASCII digits, ...)
+    is Fraction(text)'s to accept or reject.
     """
     # strings first: a Fraction check on anything else goes through ABCMeta
     if isinstance(value, str):
-        fixed = _FIXED_POINT(value)
-        if fixed is not None and (fixed[2] or fixed[3]):  # not "", "-", "." ...
-            sign, whole, frac = fixed.groups("")
-            num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
-            return Fraction(-num if sign == "-" else num, 10 ** len(frac))
         text = value.strip()
         if "/" in text:
             num, _, den = text.partition("/")
@@ -125,36 +114,19 @@ def format_fraction(value: Real) -> str:
 
 def format_ratio(num: int, den: int) -> str:
     """format_fraction of num/den, given in lowest terms with den > 0."""
-    return _format_scaled(num, den, _decimal_scale(den))
-
-
-def _decimal_scale(den: int) -> Optional[tuple[int, int]]:
-    """(shift, factor) with den * factor == 10**shift, shift the least such,
-    when den > 0 is of the form 2^a*5^b; None for any other den."""
-    if den == 1:  # integers, the most common case
-        return 0, 1
-    twos = (den & -den).bit_length() - 1
-    odd = den >> twos
-    # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
-    fives = int(odd.bit_length() / _LOG2_5)
-    if 5**fives != odd:
-        return None
-    shift = max(twos, fives)
-    return shift, 5 ** (shift - fives) << (shift - twos)
-
-
-def _format_scaled(num: int, den: int, scale: Optional[tuple[int, int]]) -> str:
-    """format_ratio(num, den) given scale = _decimal_scale(den), which a
-    writer of many numbers computes once per distinct denominator."""
     try:
-        if scale is None:
-            return f"{num}/{den}"
-        shift, factor = scale
-        if shift == 0:
+        if den == 1:
             return str(num)
-        # num / den = num * factor / 10^shift, and the last of its shift
-        # decimals is not 0: num is prime to den
-        digits = str(abs(num) * factor).rjust(shift + 1, "0")
+        twos = (den & -den).bit_length() - 1
+        odd = den >> twos
+        # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
+        fives = int(odd.bit_length() / _LOG2_5)
+        if 5**fives != odd:
+            return f"{num}/{den}"
+        # num / den = num * 5^(shift-fives) * 2^(shift-twos) / 10^shift, and
+        # the last of its shift decimals is not 0: num is prime to den
+        shift = max(twos, fives)
+        digits = str(abs(num) * (5 ** (shift - fives) << (shift - twos))).rjust(shift + 1, "0")
     except ValueError:  # only str(int) raises it: past the digit limit
         limit = sys.get_int_max_str_digits()
         raise ResourceLimitError(f"a number over {limit} digits cannot be written") from None

@@ -27,13 +27,12 @@ left, right, before3, after3, span) with the slacks counted in thirds of
 L, so it does not depend on the L being probed.  For L = p/q and D the
 lcm of the coordinate denominators, the junction rule and the prune
 compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
-with X = D * coords (the metric's axis, Metric.axis) and L/3 is p * D.
-The candidate windows are (numerator, denominator) int pairs until
-probed; Fractions appear only in the windows the search probes, in
-AtomicRep.t_before / t_after and where a Schedule or StandardSchedule is
-returned.  The accepted state is realized and reversed on ints in the
-unit 1/(qD) (_timeline, _mirrored), and the lower bound covers X in the
-axis order (line_lower_bound).
+with X = D * coords and L/3 is p * D.  The candidate windows are
+(numerator, denominator) int pairs until probed; Fractions appear only in
+the windows the search probes, in AtomicRep.t_before / t_after and where a
+Schedule or StandardSchedule is returned.  The accepted state is realized
+and reversed on ints in the unit 1/(qD) (_timeline, _mirrored), and the
+lower bound covers X (line_lower_bound).
 
 What does not depend on L is built once per Instance, not once per
 probe of the window search, in its summary pool: the atomic table
@@ -73,7 +72,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import _visits
-from .instance import Instance, Metric, weight_classes
+from .instance import Instance, weight_classes
 from .line_uniform import _min_cover_cap
 from .rationals import smallest_accepted
 from .report import SolveReport, build_report
@@ -135,19 +134,12 @@ def canonical_path_order(
 
 
 def _scaled(coords: Sequence[Fraction]) -> tuple:
-    """(D, X, low, high) of any coordinates: D is the lcm of their
-    denominators, X the coordinates times D, and low, high as in
-    _extremes.  An instance's own coordinates read D and X from its
-    metric's axis instead."""
+    """(D, X, low, high): D is the lcm of the coordinate denominators, X
+    the coordinates times D, and low[i] = (X[i], i) / high[i] = (X[i], -i)
+    the keys that pick a hull's left / right extreme, ties by index."""
     D = lcm(*(c.denominator for c in coords))
     X = tuple(c.numerator * (D // c.denominator) for c in coords)
-    return (D, X, *_extremes(X))
-
-
-def _extremes(X: Sequence[int]) -> tuple:
-    """(low, high): low[i] = (X[i], i) / high[i] = (X[i], -i), the keys
-    that pick a hull's left / right extreme, ties by index."""
-    return tuple(zip(X, range(len(X)))), tuple(zip(X, range(0, -len(X), -1)))
+    return D, X, tuple(zip(X, range(len(X)))), tuple(zip(X, range(0, -len(X), -1)))
 
 
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
@@ -283,8 +275,7 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 class _SummaryPool:
     """The per-instance tables of the DP, shared by every probe of a
     solve, since none depends on L (slacks count thirds of L): the pair
-    loops run on small ints.  D and X are the metric's axis, low and
-    high their _extremes.
+    loops run on small ints.  D, X, low and high are as in _scaled.
 
     atoms is the atomic table: one row (length3, kill3, id) per coordinate
     class (start, end, left, right) of visiting 4-tuples, in product
@@ -319,8 +310,7 @@ class _SummaryPool:
     plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
-        self.D, self.X, _ = instance.metric.axis()
-        self.low, self.high = _extremes(self.X)
+        self.D, self.X, self.low, self.high = _scaled(instance.metric.coords)
         X = self.X
         values = sorted(set(X))
         steps = [b - a for a, b in zip(values, values[1:])]
@@ -542,18 +532,16 @@ def _partners(prev: list[StateNode], sites, pool, X) -> list[list[StateNode]]:
 
 
 def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedule:
-    pool = _summary_pool(instance).pool
+    coords, pool = instance.metric.coords, _summary_pool(instance).pool
     slots = node.slots()  # [window][robot]
-    tracks = tuple(_realize_track([pool[slot[r]] for slot in slots], instance.metric, L)
+    tracks = tuple(_realize_track([pool[slot[r]] for slot in slots], coords, L)
                    for r in range(len(node.ids)))
     return StandardSchedule(window=L, levels=node.level, robot_waypoints=tracks)
 
 
-def _realize_track(slots: Sequence[AtomicRep], metric: Metric, L: Fraction) -> tuple:
-    """One robot's _timeline as (time, coordinate) Fractions over [0, span*L],
-    on the line metric's axis."""
-    D, X, _ = metric.axis()
-    coords = metric.coords
+def _realize_track(slots: Sequence[AtomicRep], coords, L: Fraction) -> tuple:
+    """One robot's _timeline as (time, coordinate) Fractions over [0, span*L]."""
+    D, X, _, _ = _scaled(coords)
     return tuple((Fraction(t, L.denominator * D), coords[s])
                  for t, s in _timeline(slots, X, L.denominator, L.numerator * D))
 
@@ -723,17 +711,15 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
     """Interval-cover lower bound: within any window equal to a group's
     largest visit gap the robots trace k intervals covering the group: on
-    the axis X, in its order, _min_cover_cap over D is the cover's
-    max_length."""
+    X (_scaled), _min_cover_cap over D is the cover's max_length."""
     if instance.n <= k:
         return Fraction(0)
-    D, X, order = instance.metric.axis()
+    D, X, _, _ = _scaled(instance.metric.coords)
     groups = [members for _, members in weight_classes(instance).classes]
-    groups.append(instance.sites)
+    groups.append(tuple(instance.sites))
     best = Fraction(0)
     for members in groups:
-        inside = set(members)
-        cap, _ = _min_cover_cap([X[s] for s in order if s in inside], k)
+        cap, _ = _min_cover_cap(sorted(X[s] for s in members), k)
         best = max(best, Fraction(cap, D) * min(instance.weights[s] for s in members))
     return best
 

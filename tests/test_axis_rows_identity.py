@@ -1,27 +1,23 @@
-"""The integer line axis, the per-site latency loop and the number I/O
-fast paths against frozen copies of the code they replaced.
+"""The integer line axis and the per-site latency loop against frozen
+copies of the code they replaced.
 
 Before the axis, each reader of a line metric took the lcm of the
-coordinate denominators, scaled and sorted the coordinates itself; the
-latency loop probed every track's visit dict for every site; to_fraction
-read every decimal text through one split-and-check route; and
-format_ratio found a denominator's power of ten on every call.  Each
+coordinate denominators, scaled and sorted the coordinates itself, and
+the latency loop probed every track's visit dict for every site.  Each
 frozen copy below is that code, apart from the error types and the
-helpers that did not change (_evaluation, _max_gap, _joint_gap and the
-off-line _sites_near), so any change in a value, its type, an argmax, a
-row, an error type or its message shows up as a difference.
+helpers that did not change (_evaluation, _max_gap, _joint_gap, the
+off-line _sites_near and format_ratio), so any change in a value, its
+type, an argmax, a row, an error type or its message shows up as a
+difference.
 """
 
 import random
-import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import floor, gcd, lcm
 
-import pytest
-
 from patrol import evaluate
-from patrol.errors import PatrolError, PeriodOverflowError, ResourceLimitError, UnvisitedSiteError
+from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
 from patrol.evaluate import (
     VISIT_TOL,
     LatencyReport,
@@ -32,142 +28,9 @@ from patrol.evaluate import (
     max_weighted_latency,
 )
 from patrol.instance import Metric, line_instance
-from patrol.rationals import (
-    _decimal_scale,
-    _format_scaled,
-    format_fraction,
-    format_ratio,
-    to_fraction,
-)
+from patrol.rationals import format_fraction, format_ratio
 from patrol.schedule import RobotTrack, Schedule, SitePos
 from test_evaluator_identity import euclidean_cases, line_cases, matrix_cases, track, zigzag
-
-LIMIT = sys.int_info.default_max_str_digits
-
-# --- frozen number I/O ------------------------------------------------------
-
-
-def frozen_plain_decimal(text):
-    if not text.isascii():
-        return None
-    mantissa, e, exponent = text.partition("e")
-    whole, _, frac = mantissa.partition(".")
-    sign = whole[:1]
-    if sign == "-" or sign == "+":
-        whole = whole[1:]
-    if not (whole + frac).isdigit():
-        return None
-    if e and not (exponent[1:] if exponent[:1] in ("-", "+") else exponent).isdigit():
-        return None
-    num = int(whole or "0") * 10 ** len(frac) + int(frac or "0")
-    if sign == "-":
-        num = -num
-    shift = (int(exponent) if e else 0) - len(frac)
-    return Fraction(num * 10**shift) if shift >= 0 else Fraction(num, 10**-shift)
-
-
-def frozen_to_fraction(value):
-    """to_fraction on a string, as every text was read."""
-    text = value.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    _, e, exponent = text.lower().partition("e")
-    if e and abs(int(exponent)) > sys.int_info.default_max_str_digits:
-        raise ValueError(f"exponent out of range: {value!r}")
-    f = frozen_plain_decimal(text)
-    return Fraction(text) if f is None else f
-
-
-def frozen_format_ratio(num, den):
-    try:
-        if den == 1:
-            return str(num)
-        twos = (den & -den).bit_length() - 1
-        odd = den >> twos
-        fives = int(odd.bit_length() / 2.321928094887362)
-        if 5**fives != odd:
-            return f"{num}/{den}"
-        shift = max(twos, fives)
-        digits = str(abs(num) * (5 ** (shift - fives) << (shift - twos))).rjust(shift + 1, "0")
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ResourceLimitError(f"a number over {limit} digits cannot be written") from None
-    return f"{'-' if num < 0 else ''}{digits[:-shift]}.{digits[-shift:]}"
-
-
-def outcome(fn, *args):
-    """("ok", result, its type) or (exception type, message)."""
-    try:
-        result = fn(*args)
-    except Exception as exc:  # the exception itself is what is compared
-        return type(exc), str(exc)
-    return "ok", result, type(result)
-
-
-def fixed_point_texts(rng):
-    """Fixed-point texts the fast path takes, and every near miss it
-    must leave to the full route."""
-    out = ["0", "-0", "+0", "-0.0", "5.", ".5", "-.5", "+.5", "-5.", "007.50", "000", "-007",
-           " 2.5 ", "\t-1.25\n", "2.5 ", " 2.5", ".", "-", "+", "", " ", "-.", "+.", "..5",
-           "1.2.3", "--1", "+-1", "1e5", "1E5", "1.5e-3", ".5e1", "5/2", " -10 / 4 ", "1_000",
-           "1 000", "١٢", "١٢.٥", "1.٥", "²", "0x10", "nan", "inf",
-           "1" * LIMIT, "1" * (LIMIT + 1), "0." + "3" * LIMIT, "0." + "3" * (LIMIT + 1),
-           "1" * (LIMIT + 1) + ".5", "-" + "9" * 4300 + "." + "9" * 4300,
-           "1" * 3000 + "." + "2" * 3000]
-    for _ in range(4000):
-        whole = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 20)))
-        frac = "".join(rng.choice("0123456789") for _ in range(rng.randint(0, 20)))
-        text = rng.choice(("", "", "-", "+")) + whole
-        if frac or rng.random() < 0.3:
-            text += "." + frac
-        roll = rng.random()
-        if roll < 0.1:
-            text = rng.choice((" ", "\t", "\n")) + text + rng.choice(("", " "))
-        elif roll < 0.2:
-            text += rng.choice("eE") + rng.choice(("", "-", "+")) + str(rng.randint(0, 40))
-        elif roll < 0.25:
-            at = rng.randint(0, len(text))
-            text = text[:at] + rng.choice(("٣", "_", "/", "x", ".", " ")) + text[at:]
-        out.append(text)
-    return out
-
-
-def test_to_fraction_reads_every_text_as_the_full_route_did():
-    fast = 0
-    for text in fixed_point_texts(random.Random(33)):
-        got = outcome(to_fraction, text)
-        assert got == outcome(frozen_to_fraction, text), text
-        fast += got[0] == "ok" and text.isascii() and not set(text) - set("+-.0123456789")
-    assert fast > 3000
-
-
-def test_format_ratio_with_and_without_the_denominator_table():
-    rng = random.Random(34)
-    dens = [2**a * 5**b for a in range(0, 60, 3) for b in range(0, 60, 4)]
-    dens += [1, 3, 6, 7, 12, 15, 2**10 * 3, 5**9 * 7, 2**31 - 1, 10**20 + 1, 5**400, 2**900]
-    for den in dens:
-        scale = _decimal_scale(den)
-        for num in (0, 1, -1, 3, -7, den - 1, den + 1, rng.randrange(1, 10**25), -(10**30) - 3):
-            g = gcd(num, den)
-            num, d = num // g, den // g
-            want = frozen_format_ratio(num, d)
-            assert format_ratio(num, d) == want, (num, d)
-            if d == den:
-                assert _format_scaled(num, den, scale) == want, (num, den)
-            assert format_fraction(Fraction(num, d)) == want
-
-
-def test_format_ratio_past_the_digit_limit_raises_with_and_without_the_table():
-    digits = sys.get_int_max_str_digits()
-    for value in (Fraction(10**digits), Fraction(-(10**digits) - 1, 2),
-                  Fraction(1, 2**(3 * digits)), Fraction(10**digits + 1, 3)):
-        num, den = value.numerator, value.denominator
-        for write in (lambda: format_ratio(num, den),
-                      lambda: _format_scaled(num, den, _decimal_scale(den)),
-                      lambda: frozen_format_ratio(num, den)):
-            with pytest.raises(ResourceLimitError, match=f"over {digits} digits"):
-                write()
 
 
 # --- the axis -------------------------------------------------------------------
@@ -280,10 +143,10 @@ def frozen_json_dict(report):
         key = s.weight.numerator, s.weight.denominator
         weight = weights.get(key)
         if weight is None:
-            weight = weights[key] = frozen_format_ratio(*key)
-        latency = weighted = frozen_format_ratio(s.num, s.den)
+            weight = weights[key] = format_ratio(*key)
+        latency = weighted = format_ratio(s.num, s.den)
         if (s.wnum, s.wden) != (s.num, s.den):
-            weighted = frozen_format_ratio(s.wnum, s.wden)
+            weighted = format_ratio(s.wnum, s.wden)
         rows.append({"site": s.site, "latency": latency, "weight": weight, "weighted": weighted})
     return {"max_weighted": format_fraction(report.max_weighted),
             "argmax_site": report.argmax_site, "per_site": rows}

@@ -203,8 +203,8 @@ def test_a_metric_keeps_one_schedule():
 
 
 def test_a_line_uniform_solve_builds_its_axis_once(monkeypatch):
-    """The cover, the evaluation and the report of a line-uniform solve
-    all read the one integer axis the metric keeps."""
+    """The evaluation of a line-uniform solve and its report read the one
+    integer axis the metric keeps: its visit lookup and its unit."""
     inst = line_instance([Fraction(7, 3), 0, 5, Fraction(1, 2), 5, 9], [2] * 6)
     reads, builds, axis = [], [], Metric.axis
 
@@ -217,7 +217,7 @@ def test_a_line_uniform_solve_builds_its_axis_once(monkeypatch):
     monkeypatch.setattr(Metric, "axis", counted)
     report = solve_line_uniform(inst, 2)
     report.to_json_dict(seconds=0.0)
-    assert builds == [inst.metric] and len(reads) >= 3
+    assert builds == [inst.metric] and len(reads) >= 2
     assert set(reads) == {inst.metric} and inst.metric._memo["axis"] == (
         6, (14, 0, 30, 3, 30, 54), (1, 3, 0, 2, 4, 5))
 

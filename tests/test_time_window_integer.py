@@ -24,7 +24,7 @@ from patrol import time_window
 from patrol.cli import EXIT_OK, main
 from patrol.errors import ResourceLimitError
 from patrol.generate import generate_instance
-from patrol.instance import Metric, line_instance, round_weights_dyadic
+from patrol.instance import line_instance, round_weights_dyadic
 from patrol.rationals import to_fraction
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
@@ -188,9 +188,9 @@ def reference_levels(instance, k, L):
 
 def reference_realize(node, coords, L):
     """A RefNode replayed into motion, one _realize_track per robot."""
-    slots, metric = node.slots(), Metric("line", coords=tuple(coords))
+    slots = node.slots()
     return StandardSchedule(L, node.level, tuple(
-        time_window._realize_track([slot[r] for slot in slots], metric, L)
+        time_window._realize_track([slot[r] for slot in slots], coords, L)
         for r in range(len(node.reps))))
 
 
