@@ -10,17 +10,18 @@ guards float drift; exact data never needs it).
 An evaluation (_evaluation) reads each track once, as its loop
 (RobotTrack._loop), and runs on ints: a leg is a pair of consecutive
 loop points.  The speed check works in the loops' time unit 1/U, the
-lcm of the denominators of every loop point's time and, on the line,
-coordinate.  _visits refines it on the line: U times what the site
-coordinates' denominators add, times the pass-through factor, the lcm
-of dx // gcd(dx, dt) over moving legs, so that each pass-through time
-t0 + dt*|c - x0|/dx is an integer.  On the line the tolerances become
-floor(U * 1e-9) of the unit in use, exact on int keys.  Off the line a
-leg of distance n/q is too fast when (n*U - dt*q) * 10**9 > U*q, and a
-Euclidean co-location compares the math.dist double with 1e-9, which
-decides exactly as its decimal read would.  A per-site row holds its latency
-and weighted latency as ints in lowest terms, and a Fraction is built
-only where one is read: the report's max, or a row's property.
+common denominator (on_common_denominator) of every loop point's time
+and, on the line, coordinate.  _visits refines it on the line: U times
+what the site coordinates' denominators add, times the pass-through
+factor, the lcm of dx // gcd(dx, dt) over moving legs, so that each
+pass-through time t0 + dt*|c - x0|/dx is an integer.  On the line the
+tolerances become floor(U * 1e-9) of the unit in use, exact on int keys.
+Off the line a leg of distance n/q is too fast when (n*U - dt*q) *
+10**9 > U*q, and a Euclidean co-location compares the math.dist double
+with 1e-9, which decides exactly as its decimal read would.  A per-site
+row holds its latency and weighted latency as ints in lowest terms, and
+a Fraction is built only where one is read: the report's max, or a row's
+property.
 _visits is the one visit rule: the latencies here and the time-window
 check of an accepted schedule both read it.  _evaluation and _visits
 each keep their last result in one slot of the Metric's memo, for the
@@ -54,7 +55,7 @@ from typing import NamedTuple
 
 from .errors import PeriodOverflowError, ScheduleFormatError, UnvisitedSiteError
 from .instance import Instance, Metric
-from .rationals import format_fraction, format_ratio, to_float, to_fraction
+from .rationals import format_fraction, format_ratio, on_common_denominator, to_float, to_fraction
 from .schedule import CoordPos, EdgePos, Position, RoundRobinTrack, Schedule, SitePos
 
 VISIT_TOL = to_fraction("0.000000001")  # 1e-9, absolute: visits and speed checks
@@ -190,10 +191,6 @@ def _check_site_ids(schedule: Schedule, n: int) -> None:
                 raise ScheduleFormatError(f"site {i} is out of range 0..{n - 1}")
 
 
-def _scale(value: Fraction, unit: int) -> int:
-    return value.numerator * (unit // value.denominator)
-
-
 def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tuple]]]:
     """(U, loops): the unit 1/U of the expanded schedule, once its site ids
     are checked, and every track's _loop in it as (t, x) ints, x the
@@ -209,11 +206,11 @@ def _evaluation(schedule: Schedule, metric: Metric) -> tuple[int, list[list[tupl
     line = metric.variant == "line"
     loops = [[(t, _line_coord(p, metric)) if line else (t, p) for t, p in track._loop()]
              for track in schedule.expanded(metric).robots]
-    dens = [t.denominator for loop in loops for t, _ in loop]
-    if line:
-        dens += [x.denominator for loop in loops for _, x in loop]
-    unit = lcm(*dens)
-    evaluation = unit, [[(_scale(t, unit), _scale(x, unit) if line else x) for t, x in loop]
+    # every time and, on the line, every coordinate, in loop order
+    unit, ints = on_common_denominator([v for loop in loops for point in loop
+                                        for v in (point if line else point[:1])])
+    ints = iter(ints)
+    evaluation = unit, [[(next(ints), next(ints) if line else x) for _, x in loop]
                         for loop in loops]
     metric._memo["evaluation"] = schedule, evaluation
     return evaluation

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InstanceError
-from .rationals import float_to_fraction, format_fraction, to_fraction
+from .rationals import float_to_fraction, format_fraction, on_common_denominator, to_fraction
 
 TRIANGLE_TOL = 1e-9
 _METRIC_DATA = {"line": "coords", "matrix": "matrix", "euclidean": "points"}
@@ -78,14 +78,12 @@ class Metric:
     def axis(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
         """(D, X, order) of a line metric, built once: D is the lcm of the
         coordinate denominators, X[i] = coords[i] * D as an int, and order
-        the site ids sorted by X, ties by id."""
+        the site ids sorted by X, ties by id: the line's one integer table."""
         axis = self._memo.get("axis")
         if axis is None:
-            coords = self.coords
-            D = math.lcm(*{c.denominator for c in coords})
-            X = tuple([c.numerator * (D // c.denominator) for c in coords])
+            D, X = on_common_denominator(self.coords)
             order = tuple(sorted(range(len(X)), key=X.__getitem__))
-            axis = self._memo.setdefault("axis", (D, X, order))
+            axis = self._memo.setdefault("axis", (D, tuple(X), order))
         return axis
 
     def validate(self) -> None:

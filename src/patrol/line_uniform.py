@@ -11,11 +11,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-
 from .errors import IncompatibleAlgorithmError
 from .instance import Instance
-from .rationals import smallest_accepted
+from .rationals import on_common_denominator, smallest_accepted
 from .report import SolveReport, build_report
 from .schedule import Schedule, zigzag_track
 
@@ -63,16 +61,15 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     difference (any optimal interval can be shrunk to span exactly its
     leftmost and rightmost point), which is an integer after scaling.
     The cover is the accepted sweep at that length; the points are read
-    once, as (numerator, denominator) pairs, and sorted as ints, and only
-    the ends of its intervals become Fractions again.
+    once, by on_common_denominator, and sorted as ints, and only the ends
+    of its intervals become Fractions again.
     """
-    pairs = [(p if type(p) is Fraction else Fraction(p)).as_integer_ratio() for p in points]
-    if not pairs:
+    scale, ipts = on_common_denominator(p if type(p) is Fraction else Fraction(p) for p in points)
+    if not ipts:
         raise ValueError("no points to cover")
     if k < 1:
         raise ValueError("k must be positive")
-    scale = lcm(*{den for _, den in pairs})
-    ipts = sorted([num * (scale // den) for num, den in pairs])
+    ipts.sort()
     _, pieces = _min_cover_cap(ipts, k)
     intervals = [(Fraction(ipts[i], scale), Fraction(ipts[j], scale)) for i, j in pieces]
     max_len = max(b - a for a, b in intervals)

@@ -11,12 +11,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from math import dist, lcm
+from itertools import accumulate, islice
+from math import dist
 from typing import Optional, Sequence
 
 from .instance import Metric
-from .rationals import smallest_accepted
+from .rationals import on_common_denominator, smallest_accepted
 
 TREE_COVER_BETA = 4  # approximation factor of tree_cover, used by all thresholds
 
@@ -31,10 +31,9 @@ class Tree:
 
     @staticmethod
     def build(vertices: Sequence[int], edges: Sequence[tuple[int, int, Fraction]]) -> "Tree":
-        """The lengths are summed as ints over the lcm of their denominators."""
-        M = lcm(*(e[2].denominator for e in edges))
-        total = Fraction(sum(e[2].numerator * (M // e[2].denominator) for e in edges), M)
-        return Tree(tuple(vertices), tuple(edges), total)
+        """The lengths are summed as ints over their common denominator."""
+        M, lengths = on_common_denominator([e[2] for e in edges])
+        return Tree(tuple(vertices), tuple(edges), Fraction(sum(lengths), M))
 
 
 def _adjacency(vertices: Sequence[int], edges: Sequence[tuple[int, int, Fraction]]
@@ -142,9 +141,8 @@ def _preorder(adj: dict[int, list[int]], start: int) -> tuple[int, ...]:
 def _walk_lengths(order: Sequence[int], metric: Metric) -> tuple[int, list[int]]:
     """(M, prefix): the prefix sums (starting at 0) of a vertex walk's step
     lengths, as ints in units of 1/M, M the lcm of the steps' denominators."""
-    steps = [metric.distance(a, b) for a, b in zip(order, order[1:])]
-    M = lcm(*(d.denominator for d in steps))
-    return M, list(accumulate((d.numerator * (M // d.denominator) for d in steps), initial=0))
+    M, steps = on_common_denominator([metric.distance(a, b) for a, b in zip(order, order[1:])])
+    return M, list(accumulate(steps, initial=0))
 
 
 def tree_to_tour(tree: Tree, start: int, metric: Metric) -> Tour:
@@ -269,10 +267,10 @@ def _search_cover(sites: Sequence[int], metric: Metric, t: int) -> TreeCover:
                     order = _preorder(forest, v)
                     seen.update(order)
                     comps.append((order, [metric.distance(a, b) for a, b in zip(order, order[1:])]))
-            M = lcm(*(d.denominator for _, steps in comps for d in steps))
+            M, scaled = on_common_denominator([d for _, steps in comps for d in steps])
+            scaled = iter(scaled)
             regimes[kept] = M, [
-                (order, steps, list(accumulate((d.numerator * (M // d.denominator) for d in steps),
-                                               initial=0)))
+                (order, steps, list(accumulate(islice(scaled, len(steps)), initial=0)))
                 for order, steps in comps
             ]
         return regimes[kept]

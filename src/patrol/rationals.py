@@ -1,5 +1,6 @@
-"""Exact rational parsing, formatting, and the one bisection for the
-smallest integer a monotone test accepts.
+"""Exact rational parsing, formatting, the one exact-to-integer scaling
+rule (on_common_denominator), and the one bisection for the smallest
+integer a monotone test accepts.
 
 All times and 1D coordinates in this package are `fractions.Fraction`
 values so that visit times, periods and latencies come out exact on
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isfinite, log2
-from typing import Callable, Optional, Union
+from math import isfinite, lcm, log2
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import ResourceLimitError
 
@@ -139,6 +140,15 @@ def to_float(value: Fraction) -> float:
         return float(value)
     except OverflowError:
         raise ResourceLimitError("a number past the double range cannot be written") from None
+
+
+def on_common_denominator(values: Iterable[Union[int, Fraction]]) -> tuple[int, list[int]]:
+    """(M, ints): M the lcm of the values' distinct denominators (1 for no
+    values) and each value times M, an int, in input order.  Each value,
+    an int or a Fraction, is read once, through as_integer_ratio."""
+    pairs = [v.as_integer_ratio() for v in values]
+    M = lcm(*{den for _, den in pairs})
+    return M, [num * (M // den) for num, den in pairs]
 
 
 def smallest_accepted(lo: int, hi: int, probe: Callable) -> tuple:

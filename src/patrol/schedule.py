@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 from .errors import ResourceLimitError, ScheduleFormatError
 from .instance import Metric
-from .rationals import format_fraction, to_fraction
+from .rationals import format_fraction, on_common_denominator, to_fraction
 
 EXPAND_ROUND_CAP = 2_000_000  # rounds a round-robin track may take to close
 
@@ -174,9 +174,9 @@ def expand_round_robin(
     first = (Fraction(0), SitePos(start))
     if not moves:
         return RobotTrack(Fraction(1), (first,))
-    # the step times are summed as ints over the lcm of the steps' denominators
-    M = lcm(*(step.denominator for step, _ in moves))
-    times = accumulate(step.numerator * (M // step.denominator) for step, _ in moves)
+    # the step times are summed as ints over the steps' common denominator
+    M, steps = on_common_denominator([step for step, _ in moves])
+    times = accumulate(steps)
     waypoints = [first] + [(Fraction(t, M), SitePos(v)) for t, (_, v) in zip(times, moves)]
     # the last waypoint is where the track wraps to its start
     return RobotTrack(waypoints[-1][0], tuple(waypoints[:-1]))

@@ -24,15 +24,16 @@ same visits, which the metric's memo keeps.
 
 There is one summary form, AtomicRep: a tuple of ints (start, end,
 left, right, before3, after3, span) with the slacks counted in thirds of
-L, so it does not depend on the L being probed.  For L = p/q and D the
-lcm of the coordinate denominators, the junction rule and the prune
-compare integers in units of 1/(3qD), where coordinate i is 3q * X[i]
-with X = D * coords and L/3 is p * D.  The candidate windows are
-(numerator, denominator) int pairs until probed; Fractions appear only in
-the windows the search probes, in AtomicRep.t_before / t_after and where a
-Schedule or StandardSchedule is returned.  The accepted state is realized
-and reversed on ints in the unit 1/(qD) (_timeline, _mirrored), and the
-lower bound covers X (line_lower_bound).
+L, so it does not depend on the L being probed.  For L = p/q and the
+line metric's axis (Metric.axis: D the lcm of the coordinate
+denominators, X = D * coords), the junction rule and the prune compare
+integers in units of 1/(3qD), where coordinate i is 3q * X[i] and L/3 is
+p * D.  The candidate windows are (numerator, denominator) int pairs
+until probed; Fractions appear only in the windows the search probes, in
+AtomicRep.t_before / t_after and where a Schedule or StandardSchedule is
+returned.  The accepted state is realized and reversed on ints in the
+unit 1/(qD) (_timeline, _mirrored), and the lower bound covers X
+(line_lower_bound).
 
 What does not depend on L is built once per Instance, not once per
 probe of the window search, in its summary pool: the atomic table
@@ -67,14 +68,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from math import floor, gcd, inf, lcm
+from math import gcd, inf
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import IncompatibleAlgorithmError, ResourceLimitError
 from .evaluate import _visits
 from .instance import Instance, weight_classes
 from .line_uniform import _min_cover_cap
-from .rationals import smallest_accepted
+from .rationals import on_common_denominator, smallest_accepted
 from .report import SolveReport, build_report
 from .schedule import CoordPos, RobotTrack, Schedule, stationary_track
 
@@ -133,22 +134,14 @@ def canonical_path_order(
     return [s, right, left, e]
 
 
-def _scaled(coords: Sequence[Fraction]) -> tuple:
-    """(D, X, low, high): D is the lcm of the coordinate denominators, X
-    the coordinates times D, and low[i] = (X[i], i) / high[i] = (X[i], -i)
-    the keys that pick a hull's left / right extreme, ties by index."""
-    D = lcm(*(c.denominator for c in coords))
-    X = tuple(c.numerator * (D // c.denominator) for c in coords)
-    return D, X, tuple(zip(X, range(len(X)))), tuple(zip(X, range(0, -len(X), -1)))
-
-
 def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
     """All single-window summaries: every visiting 4-tuple (start, end,
     left, right), in product order, whose canonical tour fits in L/3,
     plus the single pure-travel summary.  The tour's length times 3D is
     _SummaryPool's length3."""
     summaries = _summary_pool(instance)
-    cap = floor(L * summaries.D)  # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D)
+    # 3 * tour <= L  <=>  3 * D * tour <= floor(L * D), _atom_ids' cap
+    cap = L.numerator * summaries.D // L.denominator
     sites = list(enumerate(summaries.X))
     return [AtomicRep(s, e, left, right, 0, 2, 1)
             for s, xs in sites for e, xe in sites
@@ -157,10 +150,11 @@ def enumerate_atomics(instance: Instance, L: Fraction) -> list[AtomicRep]:
             if xr >= max(xs, xe) and 6 * (xr - xl) - 3 * abs(xs - xe) <= cap] + [type_two()]
 
 
-def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
+def _junction(a: tuple, b: tuple, X) -> tuple:
     """(key, gap, slack3): the integer summary of running a then b, the
     scaled travel |X[a.end] - X[b.start]| between them (0 when either is
-    pure travel) and the thirds of L available for it.  None of it reads
+    pure travel) and the thirds of L available for it; the hull keeps the
+    outer extreme of each side, ties to the lower index.  None of it reads
     L: at L = p/q the join fits when 3q * gap <= slack3 * p * D.  The rules
     are span-agnostic, which also makes concatenation associative.
     """
@@ -172,18 +166,19 @@ def _junction(a: tuple, b: tuple, X, low, high) -> tuple:
         return (s2, e2, lo2, hi2, after + before2, after2, span + span2), 0, 0
     if s2 is None:
         return (s, e, lo, hi, before, after + after2, span + span2), 0, 0
-    return ((s, e2, lo if low[lo] <= low[lo2] else lo2, hi if high[hi] >= high[hi2] else hi2,
-             before, after2, span + span2), abs(X[e] - X[s2]), after + before2)
+    left = lo if (X[lo], lo) <= (X[lo2], lo2) else lo2
+    right = hi if (X[hi], -hi) >= (X[hi2], -hi2) else hi2
+    return (s, e2, left, right, before, after2, span + span2), abs(X[e] - X[s2]), after + before2
 
 
 def concat(
     a: AtomicRep, b: AtomicRep, L: Fraction, coords: Sequence[Fraction]
 ) -> Optional[AtomicRep]:
     """Summary of running a then b, or None when the junction travel does
-    not fit in the available slack: the DP's junction rule on the scaled
-    coordinates."""
-    D, X, low, high = _scaled(coords)
-    key, gap, slack3 = _junction(a, b, X, low, high)
+    not fit in the available slack: the DP's junction rule on the
+    coordinates over their common denominator D (on_common_denominator)."""
+    D, X = on_common_denominator(coords)
+    key, gap, slack3 = _junction(a, b, X)
     if 3 * L.denominator * gap > slack3 * L.numerator * D:
         return None
     return AtomicRep._make(key)
@@ -275,7 +270,8 @@ def _prune(states: list[StateNode], instance: Instance, L: Fraction) -> list[Sta
 class _SummaryPool:
     """The per-instance tables of the DP, shared by every probe of a
     solve, since none depends on L (slacks count thirds of L): the pair
-    loops run on small ints.  D, X, low and high are as in _scaled.
+    loops run on small ints.  D and X are the line metric's axis
+    (Metric.axis): the coordinates times D, the lcm of their denominators.
 
     atoms is the atomic table: one row (length3, kill3, id) per coordinate
     class (start, end, left, right) of visiting 4-tuples, in product
@@ -310,7 +306,7 @@ class _SummaryPool:
     plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
-        self.D, self.X, self.low, self.high = _scaled(instance.metric.coords)
+        self.D, self.X, _ = instance.metric.axis()
         X = self.X
         values = sorted(set(X))
         steps = [b - a for a, b in zip(values, values[1:])]
@@ -371,7 +367,7 @@ class _SummaryPool:
 
     def join(self, a: int, b: int) -> tuple[int, int, int]:
         """Compute and keep joins[a, b]."""
-        key, gap, slack3 = _junction(self.pool[a], self.pool[b], self.X, self.low, self.high)
+        key, gap, slack3 = _junction(self.pool[a], self.pool[b], self.X)
         got = self.joins[a, b] = (self.intern(key), gap, slack3)
         return got
 
@@ -541,7 +537,7 @@ def _realize(node: StateNode, instance: Instance, L: Fraction) -> StandardSchedu
 
 def _realize_track(slots: Sequence[AtomicRep], coords, L: Fraction) -> tuple:
     """One robot's _timeline as (time, coordinate) Fractions over [0, span*L]."""
-    D, X, _, _ = _scaled(coords)
+    D, X = on_common_denominator(coords)
     return tuple((Fraction(t, L.denominator * D), coords[s])
                  for t, s in _timeline(slots, X, L.denominator, L.numerator * D))
 
@@ -641,15 +637,14 @@ def cyclify(std: StandardSchedule) -> Schedule:
     """Infinite periodic schedule: run the standard schedule, then its
     time reversal, with period twice the duration.  Each site's visit gap
     at most doubles relative to its window spacing.  The reversal runs on
-    the times over one common denominator (_mirrored)."""
+    the duration and times over one common denominator (_mirrored)."""
     D, tracks = std.duration, []
     for wps in std.robot_waypoints:
         if D == 0 or len(wps) == 1:
             tracks.append(stationary_track(CoordPos(wps[0][1])))
             continue
-        den = lcm(D.denominator, *(t.denominator for t, _ in wps))
-        pts = _mirrored([(t.numerator * (den // t.denominator), x) for t, x in wps],
-                        D.numerator * (den // D.denominator))
+        den, (duration, *times) = on_common_denominator([D, *(t for t, _ in wps)])
+        pts = _mirrored(list(zip(times, (x for _, x in wps))), duration)
         tracks.append(RobotTrack(2 * D, tuple((Fraction(t, den), CoordPos(x)) for t, x in pts)))
     return Schedule(tuple(tracks))
 
@@ -711,10 +706,10 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
     """Interval-cover lower bound: within any window equal to a group's
     largest visit gap the robots trace k intervals covering the group: on
-    X (_scaled), _min_cover_cap over D is the cover's max_length."""
+    the metric's axis X, _min_cover_cap over D is the cover's max_length."""
     if instance.n <= k:
         return Fraction(0)
-    D, X, _, _ = _scaled(instance.metric.coords)
+    D, X, _ = instance.metric.axis()
     groups = [members for _, members in weight_classes(instance).classes]
     groups.append(tuple(instance.sites))
     best = Fraction(0)

@@ -30,6 +30,7 @@ from patrol.evaluate import (
 from patrol.instance import Metric, line_instance
 from patrol.rationals import format_fraction, format_ratio
 from patrol.schedule import RobotTrack, Schedule, SitePos
+from patrol.time_window import _summary_pool, solve_line_weighted
 from test_evaluator_identity import euclidean_cases, line_cases, matrix_cases, track, zigzag
 
 
@@ -51,6 +52,17 @@ def test_axis_is_the_lcm_scale_and_stable_sort():
         assert axis == (D, X, order) and all(type(x) is int for x in axis[1])
         assert metric.axis() is axis and metric._memo["axis"] is axis
         assert line_instance(coords, [1] * n).sorted_line_order() == list(order)
+
+
+def test_a_line_instance_holds_one_axis():
+    """The time-window solve keeps no integer coordinates of its own: its
+    summary pool reads the metric's axis, and keeps no tie-key tables."""
+    inst = line_instance([Fraction(1, 3), 2, 2, Fraction(5, 7), Fraction(9, 2)], [1, 2, 1, 4, 2])
+    solve_line_weighted(inst, 2)
+    pool = _summary_pool(inst)
+    D, X, _ = inst.metric.axis()
+    assert pool.X is X and pool.D == D
+    assert not hasattr(pool, "low") and not hasattr(pool, "high")
 
 
 # --- frozen per-site latency loop -------------------------------------------------

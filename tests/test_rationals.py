@@ -1,10 +1,12 @@
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from patrol.rationals import format_fraction, to_fraction
+from patrol.rationals import format_fraction, on_common_denominator, to_fraction
 
 
 def lcm_fractions(values):
@@ -79,3 +81,24 @@ def test_parse_bounds_decimal_exponent():
     for text in (f"1e{limit + 1}", f"-1e-{limit + 1}", "1E+10000000", "1e1_000_000"):
         with pytest.raises(ValueError, match="exponent out of range"):
             to_fraction(text)
+
+
+numbers = st.one_of(
+    st.integers(-(10**30), 10**30),
+    st.fractions(max_denominator=10**6),
+    st.builds(Fraction, st.integers(-(10**9), 10**9), st.sampled_from((2, 3, 5, 7, 11, 13, 97))),
+)
+
+
+@given(st.lists(numbers, max_size=12))
+@example([])
+@example([3, -4, 0])
+@example([Fraction(-1, 2), Fraction(2, 3), Fraction(-4, 5), Fraction(6, 7), Fraction(1, 11)])
+@example([Fraction(1, 6), Fraction(1, 6), Fraction(-5, 4), 7])
+def test_on_common_denominator_is_the_lcm_scale(values):
+    """M is the lcm of the values' denominators (1 for none), and each int
+    over M is its value, in input order, with int inputs read as n/1."""
+    M, ints = on_common_denominator(iter(values))
+    assert M == lcm(*(Fraction(v).denominator for v in values))
+    assert all(type(i) is int for i in ints)
+    assert [Fraction(i, M) for i in ints] == [Fraction(v) for v in values]

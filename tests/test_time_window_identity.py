@@ -21,7 +21,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
-from math import inf
+from math import inf, lcm
 
 import pytest
 
@@ -234,12 +234,19 @@ def test_dp_levels_and_solves_match_reference(dp_cases, request):
     assert got == want
 
 
+def frozen_scaled(coords):
+    """(D, X): D the lcm of the coordinate denominators, X the coordinates
+    times D, as the pool first scaled them."""
+    D = lcm(*(c.denominator for c in coords))
+    return D, tuple(c.numerator * (D // c.denominator) for c in coords)
+
+
 def reference_summary_pool(instance):
     """_SummaryPool as it was first built: the whole atomic table row by
     row, then each atom of it interned through intern, one row at a time.
     The table itself is not kept: the pool holds only its atoms."""
     pool = object.__new__(time_window._SummaryPool)
-    pool.D, pool.X, pool.low, pool.high = time_window._scaled(instance.metric.coords)
+    pool.D, pool.X = frozen_scaled(instance.metric.coords)
     X = pool.X
     values = sorted(set(X))
     steps = [b - a for a, b in zip(values, values[1:])]
@@ -270,7 +277,7 @@ def reference_summary_pool(instance):
     return pool
 
 
-POOL_TABLES = ("D", "X", "low", "high", "level_sites", "pool", "ids", "masks",
+POOL_TABLES = ("D", "X", "level_sites", "pool", "ids", "masks",
                "slack3s", "widths", "hulls", "joins", "atoms", "travel")
 
 
@@ -312,7 +319,7 @@ def whole_table_summary_pool(instance):
     row whose sites were each the lowest index of its coordinate was
     its class's atom, interned as it was made."""
     pool = object.__new__(time_window._SummaryPool)
-    pool.D, pool.X, pool.low, pool.high = time_window._scaled(instance.metric.coords)
+    pool.D, pool.X = frozen_scaled(instance.metric.coords)
     X = pool.X
     values = sorted(set(X))
     steps = [b - a for a, b in zip(values, values[1:])]
@@ -383,7 +390,7 @@ def test_table_leaves_metric_identity_alone():
     twin = line_instance([Fraction(1, 3), 2, 2, Fraction(5, 7)], [1, 2, 3, 4])
     before = (hash(inst.metric), repr(inst.metric), dump_instance(inst))
     enumerate_atomics(inst, Fraction(10))
-    assert "summaries" in inst._memo and not twin._memo and not inst.metric._memo
+    assert "summaries" in inst._memo and not twin._memo and set(inst.metric._memo) == {"axis"}
     assert inst.metric == twin.metric and inst == twin
     assert (hash(inst.metric), repr(inst.metric), dump_instance(inst)) == before
     table = time_window._summary_pool(inst)
@@ -502,8 +509,7 @@ def prune_inputs(instance, k, L):
         for left, right in product(prev, repeat=2):
             out = []
             for a, b in zip(left.ids, right.ids):
-                key, gap, slack3 = time_window._junction(
-                    pool.pool[a], pool.pool[b], pool.X, pool.low, pool.high)
+                key, gap, slack3 = time_window._junction(pool.pool[a], pool.pool[b], pool.X)
                 if scale * gap > slack3 * per_third:
                     break
                 out.append(pool.intern(key))
