@@ -205,17 +205,15 @@ def round_weights_dyadic(instance: Instance) -> tuple[WeightClasses, list[Fracti
     the identity.
     """
     scale = max(instance.weights)
-    rounded: list[Fraction] = []
     exponents: list[int] = []
     for w in instance.weights:
-        # the largest j with p << j <= q, for p / q = w / scale <= 1
-        scaled = w / scale
-        p, q = scaled.numerator, scaled.denominator
+        # the largest j with p << j <= q, for p / q = w / scale <= 1 on ints
+        p, q = w.numerator * scale.denominator, w.denominator * scale.numerator
         j = q.bit_length() - p.bit_length()
         if p << j > q:
             j -= 1
         exponents.append(j)
-        rounded.append(Fraction(1, 2**j))
+    rounded = [Fraction(1, 1 << j) for j in exponents]
     m = max(exponents)
     grouped: dict[int, list[int]] = {}
     for site, j in enumerate(exponents):

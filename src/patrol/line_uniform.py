@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import nlargest
 from .errors import IncompatibleAlgorithmError
 from .instance import Instance
 from .rationals import on_common_denominator, smallest_accepted
@@ -44,8 +45,15 @@ def _greedy_cover(ipts: list[int], length: int, limit: int) -> list[tuple[int, i
 
 def _min_cover_cap(ipts: list[int], k: int) -> tuple[int, list[tuple[int, int]]]:
     """The smallest integer length at which _greedy_cover covers the
-    sorted ints ipts with at most k intervals, and that sweep's pairs."""
-    return smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
+    sorted ints ipts with at most k intervals, and that sweep's pairs.
+    Only [ceil((span - G) / k), span // k] is bisected, G the k - 1 largest
+    gaps summed, as acceptance is monotone: a cover's k runs of extent <= c
+    and k - 1 gaps make up its span, and at the top c the sweep's starts
+    are over c apart, so its k-th interval, if any, reaches ipts[-1]."""
+    span = ipts[-1] - ipts[0]
+    uncovered = sum(nlargest(k - 1, [b - a for a, b in zip(ipts, ipts[1:])]))
+    return smallest_accepted(-((uncovered - span) // k), span // k,
+                             lambda cap: _greedy_cover(ipts, cap, k))
 
 
 def min_interval_cover(points, k: int) -> IntervalCover:
@@ -55,11 +63,11 @@ def min_interval_cover(points, k: int) -> IntervalCover:
     The coordinates are scaled to integers by one common denominator D
     (the lcm of their distinct denominators), and the smallest integer
     length in [0, span * D] at which the greedy sweep needs at most k
-    intervals is found by bisection: O(log(span * D)) probes, each an
-    early-exit sweep of O(k log n).  This is exact because feasibility is
-    monotone in the length and the optimum is a pairwise coordinate
-    difference (any optimal interval can be shrunk to span exactly its
-    leftmost and rightmost point), which is an integer after scaling.
+    intervals is found by bisecting _min_cover_cap's bracket: O(log(span *
+    D)) probes, each an early-exit sweep of O(k log n).  This is exact as
+    feasibility is monotone in the length and the optimum is a pairwise
+    coordinate difference (any optimal interval can be shrunk to span
+    exactly its leftmost and rightmost point), an integer after scaling.
     The cover is the accepted sweep at that length; the points are read
     once, by on_common_denominator, and sorted as ints, and only the ends
     of its intervals become Fractions again.

@@ -40,11 +40,11 @@ probe of the window search, in its summary pool: the atomic table
 (every visiting 4-tuple with its integer-scaled tour length and the
 half-open range of caps on which the atom prune keeps it; one dominates
 another exactly when they share start and end coordinates and its hull
-contains the other's; one pass builds it and interns its atoms), each
-summary interned once with its hull mask over its weight class's sites
-and the two ints its score is made of, and every join with the one
-integer compare that decides it at a given L.  A DP state is its
-summaries' pool ids.  Per probe, level by level:
+contains the other's; built hull-major, each hull's terms once, then
+one pass over the 4-tuples), each summary interned once with its hull
+mask over its weight class's sites and the two ints its score is made
+of, and every join with the one integer compare that decides it at a
+given L.  A DP state is its summaries' pool ids.  Per probe, level by level:
 
 - level 0: the cap filter over the atoms and the covering k-tuples of
   them, ranked by score; no tuple of pruned atoms dominates another, so
@@ -297,13 +297,14 @@ class _SummaryPool:
     read the weight classes, so the pool lives on the Instance, not on
     its Metric.
 
-    The table is built in one pass over the 4-tuples of those lowest
-    sites, each its class's atom, so each takes the next id as it is
-    made, with the level-0 hull mask computed once per (left, right);
-    ids 0 .. len(atoms) - 1 are the atoms in table order and travel
-    comes next.  intern, which the joins use, takes _junction's plain
-    tuples and AtomicReps alike (an AtomicRep equals and hashes like its
-    plain tuple) and builds an AtomicRep only for a new plain tuple."""
+    The table is built hull-major: each (left, right) hull of those
+    lowest sites has its 6 * width, kill offset (None with no wider hull),
+    level-0 mask and width computed once, and one pass over the 4-tuples
+    of those sites, each its class's atom, reads them; each takes the next
+    id as it is made: ids 0 .. len(atoms) - 1 are the atoms in table order
+    and travel comes next.  intern, which the joins use, takes _junction's
+    plain tuples and AtomicReps alike (an AtomicRep equals and hashes like
+    its plain tuple) and builds an AtomicRep only for a new plain tuple."""
 
     def __init__(self, instance: Instance):
         self.D, self.X, _ = instance.metric.axis()
@@ -322,29 +323,30 @@ class _SummaryPool:
         pool, ids, masks, widths, hulls = self.pool, self.ids, self.masks, self.widths, self.hulls
         sites = [(bit, X[s]) for bit, s in enumerate(self.level_sites.get(0, ()))]
         leads = [(i, x) for i, x in enumerate(X) if X.index(x) == i]  # one site per coordinate
+        hull = {}  # (left, right): 6 * width, kill offset (None: none wider), mask, width
+        for (left, xl), (right, xr) in product(leads, leads):
+            if xl <= xr:
+                step = min(step_left.get(xl, inf), step_right.get(xr, inf))
+                mask = hulls[1, left, right] = sum(1 << bit for bit, x in sites if xl <= x <= xr)
+                hull[left, right] = 6 * (xr - xl), None if step == inf else 6 * step, mask, xr - xl
+        lefts = {x: [left for left, xl in leads if xl <= x] for _, x in leads}
+        rights = {x: [right for right, xr in leads if xr >= x] for _, x in leads}
         new = tuple.__new__  # AtomicRep(...) without its Python-level __new__
         for s, xs in leads:
             for e, xe in leads:
                 lo, hi = (xs, xe) if xs <= xe else (xe, xs)
                 ends3 = 3 * (hi - lo)
-                rights = [(r, xr) for r, xr in leads if xr >= hi]
-                for left, xl in leads:
-                    if xl > lo:
-                        continue
-                    for right, xr in rights:
-                        length3 = 6 * (xr - xl) - ends3
-                        widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
-                        kill3 = length3 + 6 * widen if widen < inf else inf
-                        mask = hulls.get((1, left, right))
-                        if mask is None:
-                            mask = hulls[1, left, right] = sum(
-                                1 << bit for bit, x in sites if xl <= x <= xr)
+                for left in lefts[lo]:
+                    for right in rights[hi]:
+                        six, kill6, mask, width = hull[left, right]
+                        length3 = six - ends3
                         rep = new(AtomicRep, (s, e, left, right, 0, 2, 1))
+                        kill3 = inf if kill6 is None else length3 + kill6
                         atoms.append((length3, kill3, len(pool)))
                         ids[rep] = len(pool)
                         pool.append(rep)
                         masks.append(mask)
-                        widths.append(xr - xl)
+                        widths.append(width)
         self.slack3s: list[int] = [2] * len(pool)  # an atom's slacks are (0, 2)
         self.travel = self.intern(type_two())
 
@@ -684,8 +686,8 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
         raise ResourceLimitError(f"{len(gaps)} gaps x {budgets} candidates exceed the state cap")
     # tour fits length3 / D, and a gap g / D over a budget of (2/3 + hops)
     # windows, as reduced (numerator, denominator) pairs
-    values = {(length3, D) for length3, _, _ in summaries.atoms}
-    values.update((3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets))
+    values = [(length3, D) for length3 in {length3 for length3, _, _ in summaries.atoms}]
+    values += [(3 * g, D * (2 + 3 * hops)) for g in gaps for hops in range(budgets)]
     reduced = set()
     for num, den in values:
         d = gcd(num, den)
@@ -706,17 +708,23 @@ def _candidates(instance: Instance, k: int) -> list[tuple[int, int]]:
 def line_lower_bound(instance: Instance, k: int) -> Fraction:
     """Interval-cover lower bound: within any window equal to a group's
     largest visit gap the robots trace k intervals covering the group: on
-    the metric's axis X, _min_cover_cap over D is the cover's max_length."""
+    the metric's axis X, _min_cover_cap over D is the cover's max_length.
+    Weights a / b compare by cross-multiplication; one Fraction is built."""
     if instance.n <= k:
         return Fraction(0)
     D, X, _ = instance.metric.axis()
     groups = [members for _, members in weight_classes(instance).classes]
-    groups.append(tuple(instance.sites))
-    best = Fraction(0)
+    groups.append(instance.sites)
+    best, best_den = 0, 1
     for members in groups:
         cap, _ = _min_cover_cap(sorted(X[s] for s in members), k)
-        best = max(best, Fraction(cap, D) * min(instance.weights[s] for s in members))
-    return best
+        num, den = instance.weights[members[0]].as_integer_ratio()
+        for a, b in (instance.weights[s].as_integer_ratio() for s in members):
+            if a * den < num * b:
+                num, den = a, b
+        if cap * num * best_den > best * den:
+            best, best_den = cap * num, den
+    return Fraction(best, D * best_den)
 
 
 def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
@@ -726,9 +734,9 @@ def solve_line_weighted(instance: Instance, k: int) -> SolveReport:
         raise IncompatibleAlgorithmError("line-weighted needs a line instance")
     if k < 1:
         raise ValueError("k must be positive")
-    coords = instance.metric.coords
-    if max(coords) == min(coords):
-        schedule = Schedule((stationary_track(CoordPos(coords[0])),))
+    _, X, _ = instance.metric.axis()
+    if max(X) == min(X):
+        schedule = Schedule((stationary_track(CoordPos(instance.metric.coords[0])),))
         return build_report(
             schedule, instance, algo="line-weighted", k=k,
             L_accepted=Fraction(0), lower_bound=Fraction(0),

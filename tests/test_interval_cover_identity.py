@@ -4,14 +4,21 @@ The original built every pairwise coordinate difference as a Fraction,
 sorted them, and bisected that candidate list with a linear greedy sweep
 per probe.  The reference below keeps that code, so any change in which
 cover min_interval_cover returns shows up as a difference in the
-intervals or in max_length.
+intervals or in max_length.  _min_cover_cap, which bisects only the
+bracket its gaps prove, is held to a frozen copy of its bisection of
+every integer length from 0 to the span.
 """
 
 import random
 from fractions import Fraction
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from patrol import line_uniform
 from patrol.generate import generate_instance
-from patrol.line_uniform import IntervalCover, min_interval_cover
+from patrol.line_uniform import IntervalCover, _greedy_cover, _min_cover_cap, min_interval_cover
+from patrol.rationals import smallest_accepted
 
 
 def reference_greedy_cover(points, length):
@@ -85,3 +92,31 @@ def test_interval_cover_with_distinct_prime_denominators():
     pts = [Fraction(p * rng.randint(-10, 9) + rng.randrange(1, p), p) for p in primes(800)]
     assert {p.denominator for p in pts} == set(primes(800))
     assert min_interval_cover(pts, 3) == reference_min_interval_cover(pts, 3)
+
+
+def frozen_min_cover_cap(ipts, k):
+    return smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
+@example([7])  # span 0
+@example([3, 3, 3, -2, -2])  # duplicates
+@example([0, 1, 2, 3, 1000])  # one wide gap
+def test_bracketed_cover_cap_matches_bisection_from_zero(points):
+    ipts = sorted(points)
+    for k in range(1, len(ipts) + 2):
+        assert _min_cover_cap(ipts, k) == frozen_min_cover_cap(ipts, k), (ipts, k)
+
+
+def test_one_interval_cover_runs_one_probe(monkeypatch):
+    probes = []
+
+    def counted(ipts, length, limit):
+        probes.append(length)
+        return _greedy_cover(ipts, length, limit)
+
+    monkeypatch.setattr(line_uniform, "_greedy_cover", counted)
+    for ipts in ([5], [0, 0], [-3, 1, 1, 8, 40], list(range(0, 300, 7))):
+        probes.clear()
+        assert _min_cover_cap(ipts, 1) == (ipts[-1] - ipts[0], [(0, len(ipts) - 1)])
+        assert probes == [ipts[-1] - ipts[0]], (ipts, probes)

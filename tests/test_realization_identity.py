@@ -200,10 +200,12 @@ def test_cyclify_matches_reference_on_hand_schedules():
 
 def test_line_lower_bound_matches_interval_cover_reference():
     """The integer bound equals the min_interval_cover bound on random line
-    instances: n <= k, coincident coordinates, one weight class and
-    fractional coordinates over mixed denominators."""
+    instances: n <= k, coincident coordinates, one weight class,
+    fractional coordinates over mixed denominators and classes whose
+    weights differ in denominator, where the smallest weight is found on
+    ints."""
     rng = random.Random(26)
-    kinds = {"n<=k": 0, "coincident": 0, "one class": 0, "fractional": 0}
+    kinds = {"n<=k": 0, "coincident": 0, "one class": 0, "fractional": 0, "class dens": 0}
     for trial in range(300):
         n = rng.randint(1, 9)
         k = rng.randint(1, 4)
@@ -219,4 +221,7 @@ def test_line_lower_bound_matches_interval_cover_reference():
         kinds["coincident"] += len(set(coords)) < n
         kinds["one class"] += len(weight_classes(inst).classes) == 1 and n > k
         kinds["fractional"] += any(c.denominator > 1 for c in coords) and n > k
+        kinds["class dens"] += n > k and any(
+            len({inst.weights[s].denominator for s in members}) > 1
+            for _, members in weight_classes(inst).classes)
     assert all(count > 20 for count in kinds.values()), kinds
