@@ -10,15 +10,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from patrol.instance import Instance, euclidean_instance, line_instance
+from patrol.instance import Instance, euclidean_instance, line_instance, matrix_instance
 from patrol.rationals import to_fraction
 from patrol.schedule import (
     CoordPos,
+    EdgePos,
     RobotTrack,
+    RoundRobinTrack,
     Schedule,
+    SitePos,
     loop_track,
     zigzag_track,
 )
+from conftest import track
 
 
 def cooperative_line_instance(x=3, gap=1) -> Instance:
@@ -92,3 +96,63 @@ def square_two_robot_loop() -> Schedule:
     r1 = loop_track([0, 1, 2, 3], inst.metric)
     r2 = loop_track([2, 3, 0, 1], inst.metric)
     return Schedule((r1, r2))
+
+
+# --- one schedule of each kind the evaluator reads -----------------------------
+
+
+def line_edges():
+    inst = line_instance([0, 3, 10, Fraction(5, 2), 8], [1, 2, 3, 1, 2])
+    quarter, back = EdgePos(0, 2, Fraction(1, 4)), EdgePos(1, 2, Fraction(5, 7))
+    return inst, Schedule((
+        track(20, (0, SitePos(0)), (Fraction(5, 2), quarter), (8, back), (10, SitePos(2))),
+        track(13, (0, back), (2, back), (Fraction(15, 2), quarter)),
+    ))
+
+
+def matrix():
+    inst = matrix_instance([[0, 2, 3, 4], [2, 0, 1, 3], [3, 1, 0, Fraction(5, 2)],
+                            [4, 3, Fraction(5, 2), 0]], [1, 3, 2, Fraction(1, 2)])
+    return inst, Schedule((
+        loop_track([0, 1, 2, 3], inst.metric),
+        track(7, (1, SitePos(1)), (2, SitePos(1)), (Fraction(5, 2), EdgePos(1, 2, Fraction(1, 2)))),
+    ))
+
+
+def euclidean():
+    # site 3 is within 1e-9 of site 2, so it shares site 2's visits
+    inst = euclidean_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (3.0, 4.0 + 5e-10)],
+                              [2, 1, 3, 1])
+    return inst, Schedule((loop_track([0, 1, 2], inst.metric),
+                           track(12, (1, SitePos(2)), (6, SitePos(2)))))
+
+
+def round_robin():
+    inst = euclidean_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (0.0, 4.0)], [1, 2, 1, 3])
+    return inst, Schedule((RoundRobinTrack((((0, 1), (1,)), ((2,), (3, 2), (2, 3)))),
+                           track(6, (0, SitePos(3)))))
+
+
+def jointly_served():
+    inst = line_instance(range(7), [1, 2, 1, 3, 1, 2, 1])
+    return inst, Schedule((track(12, (0, 0), (6, 6)), track(6, (1, 2), (4, 5)),
+                           track(Fraction(10, 3), (0, 3), (Fraction(5, 3), Fraction(14, 3)))))
+
+
+# --- schedule documents that name a site by something other than an int ---------
+
+NON_INTEGER_SITE_IDS = (2.9, 1.0, 1e2, True, False, "1", None, [1])
+
+
+def site_id_documents(site):
+    """One schedule document per place a schedule names a site: a site
+    position, either end of an edge, and a round-robin path."""
+    def waypoint(pos):
+        return {"robots": [{"period": "4", "waypoints": [{"t": "0", "pos": pos}]}]}
+
+    return [
+        waypoint({"site": site}),
+        waypoint({"edge": [site, 0], "frac": "1/2"}),
+        waypoint({"edge": [0, site], "frac": "1/2"}),
+        {"robots": [{"kind": "round_robin", "trees": [{"paths": [[0, site]]}]}]},
+    ]

@@ -21,8 +21,7 @@ from patrol.cli import (
 from patrol.instance import dump_instance, line_instance, load_instance, matrix_instance
 from patrol.rationals import to_fraction
 from patrol.schedule import SitePos, load_schedule
-from scenarios import cooperative_line_instance
-from test_schedule_eval import NON_INTEGER_SITE_IDS, site_id_documents
+from scenarios import NON_INTEGER_SITE_IDS, cooperative_line_instance, site_id_documents
 
 
 def run(*argv):

@@ -4,7 +4,9 @@ The original bisected the threshold B 120 times over [0, |MST|] and
 rebuilt the whole candidate cover (components, walks, chopped trees) at
 every probe.  The reference below keeps that code, self-contained apart
 from mst, so any change in which cover tree_cover returns shows up as a
-difference in trees, edges, lengths or max_length.
+difference in trees, edges, lengths or max_length.  The extreme-magnitude
+Euclidean instances (denominators up to 10^324, coincident points, -0.0)
+check tree_cover's integer probes the same way.
 """
 
 import random
@@ -16,7 +18,7 @@ from patrol import metric_core
 from patrol.generate import generate_instance
 from patrol.instance import dump_instance, line_instance, matrix_instance
 from patrol.metric_core import TREE_COVER_BETA, Tree, mst, tree_cover
-from conftest import random_matrix_instance
+from conftest import extreme_instances, random_matrix_instance
 
 
 def reference_walk(vertices, edges, start, metric):
@@ -192,11 +194,14 @@ def test_tree_cover_search_cuts_only_unsettled_probes(monkeypatch):
     monkeypatch.setattr(metric_core, "_cut_walk", counted_cut_walk)
     instances = [generate_instance("euclidean", 12, seed, wmax=1) for seed in range(1, 15)]
     instances.append(generate_instance("clustered", 24, 0))
+    total = 0
     for inst in instances:
         for t in (2, 3, 4):
             cuts.clear()
             tree_cover(inst.sites, inst.metric, t)
             assert 0 < len(cuts) <= 32, (inst.n, t, len(cuts))
+            total += len(cuts)
+    assert total == 466  # pinned: a wider or narrower settled range moves it
 
 
 def test_tree_cover_threshold_zero():
@@ -226,3 +231,21 @@ def test_tree_cover_is_memoized_per_metric():
 def test_tree_cover_rejects_t_zero():
     with pytest.raises(ValueError):
         tree_cover([0, 1], line_instance([0, 1], [1, 1]).metric, 0)
+
+
+def test_integer_probes_on_extreme_magnitudes():
+    rng = random.Random(300)
+    cases = 0
+    for inst in extreme_instances():
+        subsets = [list(inst.sites)]
+        for _ in range(2):
+            subsets.append(sorted(rng.sample(range(inst.n), rng.randint(1, inst.n))))
+        for sites in subsets:
+            for t in range(1, 6):
+                trees, max_length = reference_tree_cover(sites, inst.metric, t)
+                cover = tree_cover(sites, inst.metric, t)
+                assert [tr.edges for tr in cover.trees] == [tr.edges for tr in trees]
+                assert cover.trees == trees
+                assert cover.max_length == max_length
+                cases += 1
+    assert cases == 10 * 3 * 5

@@ -69,6 +69,34 @@ def test_time_window_state_cap_raises(monkeypatch):
         solve_line_weighted(inst, 2)
 
 
+def test_time_window_caps_admit_exactly_the_cap(monkeypatch):
+    """A level may join exactly DEFAULT_PAIR_CAP pairs: the atoms' len^k
+    at level 0, a level's len^2 above it; one pair fewer trips the cap.
+    The candidate windows may number exactly DEFAULT_STATE_CAP."""
+    L = Fraction(12)
+    flat = line_instance([0, 2, 5], [1, 1, 1])
+    atoms = len(tw._atom_ids(flat, L))
+    for k in (1, 2):
+        monkeypatch.setattr(tw, "DEFAULT_PAIR_CAP", atoms**k)
+        tw._levels(flat, k, L)
+        monkeypatch.setattr(tw, "DEFAULT_PAIR_CAP", atoms**k - 1)
+        with pytest.raises(ResourceLimitError, match="atomic combinations"):
+            tw._levels(flat, k, L)
+    two_levels = line_instance([0, 2, 5], [1, 2, 1])
+    pairs = len(tw._below(two_levels, 1, L)[0]) ** 2
+    assert pairs - 1 > atoms
+    monkeypatch.setattr(tw, "DEFAULT_PAIR_CAP", pairs)
+    tw._levels(two_levels, 1, L)
+    monkeypatch.setattr(tw, "DEFAULT_PAIR_CAP", pairs - 1)
+    with pytest.raises(ResourceLimitError, match="concatenation pairs at level 1"):
+        tw._levels(two_levels, 1, L)
+    monkeypatch.setattr(tw, "DEFAULT_STATE_CAP", 3 * 3)  # 3 gaps, 2^1 + 1 budgets
+    tw.candidate_window_lengths(two_levels, 1)
+    monkeypatch.setattr(tw, "DEFAULT_STATE_CAP", 3 * 3 - 1)
+    with pytest.raises(ResourceLimitError, match="^3 gaps x 3 candidates exceed the state cap$"):
+        tw.candidate_window_lengths(two_levels, 1)
+
+
 def test_time_window_k3_guarded_but_small_cases_work():
     inst = line_instance([0, 1], [1, 1])
     got = construct_schedule(inst, 3, Fraction(9))

@@ -15,74 +15,15 @@ from fractions import Fraction
 
 import pytest
 
+from patrol import evaluate
 from patrol.cli import EXIT_INVALID, EXIT_OK, main
 from patrol.errors import ScheduleFormatError, UnvisitedSiteError
 from patrol.evaluate import _visits, max_weighted_latency, validate_speed
 from patrol.line_uniform import solve_line_uniform
-from patrol.instance import (
-    Metric,
-    dump_instance,
-    euclidean_instance,
-    line_instance,
-    load_instance,
-    matrix_instance,
-)
-from patrol.schedule import (
-    CoordPos,
-    EdgePos,
-    RobotTrack,
-    RoundRobinTrack,
-    Schedule,
-    SitePos,
-    dump_schedule,
-    load_schedule,
-    loop_track,
-)
-
-
-def track(period, *points):
-    """RobotTrack from (time, position) pairs; bare numbers are coordinates."""
-    return RobotTrack(Fraction(period), tuple(
-        (Fraction(t), pos if isinstance(pos, (SitePos, EdgePos)) else CoordPos(Fraction(pos)))
-        for t, pos in points))
-
-
-def line_edges():
-    inst = line_instance([0, 3, 10, Fraction(5, 2), 8], [1, 2, 3, 1, 2])
-    quarter, back = EdgePos(0, 2, Fraction(1, 4)), EdgePos(1, 2, Fraction(5, 7))
-    return inst, Schedule((
-        track(20, (0, SitePos(0)), (Fraction(5, 2), quarter), (8, back), (10, SitePos(2))),
-        track(13, (0, back), (2, back), (Fraction(15, 2), quarter)),
-    ))
-
-
-def matrix():
-    inst = matrix_instance([[0, 2, 3, 4], [2, 0, 1, 3], [3, 1, 0, Fraction(5, 2)],
-                            [4, 3, Fraction(5, 2), 0]], [1, 3, 2, Fraction(1, 2)])
-    return inst, Schedule((
-        loop_track([0, 1, 2, 3], inst.metric),
-        track(7, (1, SitePos(1)), (2, SitePos(1)), (Fraction(5, 2), EdgePos(1, 2, Fraction(1, 2)))),
-    ))
-
-
-def euclidean():
-    # site 3 is within 1e-9 of site 2, so it shares site 2's visits
-    inst = euclidean_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (3.0, 4.0 + 5e-10)],
-                              [2, 1, 3, 1])
-    return inst, Schedule((loop_track([0, 1, 2], inst.metric),
-                           track(12, (1, SitePos(2)), (6, SitePos(2)))))
-
-
-def round_robin():
-    inst = euclidean_instance([(0.0, 0.0), (3.0, 0.0), (3.0, 4.0), (0.0, 4.0)], [1, 2, 1, 3])
-    return inst, Schedule((RoundRobinTrack((((0, 1), (1,)), ((2,), (3, 2), (2, 3)))),
-                           track(6, (0, SitePos(3)))))
-
-
-def jointly_served():
-    inst = line_instance(range(7), [1, 2, 1, 3, 1, 2, 1])
-    return inst, Schedule((track(12, (0, 0), (6, 6)), track(6, (1, 2), (4, 5)),
-                           track(Fraction(10, 3), (0, 3), (Fraction(5, 3), Fraction(14, 3)))))
+from patrol.instance import Metric, dump_instance, euclidean_instance, line_instance, load_instance
+from patrol.schedule import RobotTrack, Schedule, SitePos, dump_schedule, load_schedule
+from conftest import track
+from scenarios import euclidean, jointly_served, line_edges, matrix, round_robin
 
 
 def too_fast():
@@ -151,13 +92,16 @@ def loop_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_public_pair_reads_each_loop_once(case, loop_calls):
+def test_public_pair_reads_each_loop_once(case, loop_calls, monkeypatch):
+    visits, track_visits = [], evaluate._track_visits
+    monkeypatch.setattr(evaluate, "_track_visits",
+                        lambda *args: visits.append(args) or track_visits(*args))
     inst, schedule = case()
     tracks = len(schedule.robots)
     measure(schedule, inst)
-    assert len(loop_calls) == tracks
+    assert len(loop_calls) == len(visits) == tracks
     measure(schedule, inst)  # again: both halves are found in the memo
-    assert len(loop_calls) == tracks
+    assert len(loop_calls) == len(visits) == tracks
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -175,13 +119,17 @@ def test_equal_but_distinct_objects_are_evaluated_again(case, loop_calls):
 
 def test_an_evaluation_that_raises_keeps_no_slot():
     inst = line_instance([0, 4, 7], [1, 1, 1])
-    bad = Schedule((track(8, (0, SitePos(0)), (4, SitePos(3))),))
-    for _ in range(2):
-        with pytest.raises(ScheduleFormatError, match="site 3 is out of range"):
+    for site in (3, -1, 3):
+        bad = Schedule((track(8, (0, SitePos(0)), (4, SitePos(site))),))
+        with pytest.raises(ScheduleFormatError, match=rf"^site {site} is out of range 0\.\.2$"):
             validate_speed(bad, inst.metric)
-        with pytest.raises(ScheduleFormatError, match="site 3 is out of range"):
+        with pytest.raises(ScheduleFormatError, match=rf"^site {site} is out of range 0\.\.2$"):
             max_weighted_latency(bad, inst)
         assert "evaluation" not in inst.metric._memo and "visits" not in inst.metric._memo
+    off_line = euclidean_instance([(0.0, 0.0), (1.0, 0.0)], [1, 1])
+    for leg in (((0, SitePos(0)), (1, 1)), ((0, 1), (1, SitePos(0)))):
+        with pytest.raises(ScheduleFormatError, match="coordinate positions require a line metric"):
+            validate_speed(Schedule((track(2, *leg),)), off_line.metric)
     # a raise leaves the last good schedule's slots as they were
     zigzag = Schedule((track(14, (0, 0), (7, 7)),))
     max_weighted_latency(zigzag, inst)

@@ -7,11 +7,14 @@ reference below keeps that code, self-contained apart from the error
 types, so any change in a latency, its type, the argmax or the error
 raised shows up as a difference.
 
-One line differs from the original on purpose: a jointly served site's
-visits are placed at their absolute time modulo the track's period.
-The original subtracted each track's own first waypoint time, which
-lost the phase between tracks that start at different times
-(test_evaluator_reference.py finds that case).
+Two rules differ from the original on purpose.  A jointly served site's
+visits are placed at their absolute time modulo the track's period: the
+original subtracted each track's own first waypoint time, which lost the
+phase between tracks that start at different times
+(test_evaluator_reference.py finds that case).  And the jointly served
+sites' events count toward one running total under the event cap, which
+the original did not have.  A measured report's JSON rows are held to
+format_fraction of the reference's Fractions.
 """
 
 import math
@@ -23,18 +26,17 @@ from patrol import evaluate
 from patrol.errors import PatrolError, PeriodOverflowError, UnvisitedSiteError
 from patrol.evaluate import SiteLatency, max_weighted_latency, validate_speed
 from patrol.instance import Instance, euclidean_instance, line_instance, matrix_instance
-from patrol.schedule import CoordPos, EdgePos, RobotTrack, Schedule, SitePos
-
-TOL = Fraction(1, 10**9)
-
-
-def reference_line_coord(pos, metric):
-    if isinstance(pos, CoordPos):
-        return pos.x
-    if isinstance(pos, SitePos):
-        return metric.coords[pos.site]
-    a, b = metric.coords[pos.a], metric.coords[pos.b]
-    return a + pos.frac * (b - a)
+from patrol.rationals import format_fraction
+from patrol.schedule import EdgePos, Schedule, SitePos
+from conftest import (
+    TOL,
+    euclidean_cases,
+    line_cases,
+    matrix_cases,
+    reference_line_coord,
+    track,
+    zigzag,
+)
 
 
 def reference_coincides(pos, site, metric):
@@ -112,7 +114,7 @@ def reference_latencies(schedule, instance, event_cap):
     if not schedule.robots:
         raise UnvisitedSiteError(0)
     per_track = [reference_track_visits(t, instance) for t in schedule.robots]
-    latencies = []
+    latencies, joint_events = [], 0
     for s in instance.sites:
         holders = [r for r, vis in enumerate(per_track) if vis[s]]
         if not holders:
@@ -126,6 +128,10 @@ def reference_latencies(schedule, instance, event_cap):
                 f"site {s} needs {events} visit events over the common period; "
                 f"cap is {event_cap}"
             )
+        joint_events += events if len(holders) > 1 else 0
+        if joint_events > event_cap:
+            raise PeriodOverflowError(f"jointly served sites up to site {s} need {joint_events} "
+                                      f"visit events in total; cap is {event_cap}")
         intervals = []
         for r in holders:
             track = schedule.robots[r]
@@ -148,136 +154,28 @@ def outcome(fn):
         return (type(exc).__name__, str(exc), getattr(exc, "site", None))
 
 
+def reference_json_dict(lats, weights, best):
+    rows = [{"site": s, "latency": format_fraction(lat), "weight": format_fraction(w),
+             "weighted": format_fraction(w * lat)} for s, (w, lat) in enumerate(zip(weights, lats))]
+    return {"max_weighted": format_fraction(weights[best] * lats[best]), "argmax_site": best,
+            "per_site": rows}
+
+
 def assert_identical(schedule, instance):
     def new():
         rep = max_weighted_latency(schedule, instance)
-        return repr([row.latency for row in rep.per_site]), rep.max_weighted, rep.argmax_site
+        return (repr([row.latency for row in rep.per_site]), rep.max_weighted, rep.argmax_site,
+                rep.to_json_dict())
 
     def old():
         lats = reference_latencies(schedule, instance, evaluate.DEFAULT_EVENT_CAP)
         weighted = [w * lat for w, lat in zip(instance.weights, lats)]
         best = max(instance.sites, key=lambda s: (weighted[s], -s))
-        return repr(lats), weighted[best], best
+        return repr(lats), weighted[best], best, reference_json_dict(lats, instance.weights, best)
 
     got, want = outcome(new), outcome(old)
     assert got == want, (schedule, instance)
     return got[0]
-
-
-# --- generated cases -------------------------------------------------------
-
-PERIODS = [Fraction(p) for p in (1, 2, 3, 5, 6, 10, "1/2", "1/3", "5/2")]
-
-
-def random_track(rng, positions):
-    """A track over `positions` (a callable drawing one) with waits,
-    pass-throughs and, sometimes, a last waypoint at t_first + period."""
-    period = rng.choice(PERIODS)
-    q = rng.randint(1, 6)
-    base = Fraction(rng.randint(0, 7), rng.randint(1, 3))
-    steps = sorted(rng.sample(range(q + 1), rng.randint(1, q + 1)))
-    waypoints, last = [], None
-    for i in steps:
-        pos = last if last is not None and rng.random() < 0.3 else positions()
-        waypoints.append((base + period * i / q, pos))
-        last = pos
-    if steps[-1] == q and steps[0] == 0 and rng.random() < 0.7:
-        # full-period track: it must wrap to its start
-        waypoints[-1] = (waypoints[-1][0], waypoints[0][1])
-    return RobotTrack(period, tuple(waypoints))
-
-
-def sweep(rng, n):
-    """A track visiting every site of an n-site instance in random order,
-    so that most generated schedules measure rather than raise."""
-    order = rng.sample(range(n), n)
-    period = rng.choice(PERIODS)
-    return RobotTrack(period, tuple((period * i / n, SitePos(s)) for i, s in enumerate(order)))
-
-
-def tracks(rng, n, positions):
-    drawn = [random_track(rng, positions) for _ in range(rng.randint(1, 3))]
-    return Schedule(tuple(drawn + [sweep(rng, n)] if rng.random() < 0.6 else drawn))
-
-
-def line_cases(rng):
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        coords = [Fraction(rng.randint(0, 12), rng.choice((1, 2, 4))) for _ in range(n)]
-        inst = line_instance(coords, [rng.randint(1, 4) for _ in range(n)])
-
-        def positions():
-            kind = rng.random()
-            if kind < 0.4:
-                return SitePos(rng.randrange(n))
-            if kind < 0.6 and n > 1:
-                a, b = sorted(rng.sample(range(n), 2))
-                return EdgePos(a, b, Fraction(rng.randint(1, 3), 4))
-            c = rng.choice(coords) if rng.random() < 0.5 else Fraction(rng.randint(-2, 14), 2)
-            return CoordPos(c + rng.choice((0, 0, TOL, -TOL, 2 * TOL, TOL / 2)))
-
-        yield tracks(rng, n, positions), inst
-
-
-def euclidean_cases(rng):
-    for _ in range(40):
-        count = rng.randint(1, 4)
-        base = [(rng.randint(0, 4) * 1.5, rng.randint(0, 4) * 0.5) for _ in range(count)]
-        if rng.random() < 0.3:
-            base = [(x + 1e6, y) for x, y in base]
-        pts = list(base)
-        for x, y in base:
-            for off in (5e-10, 1e-9, 1.5e-9, 3e-9):
-                dx, dy = rng.choice(((off, 0), (-off, 0), (0, off), (off * 0.7, off * 0.7)))
-                if rng.random() < 0.5:
-                    pts.append((x + dx, y + dy))
-        rng.shuffle(pts)
-        n = len(pts)
-        inst = euclidean_instance(pts, [rng.randint(1, 3) for _ in range(n)])
-
-        def positions():
-            if n > 1 and rng.random() < 0.2:
-                a, b = sorted(rng.sample(range(n), 2))
-                return EdgePos(a, b, Fraction(1, 2))
-            return SitePos(rng.randrange(n))
-
-        yield tracks(rng, n, positions), inst
-
-
-def matrix_cases(rng):
-    for _ in range(40):
-        # points on a small grid, some repeated or a tolerance apart, give
-        # zero and near-zero off-diagonal entries of a valid metric
-        count = rng.randint(1, 6)
-        pts = [(Fraction(rng.randint(0, 3)), Fraction(rng.randint(0, 3))) for _ in range(count)]
-        pts += [(x + rng.choice((0, TOL, 2 * TOL)), y) for x, y in pts if rng.random() < 0.5]
-        n = len(pts)
-        matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in pts] for a in pts]
-        inst = matrix_instance(matrix, [rng.randint(1, 3) for _ in range(n)])
-
-        def positions():
-            if n > 1 and rng.random() < 0.2:
-                a, b = sorted(rng.sample(range(n), 2))
-                return EdgePos(a, b, Fraction(1, 3))
-            return SitePos(rng.randrange(n))
-
-        yield tracks(rng, n, positions), inst
-
-
-def track(period, *points):
-    """RobotTrack from (time, position) pairs; bare numbers are coordinates."""
-    return RobotTrack(
-        Fraction(period),
-        tuple(
-            (Fraction(t), pos if isinstance(pos, (SitePos, EdgePos)) else CoordPos(Fraction(pos)))
-            for t, pos in points
-        ),
-    )
-
-
-def zigzag(left, right, period_scale, shift=0):
-    span = Fraction(right - left) * period_scale
-    return track(2 * span, (shift, left), (shift + span, right))
 
 
 def test_evaluator_matches_original_on_seeded_grid():
@@ -292,7 +190,23 @@ def test_evaluator_matches_original_on_seeded_grid():
     assert kinds["ok"] >= 30 and kinds["UnvisitedSiteError"] >= 30
 
 
+def joint_cases():
+    """Sites served by two or three zigzags with related and unrelated
+    periods, phases and rests, and a site every robot parks on."""
+    inst = line_instance(range(11), [1, 2, 3, Fraction(1, 2), 5, 1, 1, Fraction(7, 3), 2, 1, 4])
+    yield Schedule((zigzag(0, 6, 1), zigzag(2, 8, Fraction(3, 2), 1),
+                    zigzag(3, 10, Fraction(5, 2)))), inst
+    yield Schedule((zigzag(0, 10, 1), zigzag(0, 10, 2, Fraction(1, 3)),
+                    zigzag(0, 10, 3, 5))), inst
+    rest = track(7, (0, 4), (2, 4), (6, 0))
+    yield Schedule((zigzag(0, 10, 1), rest, zigzag(4, 9, Fraction(5, 4)))), inst
+    parked = line_instance([0, 0, 1, Fraction(1, 3)], [3, 1, 2, 1])
+    yield Schedule((track(2, (0, 0)), track(3, (1, SitePos(1))), zigzag(0, 1, 1))), parked
+
+
 def test_joint_sites_with_related_periods():
+    for schedule, inst in joint_cases():
+        assert assert_identical(schedule, inst) == "ok"
     inst = line_instance(range(11), [1] * 11)
     # periods 2:3:5 over overlapping ranges, and 1/2 : 1/3 on one span
     tracks = (zigzag(0, 6, 1), zigzag(2, 8, Fraction(3, 2), 1), zigzag(3, 10, Fraction(5, 2)))
@@ -329,6 +243,24 @@ def test_overflow_and_unvisited_paths(monkeypatch):
     monkeypatch.setattr(evaluate, "DEFAULT_EVENT_CAP", 40)
     got = assert_identical(Schedule(tracks + (gappy,)), wider)
     assert got == "PeriodOverflowError"
+
+
+def test_event_cap_messages_match_at_every_small_cap(monkeypatch):
+    """Per-site and joint-total PeriodOverflowError, and an unvisited site
+    after an overflowing one, at each cap up to where every case passes."""
+    seen = set()
+    cases = list(joint_cases())
+    inst = line_instance([0, 1, 2, 3, 4, 9], [1] * 6)
+    gappy = track(2, (0, SitePos(0)), (1, SitePos(0)))
+    cases.append((Schedule((zigzag(0, 3, 1), zigzag(1, 4, Fraction(7, 5)), gappy)), inst))
+    for cap in range(0, 120):
+        monkeypatch.setattr(evaluate, "DEFAULT_EVENT_CAP", cap)
+        for schedule, inst in cases:
+            kind = assert_identical(schedule, inst)
+            if kind == "PeriodOverflowError":
+                kind = outcome(lambda: max_weighted_latency(schedule, inst))[1].split(" ")[0]
+            seen.add(kind)
+    assert seen == {"site", "jointly", "ok", "UnvisitedSiteError"}, seen
 
 
 def test_euclidean_tolerance_edges():

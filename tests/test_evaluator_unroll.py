@@ -124,7 +124,7 @@ def test_metric_and_baseline_latencies_match_unroll(k):
     assert cases == 13 * 2
 
 
-def track(period, *points):
+def site_track(period, *points):
     """RobotTrack from (time, position) pairs; a bare int is a site."""
     return RobotTrack(Fraction(period), tuple(
         (Fraction(t), SitePos(p) if isinstance(p, int) else p) for t, p in points))
@@ -143,18 +143,19 @@ def test_hand_made_joint_and_edge_schedules_match_unroll():
     euclid = euclidean_instance([(0.0, 0.0), (3.0, 4.0), (3.0, 0.0), (3.0, 1e-10), (0.0, 8.0)],
                                 [1, 2, 3, 1, 2])
     mid = EdgePos(1, 2, Fraction(1, 2))
-    loop = track(12, (0, 0), (5, 1), (9, 2))
+    loop = site_track(12, (0, 0), (5, 1), (9, 2))
     # waits inside edge (1, 2), then rests on site 1
-    edge = track(10, (1, 2), (3, mid), (4, mid), (6, 1), (7, 1))
-    out = track(12, (2, 1), (7, 4))
-    for robots in ((loop, edge, out), (edge, loop, out), (loop, edge, out, track(10, (3, mid)))):
+    edge = site_track(10, (1, 2), (3, mid), (4, mid), (6, 1), (7, 1))
+    out = site_track(12, (2, 1), (7, 4))
+    for robots in ((loop, edge, out), (edge, loop, out),
+                   (loop, edge, out, site_track(10, (3, mid)))):
         assert_matches_unroll(Schedule(robots), euclid)
     # a cycle 0-1-2-3 with sides 2, 1, 2, 1; site 4 sits on site 2
     rows = [[0, 2, 3, 1, 3], [2, 0, 1, 3, 1], [3, 1, 0, 2, 0], [1, 3, 2, 0, 2], [3, 1, 0, 2, 0]]
     matrix = matrix_instance(rows, [1, 3, 2, 1, 2])
-    cycle = track(6, (0, 0), (2, 1), (3, 2), (5, 3))
-    halfway = track(4, (1, 1), (2, EdgePos(0, 1, Fraction(1, 2))))
+    cycle = site_track(6, (0, 0), (2, 1), (3, 2), (5, 3))
+    halfway = site_track(4, (1, 1), (2, EdgePos(0, 1, Fraction(1, 2))))
     # rests on site 2 from 4 to 6 across its own period
-    rests = track(5, (1, 2), (2, 1), (3, 2), (4, 2))
+    rests = site_track(5, (1, 2), (2, 1), (3, 2), (4, 2))
     for robots in ((cycle, halfway), (cycle, halfway, rests), (rests, cycle)):
         assert_matches_unroll(Schedule(robots), matrix)

@@ -2,9 +2,11 @@
 
 The package's __init__ imports nothing, so a module loads only what it
 imports itself: an import-order cycle between two modules shows up here
-instead of hiding behind whichever module happened to load first.
+instead of hiding behind whichever module happened to load first.  No
+test file imports another, so each one runs, or is deleted, alone.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -38,3 +40,17 @@ def test_instance_does_not_load_the_solvers():
     solvers = {"evaluate", "line_uniform", "metric_core", "metric_scheduler", "oracles",
                "time_window"}
     assert not loaded & {"patrol." + name for name in solvers}
+
+
+def test_no_test_file_imports_another():
+    """What two test files share lives in conftest.py or scenarios.py."""
+    tests = Path(__file__).resolve().parent
+    for path in sorted(tests.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            assert not [n for n in names if n.split(".")[0].startswith("test_")], (path.name, names)

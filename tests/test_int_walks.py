@@ -1,18 +1,17 @@
 """The metric path's int walk sums against frozen Fraction copies.
 
-Tree.build, _walk_lengths (with tree_to_tour and partition_tour on top
-of it) and expand_round_robin sum their step lengths as ints over the
-lcm of the denominators.  The references below are the Fraction sums
-they replaced, so any change in a tree's length, a tour's or piece's
-length, where a tour is cut, or a track's waypoint times and period
-shows up as a difference.
+Tree.build and _walk_lengths (with tree_to_tour and partition_tour on top
+of it) sum their step lengths as ints over the lcm of the denominators.
+The references below are the Fraction sums they replaced, so any change
+in a tree's length, a tour's or piece's length, or where a tour is cut
+shows up as a difference.  expand_round_robin, which sums the same way,
+is held to its original walk in test_metric_path_identity.py.
 """
 
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain
-from math import lcm
+from itertools import accumulate
 
 from patrol.generate import generate_instance
 from patrol.instance import line_instance, matrix_instance
@@ -27,7 +26,6 @@ from patrol.metric_core import (
     tree_cover,
     tree_to_tour,
 )
-from patrol.schedule import RobotTrack, SitePos, expand_round_robin
 from conftest import random_matrix_instance
 
 
@@ -60,24 +58,6 @@ def frozen_partition_tour(tour, delta, metric):
         Tour(tour.vertices[first : last + 1], prefix[last] - prefix[first])
         for first, last in frozen_cut_walk(prefix, delta)
     ]
-
-
-def frozen_expand_round_robin(trees, metric):
-    h = len(trees)
-    rounds = h * lcm(*(len(paths) for paths in trees))
-    start = trees[0][0][0]
-    walk = chain.from_iterable(trees[r % h][r // h % len(trees[r % h])] for r in range(rounds))
-    t, pos = Fraction(0), start
-    waypoints = [(t, SitePos(start))]
-    for v in chain(walk, (start,)):
-        step = metric.distance(pos, v)
-        if step > 0:
-            t += step
-            waypoints.append((t, SitePos(v)))
-        pos = v
-    if t == 0:
-        return RobotTrack(Fraction(1), (waypoints[0],))
-    return RobotTrack(t, tuple(waypoints[:-1]))
 
 
 def walk_instances(rng):
@@ -152,30 +132,3 @@ def test_walks_tours_and_pieces_match_fraction_sums():
                     assert all(type(p.length) is Fraction for p in pieces)
                     exact_edges += any(p.length == delta for p in pieces)
     assert exact_edges > 50
-
-
-def test_round_robin_times_match_fraction_sums():
-    rng = random.Random(41)
-    cases = 0
-    for inst in walk_instances(rng):
-        metric = inst.metric
-        for _ in range(10):
-            # the pieces single_robot_schedule walks, plus repeated sites
-            trees = []
-            for tree in rng.sample(trees_of(rng, inst), rng.randint(1, 3)):
-                tour = tree_to_tour(tree, min(tree.vertices), metric)
-                delta = tour.length / rng.randint(1, 4) or Fraction(1)
-                trees.append(tuple(p.vertices for p in partition_tour(tour, delta, metric)))
-            if rng.random() < 0.3:
-                site = rng.randrange(inst.n)
-                trees.append(((site, site), (site,)))
-            got = expand_round_robin(trees, metric)
-            assert got == frozen_expand_round_robin(trees, metric), trees
-            assert type(got.period) is Fraction
-            assert all(type(t) is Fraction for t, _ in got.waypoints)
-            cases += 1
-    # every step zero: a stationary track
-    metric = line_instance([2, 2, 2], [1] * 3).metric
-    assert expand_round_robin([[(0, 1), (2,)]], metric) == frozen_expand_round_robin(
-        [[(0, 1), (2,)]], metric)
-    assert cases == 18 * 10

@@ -4,21 +4,18 @@ The original built every pairwise coordinate difference as a Fraction,
 sorted them, and bisected that candidate list with a linear greedy sweep
 per probe.  The reference below keeps that code, so any change in which
 cover min_interval_cover returns shows up as a difference in the
-intervals or in max_length.  _min_cover_cap, which bisects only the
-bracket its gaps prove, is held to a frozen copy of its bisection of
-every integer length from 0 to the span.
+intervals or in max_length, and on integers in _min_cover_cap's cap.
+It bisects only the bracket its gaps prove, so the inputs include one
+wide gap, duplicates and span 0.
 """
 
 import random
 from fractions import Fraction
-
-from hypothesis import example, given
-from hypothesis import strategies as st
+from math import lcm
 
 from patrol import line_uniform
 from patrol.generate import generate_instance
 from patrol.line_uniform import IntervalCover, _greedy_cover, _min_cover_cap, min_interval_cover
-from patrol.rationals import smallest_accepted
 
 
 def reference_greedy_cover(points, length):
@@ -71,6 +68,9 @@ def seeded_inputs():
     for n in (1, 2, 5):  # all points equal
         yield [Fraction(7, 3)] * n
     yield [Fraction(-5, 2)]
+    yield [7]  # span 0
+    yield [3, 3, 3, -2, -2]
+    yield [0, 1, 2, 3, 1000]  # one wide gap
     for seed in range(4):  # the generator's 0.01 grid, unsorted order kept
         coords = list(generate_instance("line-uniform", rng.randint(2, 40), seed).metric.coords)
         rng.shuffle(coords)
@@ -81,31 +81,29 @@ def test_interval_cover_matches_original_search():
     cases = 0
     for pts in seeded_inputs():
         for k in (1, 2, 3, 5, len(pts), len(pts) + 2):
-            assert min_interval_cover(pts, k) == reference_min_interval_cover(pts, k)
+            want = reference_min_interval_cover(pts, k)
+            assert min_interval_cover(pts, k) == want
+            if all(type(p) is int for p in pts):  # the cap is the length itself
+                assert _min_cover_cap(sorted(pts), k)[0] == want.max_length
             cases += 1
-    assert cases == 168 * 6
+    assert cases == 171 * 6
 
 
 def test_interval_cover_with_distinct_prime_denominators():
-    # the common denominator of 800 distinct primes has about 10^4 bits
+    # the common denominator D of 800 distinct primes has about 10^4 bits.
+    # The reference's answer is the greedy cover at its smallest accepted
+    # difference c, and c is its cover's longest interval.  Every difference
+    # is a multiple of 1/D, so the sweep at c - 1/(2D) stands for every
+    # smaller one of the 320,000 differences the reference would sort.
     rng = random.Random(11)
-    pts = [Fraction(p * rng.randint(-10, 9) + rng.randrange(1, p), p) for p in primes(800)]
-    assert {p.denominator for p in pts} == set(primes(800))
-    assert min_interval_cover(pts, 3) == reference_min_interval_cover(pts, 3)
-
-
-def frozen_min_cover_cap(ipts, k):
-    return smallest_accepted(0, ipts[-1] - ipts[0], lambda cap: _greedy_cover(ipts, cap, k))
-
-
-@given(st.lists(st.integers(-50, 50), min_size=1, max_size=12))
-@example([7])  # span 0
-@example([3, 3, 3, -2, -2])  # duplicates
-@example([0, 1, 2, 3, 1000])  # one wide gap
-def test_bracketed_cover_cap_matches_bisection_from_zero(points):
-    ipts = sorted(points)
-    for k in range(1, len(ipts) + 2):
-        assert _min_cover_cap(ipts, k) == frozen_min_cover_cap(ipts, k), (ipts, k)
+    dens = primes(800)
+    pts = [Fraction(p * rng.randint(-10, 9) + rng.randrange(1, p), p) for p in dens]
+    assert {p.denominator for p in pts} == set(dens)
+    got, ordered = min_interval_cover(pts, 3), sorted(pts)
+    intervals = reference_greedy_cover(ordered, got.max_length)
+    assert got == IntervalCover(tuple(intervals), max(b - a for a, b in intervals))
+    assert len(intervals) <= 3
+    assert len(reference_greedy_cover(ordered, got.max_length - Fraction(1, 2 * lcm(*dens)))) > 3
 
 
 def test_one_interval_cover_runs_one_probe(monkeypatch):

@@ -114,10 +114,20 @@ def test_zigzag_interior_latency_formula():
             assert rep.latency_of(s) == expect
 
 
+def test_k_below_one_is_rejected():
+    inst = line_instance([0, 1, 3], [1, 1, 1])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            min_interval_cover([0, 1, 3], k)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            solve_line_uniform(inst, k)
+
+
 def test_single_weighted_examples():
     assert solve_line_single_weighted(line_instance([0, 10], [1, 1])).measured_latency == 20
     rep = solve_line_single_weighted(line_instance([0, 4, 10], [1, 2, 1]))
     assert rep.measured_latency == 24  # max(20, 2*2*6, 20)
+    assert rep.k == 1 and len(rep.schedule.robots) == 1
     assert solve_line_single_weighted(line_instance([5], [3])).measured_latency == 0
 
 

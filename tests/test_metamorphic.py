@@ -30,7 +30,7 @@ from patrol.line_uniform import solve_line_single_weighted
 from patrol.metric_scheduler import baseline_cover_schedule, solve_metric
 from patrol.schedule import EdgePos, RobotTrack, RoundRobinTrack, Schedule, SitePos
 from patrol.time_window import solve_line_weighted
-from test_evaluate_routes import euclidean, jointly_served, line_edges, matrix, round_robin
+from scenarios import euclidean, jointly_served, line_edges, matrix, round_robin
 
 
 def relabel_instance(inst, perm):

@@ -160,6 +160,9 @@ def test_partition_tour_counts():
     metric = line([0, 2, 4, 6, 8, 10])
     tour = tree_to_tour(mst(list(range(6)), metric), 0, metric)
     assert tour.length == 10
+    for delta in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="delta must be positive"):
+            partition_tour(tour, delta, metric)
     pieces = partition_tour(tour, Fraction(4), metric)
     assert len(pieces) <= 3  # ceil(10/4) <= ceil(2*|T|/delta)
     assert all(p.length <= 4 for p in pieces)

@@ -2,8 +2,8 @@
 
 loop_track is the round-robin walk over one piece; the references below
 are the separate closed-walk loop it replaced and the original
-round-robin walk, so any change in a track's waypoints, period or wrap
-shows up as a difference.  mst is one
+round-robin walk on Fraction sums, so any change in a track's waypoints,
+period or wrap shows up as a difference.  mst is one
 Prim/Jarnik pass that keeps no edge list: repeated ids are pinned to
 the Kruskal result, and its allocation peak is held far below the n^2/2
 candidate list's.
@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import lcm
 
 from patrol.generate import generate_instance
-from patrol.instance import euclidean_instance, line_instance
-from patrol.metric_core import Tree, mst
+from patrol.instance import euclidean_instance, line_instance, matrix_instance
+from patrol.metric_core import Tree, mst, partition_tour, tree_cover, tree_to_tour
 from patrol.schedule import (
     Position,
     RobotTrack,
@@ -25,8 +25,7 @@ from patrol.schedule import (
     loop_track,
     stationary_track,
 )
-from conftest import random_euclidean_instance, random_matrix_instance
-from test_mst_identity import tolerance_matrix
+from conftest import random_euclidean_instance, random_matrix_instance, tolerance_matrix
 
 
 def reference_loop_track(sites, metric):
@@ -123,6 +122,39 @@ def test_round_robin_walk_matches_original():
             assert got == reference_expand_round_robin(trees, inst.metric), trees
             cases += 1
     assert cases == 33 * 20
+
+
+def test_round_robin_walk_on_tour_pieces_matches_original():
+    """The pieces single_robot_schedule walks: tours of the MST and of a
+    2-cover's trees cut by partition_tour, sometimes with a repeated site,
+    also on tiny distances with a prime denominator.  Times and periods
+    stay Fractions, and a walk whose every step is zero is stationary."""
+    rng = random.Random(41)
+    tiny = Fraction(1, 7)
+    primes = matrix_instance([[0, 0, tiny, 1], [0, 0, tiny, 1], [tiny, tiny, 0, Fraction(6, 7)],
+                              [1, 1, Fraction(6, 7), 0]], [1] * 4)
+    cases = 0
+    for inst in [*loop_instances(rng), primes]:
+        metric = inst.metric
+        trees = [mst(inst.sites, metric), *tree_cover(inst.sites, metric, 2).trees]
+        for _ in range(5):
+            pieces = []
+            for tree in rng.sample(trees, rng.randint(1, len(trees))):
+                tour = tree_to_tour(tree, min(tree.vertices), metric)
+                delta = tour.length / rng.randint(1, 4) or Fraction(1)
+                pieces.append(tuple(p.vertices for p in partition_tour(tour, delta, metric)))
+            if rng.random() < 0.3:
+                site = rng.randrange(inst.n)
+                pieces.append(((site, site), (site,)))
+            got = expand_round_robin(pieces, metric)
+            assert got == reference_expand_round_robin(pieces, metric), pieces
+            assert type(got.period) is Fraction
+            assert all(type(t) is Fraction for t, _ in got.waypoints)
+            cases += 1
+    assert cases == 34 * 5
+    metric = line_instance([2, 2, 2], [1] * 3).metric
+    assert expand_round_robin([[(0, 1), (2,)]], metric) == reference_expand_round_robin(
+        [[(0, 1), (2,)]], metric)
 
 
 def test_mst_repeated_ids_keep_kruskal_result():

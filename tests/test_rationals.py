@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from patrol.rationals import format_fraction, on_common_denominator, to_fraction
+from patrol.rationals import _plain_decimal, format_fraction, on_common_denominator, to_fraction
 
 
 def lcm_fractions(values):
@@ -35,6 +35,18 @@ def test_parse_forms():
     assert to_fraction(3) == 3
     assert to_fraction(2.5) == Fraction(5, 2)  # via repr, not binary expansion
     assert to_fraction(Fraction(7, 3)) == Fraction(7, 3)
+
+
+def test_plain_decimals_are_read_on_integers():
+    """Every text of the plain decimal grammar takes the integer path; any
+    other text is left to Fraction(text), which gives the same answer, so
+    only this check sees which path a text took."""
+    for text, want in (("-1.5", Fraction(-3, 2)), ("+2", 2), ("1e-3", Fraction(1, 1000)),
+                       ("-0.25e+2", -25), ("12.5E3", None), ("12.5e3", 12500),
+                       (".5", Fraction(1, 2)), ("5.", 5), ("+.5e-1", Fraction(1, 20)), ("0", 0)):
+        assert _plain_decimal(text) == want, text
+    for text in ("1_0", "\uff11", "1e", "e5", "--1", "+-1", ".", "", "1e+", "1e--2", "1.2.3", "-"):
+        assert _plain_decimal(text) is None, text
 
 
 def test_parse_rejects_non_numbers():

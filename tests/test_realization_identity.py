@@ -18,6 +18,7 @@ from patrol.instance import line_instance, weight_classes
 from patrol.line_uniform import min_interval_cover
 from patrol.schedule import CoordPos, RobotTrack, Schedule, dump_schedule, stationary_track
 from patrol.time_window import (
+    AtomicRep,
     StandardSchedule,
     _candidates,
     canonical_path_order,
@@ -196,6 +197,15 @@ def test_cyclify_matches_reference_on_hand_schedules():
     ]
     for std in stds:
         assert dump_schedule(cyclify(std)) == dump_schedule(reference_cyclify(std))
+
+
+def test_realize_track_at_a_window_of_one_unit():
+    """At L * D = 1 the robot still travels between its visiting windows,
+    here to a site whose index is past the duration."""
+    slots = [AtomicRep(0, 0, 0, 0, 0, 2, 1), AtomicRep(3, 3, 3, 3, 0, 2, 1)]
+    coords = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+    got = time_window._realize_track(slots, coords, Fraction(1))
+    assert got == reference_realize_track(slots, coords, Fraction(1)) and len(got) == 2
 
 
 def test_line_lower_bound_matches_interval_cover_reference():

@@ -32,7 +32,13 @@ from patrol.schedule import (
     stationary_track,
     zigzag_track,
 )
-from scenarios import square_two_robot_loop, unit_square_instance
+from conftest import track
+from scenarios import (
+    NON_INTEGER_SITE_IDS,
+    site_id_documents,
+    square_two_robot_loop,
+    unit_square_instance,
+)
 
 
 def shift_track(track: RobotTrack, delta: Fraction) -> RobotTrack:
@@ -47,12 +53,6 @@ def shift_track(track: RobotTrack, delta: Fraction) -> RobotTrack:
             continue
         merged.append((t, p))
     return RobotTrack(period, tuple(merged))
-
-
-def track(period, *pts):
-    return RobotTrack(
-        Fraction(period), tuple((Fraction(t), CoordPos(Fraction(x))) for t, x in pts)
-    )
 
 
 def double_track(t: RobotTrack) -> RobotTrack:
@@ -317,23 +317,6 @@ def test_track_validation_errors():
 
 # JSON spellings of a site id that int() used to coerce (2.9 to 2, true
 # to 1, "1" to 1), and two it rejected with a different message
-NON_INTEGER_SITE_IDS = (2.9, 1.0, 1e2, True, False, "1", None, [1])
-
-
-def site_id_documents(site):
-    """One schedule document per place a schedule names a site: a site
-    position, either end of an edge, and a round-robin path."""
-    def waypoint(pos):
-        return {"robots": [{"period": "4", "waypoints": [{"t": "0", "pos": pos}]}]}
-
-    return [
-        waypoint({"site": site}),
-        waypoint({"edge": [site, 0], "frac": "1/2"}),
-        waypoint({"edge": [0, site], "frac": "1/2"}),
-        {"robots": [{"kind": "round_robin", "trees": [{"paths": [[0, site]]}]}]},
-    ]
-
-
 def test_site_ids_must_be_json_integers():
     for site in NON_INTEGER_SITE_IDS:
         for doc in site_id_documents(site):

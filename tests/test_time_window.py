@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
+import pytest
+
 from patrol import time_window
 from patrol.evaluate import max_weighted_latency, validate_speed
 from patrol.generate import generate_instance
@@ -14,6 +16,7 @@ from patrol.time_window import (
     AtomicRep,
     _decide,
     _levels,
+    canonical_path_order,
     candidate_window_lengths,
     concat,
     construct_schedule,
@@ -23,9 +26,8 @@ from patrol.time_window import (
     type_two,
     validate_standard,
 )
-from conftest import node_reps, realize_node
+from conftest import line_sweep, node_reps, rank_cases, realize_node
 from scenarios import cooperative_line_instance
-from test_time_window_integer import rank_cases
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -73,6 +75,8 @@ def test_canonical_path_shorter_order():
     # an atomic fits when 3 * tour <= L
     assert atomic(1, 1, 0, 2) in enumerate_atomics(inst, Fraction(30))
     assert atomic(1, 1, 0, 2) not in enumerate_atomics(inst, Fraction(30) - Fraction(1, 10**9))
+    # both orders are 10 long: the tie takes the leftward order
+    assert canonical_path_order(inst.metric.coords, 1, 1, 0, 2) == [1, 0, 2, 1]
 
 
 # --- concatenation rules ----------------------------------------------------
@@ -110,6 +114,12 @@ def test_concat_travel_then_visit():
     got = concat(type_two(), atomic(1, 1, 1, 1), Fraction(3), inst.metric.coords)
     assert got.t_before == 1  # one whole window of lead travel
     assert got.t_after == TWO_THIRDS
+
+
+def test_a_junction_with_pure_travel_needs_no_gap_or_slack():
+    X, visit = (0, 3), atomic(1, 1, 1, 1)
+    for a, b in ((type_two(), type_two()), (type_two(), visit), (visit, type_two())):
+        assert time_window._junction(a, b, X)[1:] == (0, 0)
 
 
 def test_concat_associativity_on_triples():
@@ -353,6 +363,17 @@ def test_one_solve_joins_each_pair_once(monkeypatch):
             assert max(joined.values(), default=1) == 1, (k, n, seed)
 
 
+def test_atom_hull_masks_are_kept_under_the_key_intern_reads():
+    """The set-up counts each atom hull's level-0 sites once and keeps the
+    mask under (1, left, right), the key intern reads for a span-1
+    summary, so no join at level 1 counts those sites again."""
+    for inst in line_sweep(3, 20, 6, 4):
+        pool = time_window._SummaryPool(inst)
+        for _, _, i in pool.atoms:
+            rep = pool.pool[i]
+            assert pool.hulls[1, rep.left, rep.right] == pool.masks[i], (inst, rep)
+
+
 def test_each_probed_window_builds_its_lower_levels_once(monkeypatch):
     """Each probed window is one pass over its levels: a solve filters the
     atoms once per decision probe and offers each level above 0 its
@@ -438,11 +459,13 @@ def test_candidate_order_when_candidates_share_a_float():
     """Distinct candidates whose doubles are equal are ordered exactly, and
     candidates past the double range are still sorted."""
     big = 10**18
-    inst = line_instance([0, Fraction(big, big + 1), Fraction(big + 1, big + 3), 1],
-                         [1, 2, 1, 4])
-    cands = candidate_window_lengths(inst, 1)
-    assert len({float(c) for c in cands}) < len(cands) == len(set(cands))
-    assert cands == sorted(cands)
+    # the second instance's tied doubles are not in the order of their numerators
+    for coords, weights in (([0, Fraction(big, big + 1), Fraction(big + 1, big + 3), 1], [1, 2, 1, 4]),
+                            ([0, Fraction(5 * big // 8 + 25, big // 2 + 21), Fraction(5, 4),
+                              Fraction(5, 4)], [4, 1, 1, 4])):
+        cands = candidate_window_lengths(line_instance(coords, weights), 1)
+        assert len({float(c) for c in cands}) < len(cands) == len(set(cands))
+        assert cands == sorted(cands)
     huge = candidate_window_lengths(line_instance([0, 10**400, 3 * 10**400], [1, 2, 1]), 1)
     assert huge == sorted(huge) and huge[-1] > 10**400
 
@@ -535,8 +558,19 @@ def test_solve_reference_four_site_instance():
 
 
 def test_solve_single_site():
-    rep = solve_line_weighted(line_instance([9], [5]), 1)
-    assert rep.measured_latency == 0
+    for coords in ([9], [9, 9, 9]):
+        rep = solve_line_weighted(line_instance(coords, [5, 1, 2][:len(coords)]), 2)
+        assert (rep.measured_latency, rep.L_accepted, rep.lower_bound, rep.k) == (0, 0, 0, 2)
+        with pytest.raises(ValueError, match="^k must be positive$"):
+            solve_line_weighted(line_instance(coords, [1] * len(coords)), 0)
+
+
+def test_two_robots_on_two_sites_accept_the_smallest_window():
+    """Each robot can park on a site, so the first positive candidate, whose
+    numerator is 1, is accepted."""
+    inst = line_instance([0, Fraction(1, 3)], [1, 1])
+    first = [c for c in candidate_window_lengths(inst, 2) if c > 0][0]
+    assert solve_line_weighted(inst, 2).L_accepted == first == Fraction(1, 5)
 
 
 def test_solve_with_empty_intermediate_class():

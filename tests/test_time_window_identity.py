@@ -6,15 +6,11 @@ _dominates, and ran the same 4-tuple loop again for the candidate window
 lengths.  The reference below keeps that code, so any change in which
 atomics survive (or in their order), in the candidate list, in the DP
 levels built on the atomics, or in a solve shows up here.  The k-robot
-state prune is held to its original float-prefiltered copy the same way,
-and validate_standard, which reads visits from the evaluator, to its
-original Fraction visit rule on the schedule before reversal.  The
-integer atom prune that later ran on every probe is kept here too, held
-to the original, and the cap ranges of the solver's atomic table are
-held to it.  The summary pool's one-pass build is held table by table
-to a build that interns each atom row by row, and to the one-pass build
-that still made every visiting 4-tuple's row, coincident coordinates
-included, before the pool kept only the atoms.
+state prune and the ranked level 0 are held to the original
+float-prefiltered prune the same way, and validate_standard, which reads
+visits from the evaluator, to its original Fraction visit rule on the
+schedule before reversal and its original any() rule for blocks.  The
+cap ranges of the solver's atomic table are held to the original prune.
 """
 
 import random
@@ -26,7 +22,8 @@ from math import inf, lcm
 import pytest
 
 from patrol import time_window
-from patrol.instance import dump_instance, line_instance, round_weights_dyadic, weight_classes
+from patrol.errors import ResourceLimitError
+from patrol.instance import dump_instance, line_instance, round_weights_dyadic
 from patrol.schedule import dump_schedule
 from patrol.time_window import (
     AtomicRep,
@@ -39,7 +36,7 @@ from patrol.time_window import (
     type_two,
     validate_standard,
 )
-from conftest import node_reps, realize_node
+from conftest import line_sweep, node_reps, rank_probes, realize_node
 
 TWO_THIRDS = Fraction(2, 3)
 
@@ -95,30 +92,6 @@ def reference_prune(reps, coords, L):
     return kept
 
 
-def integer_prune_atomics(reps, X):
-    """The atom prune on integer coordinates X, as the solver ran it per
-    probe before its atomic table carried each row's cap range.  It keeps
-    the first rep of each undominated class, in the given order: per
-    (start, end) group, hulls sorted by left end, then right end descending,
-    are maximal when they reach further right than all before them (the
-    2-D maxima of Kung, Luccio and Preparata)."""
-    groups = {}
-    for i, r in enumerate(reps):
-        if r.start is None:
-            ends, hull = None, (0, 0)
-        else:
-            ends, hull = (X[r.start], X[r.end]), (X[r.left], X[r.right])
-        groups.setdefault(ends, {}).setdefault(hull, i)
-    keep = []
-    for hulls in groups.values():
-        reach = None
-        for lo, hi in sorted(hulls, key=lambda h: (h[0], -h[1])):
-            if reach is None or hi > reach:
-                keep.append(hulls[lo, hi])
-                reach = hi
-    return [reps[i] for i in sorted(keep)]
-
-
 def reference_candidates(instance):
     coords = instance.metric.coords
     n = instance.n
@@ -156,51 +129,65 @@ def reference_atomics(monkeypatch):
         (q.numerator, q.denominator) for q in reference_candidates(instance)])
 
 
-def sweep(seed, count, n_max, wmax):
-    """Seeded line instances: n in 1..n_max, coordinates on a small grid
-    (so duplicates are common) over one denominator of 1, 2, 3, 7, 100."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        n = rng.randint(1, n_max)
-        den = rng.choice((1, 2, 3, 7, 100))
-        coords = [Fraction(rng.randint(0, 9), den) for _ in range(n)]
-        yield line_instance(coords, [rng.randint(1, wmax) for _ in range(n)])
-
-
-def test_atomics_and_prune_match_reference():
+def test_atomics_match_reference():
+    """At every candidate window, one unit 1/D below it, and 0, on a first
+    sweep and on the instances up to n = 4 of a second one, most of whose
+    instances have coincident coordinates.  The original lists the
+    4-tuples in one order and keeps those whose path fits, so its list at
+    the widest window, cut at each tuple's path length, is its list at
+    each smaller one."""
+    second = list(line_sweep(9, 400, 6, 4))
+    assert sum(len(set(inst.metric.coords)) < inst.n for inst in second) > 150
     lists = 0
-    for inst in sweep(1, 60, 6, 4):
+    for inst in [*line_sweep(1, 60, 6, 4), *(inst for inst in second if inst.n <= 4)]:
         coords = inst.metric.coords
-        for L in candidate_window_lengths(inst, 1)[::3] + [Fraction(0)]:
-            got = enumerate_atomics(inst, L)
-            assert got == reference_enumerate(coords, L)
-            pruned = integer_prune_atomics(got, time_window._summary_pool(inst).X)
-            assert pruned == reference_prune(got, coords, L)
+        D = lcm(*(c.denominator for c in coords))
+        Ls = {c - d for c in candidate_window_lengths(inst, 1) for d in (0, Fraction(1, D)) if c >= d}
+        Ls.add(Fraction(0))
+        # 3 * length * D is an int, so it fits under L * D when it fits under its floor
+        widest = [(int(3 * reference_path_length(coords, *rep[:4]) * D), rep)
+                  for rep in reference_enumerate(coords, max(Ls))[:-1]]
+        for L in Ls:
+            cap = L.numerator * D // L.denominator
+            want = [rep for length3, rep in widest if length3 <= cap] + [type_two()]
+            assert enumerate_atomics(inst, L) == want
             lists += 1
-    assert lists > 400
+    assert lists > 6500, lists
 
 
-def test_atom_table_matches_enumerate_and_prune():
+def test_atom_table_matches_enumerate_and_prune(monkeypatch):
     """The DP's atoms, read from the per-instance table by cap range, are
-    the pruned enumeration: at every candidate window, at each row's
-    length3 / D and kill3 / D, where a row enters and leaves, and one cap
-    below each."""
-    windows = 0
-    for inst in sweep(1, 60, 6, 4):
+    the original prune of the enumeration: at every candidate window, at
+    each row's length3 / D and kill3 / D, where a row enters and leaves,
+    and one cap below each.  Every atom has equal slacks, so the original
+    prune's answer depends only on the list, and a dominance only on the
+    pair of atoms: each is worked out once per instance."""
+    windows, dominates = 0, reference_dominates
+    for inst in line_sweep(1, 60, 6, 4):
+        pairs, pruned = {}, {}
+
+        def once(coords, L, a, b):
+            if (a, b) not in pairs:
+                pairs[a, b] = dominates(coords, L, a, b)
+            return pairs[a, b]
+
+        monkeypatch.setitem(globals(), "reference_dominates", once)
         pool = time_window._summary_pool(inst)
-        D, X = pool.D, pool.X
         caps = {cap for length3, kill3, _ in pool.atoms for cap in (length3, kill3) if cap != inf}
         Ls = set(candidate_window_lengths(inst, 1))
-        Ls.update(Fraction(c, D) for cap in caps for c in (cap, cap - 1))
+        Ls.update(Fraction(c, pool.D) for cap in caps for c in (cap, cap - 1))
         for L in Ls:
-            want = integer_prune_atomics(enumerate_atomics(inst, L), X)
-            assert [pool.pool[i] for i in time_window._atom_ids(inst, L)] == want, (inst, L)
+            reps = tuple(enumerate_atomics(inst, L))
+            if reps not in pruned:
+                pruned[reps] = reference_prune(reps, inst.metric.coords, Fraction(1))
+            assert tuple(pool.pool[i] for i in time_window._atom_ids(inst, L)) == tuple(
+                pruned[reps]), (inst, L)
             windows += 1
     assert windows > 1000
 
 
 def test_candidates_match_reference():
-    for inst in sweep(2, 200, 6, 8):
+    for inst in line_sweep(2, 200, 6, 8):
         assert candidate_window_lengths(inst, 1) == reference_candidates(inst)
 
 
@@ -221,8 +208,8 @@ def levels_and_solve(inst, k):
 @pytest.fixture(scope="module")
 def dp_cases():
     """(instance, k) pairs small enough for k=2 to stay quick."""
-    cases = [(inst, 1) for inst in sweep(3, 24, 5, 4)]
-    cases += [(inst, 2) for inst in sweep(4, 8, 4, 2)]
+    cases = [(inst, 1) for inst in line_sweep(3, 24, 5, 4)]
+    cases += [(inst, 2) for inst in line_sweep(4, 8, 4, 2)]
     return cases
 
 
@@ -232,157 +219,6 @@ def test_dp_levels_and_solves_match_reference(dp_cases, request):
     fresh = [(line_instance(inst.metric.coords, inst.weights), k) for inst, k in dp_cases]
     want = [levels_and_solve(inst, k) for inst, k in fresh]
     assert got == want
-
-
-def frozen_scaled(coords):
-    """(D, X): D the lcm of the coordinate denominators, X the coordinates
-    times D, as the pool first scaled them."""
-    D = lcm(*(c.denominator for c in coords))
-    return D, tuple(c.numerator * (D // c.denominator) for c in coords)
-
-
-def reference_summary_pool(instance):
-    """_SummaryPool as it was first built: the whole atomic table row by
-    row, then each atom of it interned through intern, one row at a time.
-    The table itself is not kept: the pool holds only its atoms."""
-    pool = object.__new__(time_window._SummaryPool)
-    pool.D, pool.X = frozen_scaled(instance.metric.coords)
-    X = pool.X
-    values = sorted(set(X))
-    steps = [b - a for a, b in zip(values, values[1:])]
-    step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
-    lead = [X.index(x) == i for i, x in enumerate(X)]
-    rows = []
-    for s, xs in enumerate(X):
-        for e, xe in enumerate(X):
-            lo, hi = min(xs, xe), max(xs, xe)
-            rights = [(r, xr) for r, xr in enumerate(X) if xr >= hi]
-            for left, xl in enumerate(X):
-                if xl > lo:
-                    continue
-                first = lead[s] and lead[e] and lead[left]
-                for right, xr in rights:
-                    length3 = kill3 = 3 * ((xr - xl) + min((xs - xl) + (xr - xe),
-                                                           (xr - xs) + (xe - xl)))
-                    if first and lead[right]:
-                        widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
-                        kill3 = length3 + 6 * widen if widen < inf else inf
-                    rows.append((length3, kill3, AtomicRep(s, e, left, right, 0, 2, 1)))
-    pool.level_sites = dict(weight_classes(instance).classes)
-    pool.pool, pool.ids, pool.masks, pool.slack3s, pool.widths = [], {}, [], [], []
-    pool.hulls, pool.joins = {}, {}
-    pool.atoms = [(length3, kill3, pool.intern(rep))
-                  for length3, kill3, rep in rows if length3 < kill3]
-    pool.travel = pool.intern(type_two())
-    return pool
-
-
-POOL_TABLES = ("D", "X", "level_sites", "pool", "ids", "masks",
-               "slack3s", "widths", "hulls", "joins", "atoms", "travel")
-
-
-def pool_tables(pool):
-    """Every table of a summary pool, with each key's type beside it, as
-    an AtomicRep and its plain tuple compare equal."""
-    return {name: getattr(pool, name) for name in POOL_TABLES} | {
-        "types": ([type(rep) for rep in pool.pool], [type(key) for key in pool.ids])}
-
-
-def test_one_pass_pool_matches_per_row_intern_build():
-    """The pool built in one pass holds the tables of the per-row intern
-    build, before any probe and after a solve has joined into it, on
-    coincident and fractional coordinates over several weight levels."""
-    coincident = solved = joined = 0
-    levels = Counter()
-    for k, inst in ((k, inst) for k in (1, 2, 3) for inst in sweep(7, 40, 6 - k, 4)):
-        got = time_window._SummaryPool(inst)
-        want = reference_summary_pool(inst)
-        assert pool_tables(got) == pool_tables(want), inst
-        inst._memo["summaries"] = want
-        twin = line_instance(inst.metric.coords, inst.weights)
-        if max(inst.metric.coords) > min(inst.metric.coords):
-            a, b = solve_line_weighted(inst, k), solve_line_weighted(twin, k)
-            assert (a.L_accepted, a.latency, dump_schedule(a.schedule)) == (
-                b.L_accepted, b.latency, dump_schedule(b.schedule))
-            assert pool_tables(time_window._summary_pool(twin)) == pool_tables(want), inst
-            solved += 1
-            joined += bool(want.joins)
-        levels[len(want.level_sites)] += 1
-        coincident += len(set(inst.metric.coords)) < inst.n
-    assert solved > 80 and joined > 40 and coincident > 20, (solved, joined, coincident)
-    assert sum(levels[m] for m in levels if m > 1) > 40, levels
-
-
-def whole_table_summary_pool(instance):
-    """_SummaryPool as it was built in one pass over every visiting
-    4-tuple: rows kept every tuple as (length3, kill3, AtomicRep), and a
-    row whose sites were each the lowest index of its coordinate was
-    its class's atom, interned as it was made."""
-    pool = object.__new__(time_window._SummaryPool)
-    pool.D, pool.X = frozen_scaled(instance.metric.coords)
-    X = pool.X
-    values = sorted(set(X))
-    steps = [b - a for a, b in zip(values, values[1:])]
-    step_left, step_right = dict(zip(values[1:], steps)), dict(zip(values, steps))
-    pool.level_sites = dict(weight_classes(instance).classes)
-    pool.pool, pool.ids, pool.masks, pool.widths, pool.hulls, pool.joins = [], {}, [], [], {}, {}
-    rows, atoms = [], []
-    sites = [(bit, X[s]) for bit, s in enumerate(pool.level_sites.get(0, ()))]
-    lead = [X.index(x) == i for i, x in enumerate(X)]
-    for s, xs in enumerate(X):
-        for e, xe in enumerate(X):
-            lo, hi = (xs, xe) if xs <= xe else (xe, xs)
-            ends3 = 3 * (hi - lo)
-            rights = [(r, xr, lead[r]) for r, xr in enumerate(X) if xr >= hi]
-            for left, xl in enumerate(X):
-                if xl > lo:
-                    continue
-                first = lead[s] and lead[e] and lead[left]
-                for right, xr, lead_right in rights:
-                    length3 = 6 * (xr - xl) - ends3
-                    rep = tuple.__new__(AtomicRep, (s, e, left, right, 0, 2, 1))
-                    if not (first and lead_right):
-                        rows.append((length3, length3, rep))
-                        continue
-                    widen = min(step_left.get(xl, inf), step_right.get(xr, inf))
-                    kill3 = length3 + 6 * widen if widen < inf else inf
-                    rows.append((length3, kill3, rep))
-                    mask = pool.hulls.get((1, left, right))
-                    if mask is None:
-                        mask = pool.hulls[1, left, right] = sum(
-                            1 << bit for bit, x in sites if xl <= x <= xr)
-                    atoms.append((length3, kill3, len(pool.pool)))
-                    pool.ids[rep] = len(pool.pool)
-                    pool.pool.append(rep)
-                    pool.masks.append(mask)
-                    pool.widths.append(xr - xl)
-    pool.atoms = atoms
-    pool.slack3s = [2] * len(pool.pool)
-    pool.travel = pool.intern(type_two())
-    return pool, rows
-
-
-def test_atom_pool_matches_whole_table_build():
-    """The pool built over one site per coordinate holds the tables of
-    the build that made every 4-tuple's row, and enumerate_atomics, which
-    now enumerates its own 4-tuples, lists that table's rows that fit at
-    every candidate window, at each row's length3 / D and one cap below."""
-    coincident = windows = 0
-    for inst in sweep(9, 400, 6, 4):
-        want, rows = whole_table_summary_pool(inst)
-        assert pool_tables(time_window._SummaryPool(inst)) == pool_tables(want), inst
-        coincident += len(set(inst.metric.coords)) < inst.n
-        if inst.n > 4:
-            continue
-        caps = {c for length3, _, _ in rows for c in (length3, length3 - 1)}
-        Ls = set(candidate_window_lengths(inst, 1)) | {Fraction(c, want.D) for c in caps}
-        for L in Ls:
-            cap = L.numerator * want.D // L.denominator
-            got = enumerate_atomics(inst, L)
-            assert got == [rep for length3, _, rep in rows if length3 <= cap] + [type_two()]
-            assert all(type(rep) is AtomicRep for rep in got)
-            windows += 1
-    assert coincident > 150 and windows > 1000, (coincident, windows)
 
 
 def test_table_leaves_metric_identity_alone():
@@ -458,9 +294,12 @@ def reference_state_prune(states, instance, L):
 
 def state_cases():
     """(instance, k) pairs: k=1 up to n=6 with weights to 4, k=2 up to
-    n=4 with weights to 2; every denominator of the sweep appears."""
-    cases = [(inst, 1) for inst in sweep(5, 40, 6, 4)]
-    cases += [(inst, 2) for inst in sweep(6, 16, 4, 2)]
+    n=4 with weights to 2 and up to n=3 with weights to 4 (two weight
+    levels, so junctions meet pure-travel slack); every denominator of the
+    sweep appears."""
+    cases = [(inst, 1) for inst in line_sweep(5, 40, 6, 4)]
+    cases += [(inst, 2) for inst in line_sweep(6, 16, 4, 2)]
+    cases += [(inst, 2) for inst in line_sweep(23, 10, 3, 4)]
     dens = {c.denominator for inst, _ in cases for c in inst.metric.coords}
     assert {3, 7, 100} <= dens
     assert any(len(set(inst.metric.coords)) < inst.n for inst, _ in cases)
@@ -525,7 +364,8 @@ def test_state_prune_matches_reference(monkeypatch):
     The order may differ only among states of equal exact score, which
     the original ranked by rounding noise in its float sums; on this
     sweep that moves one k=1 list (denominator 100, no change in its
-    first state) and five k=2 lists."""
+    first state) and five k=2 lists.  The solver's middle levels are
+    those lists pruned, and its top level their best state."""
     prune = time_window._prune
     lists = 0
     for inst, k in state_cases():
@@ -535,8 +375,15 @@ def test_state_prune_matches_reference(monkeypatch):
             monkeypatch.setattr(time_window, "_prune", reference_state_prune)
             assert (answer is None) == (construct_schedule(inst, k, L) is None)
             monkeypatch.setattr(time_window, "_prune", prune)
-            for states in prune_inputs(inst, k, L):
+            levels = time_window._levels(inst, k, L)
+            score = time_window._summary_pool(inst).ranking(L)
+            for h, states in enumerate(prune_inputs(inst, k, L)):
                 got = prune(states, inst, L)
+                if h == len(levels) - 1:
+                    top = max(states, key=lambda n: score(n.ids), default=None)
+                    assert [n.ids for n in levels[h]] == ([] if top is None else [top.ids])
+                elif h:
+                    assert [n.ids for n in levels[h]] == [n.ids for n in got]
                 want = reference_state_prune(states, inst, L)
                 assert sorted(map(id, got)) == sorted(map(id, want))
                 assert [exact_score(n, inst, L) for n in got] == [
@@ -544,6 +391,71 @@ def test_state_prune_matches_reference(monkeypatch):
                 ]
                 lists += 1
     assert lists > 600
+
+
+def test_prune_weighs_slack_against_shift_at_the_window():
+    """A summary with L more slack before its first visit than another,
+    whose start is 1 further right, dominates it at L = 1 but not at
+    L = 5/6, in the prune and in its original."""
+    inst = line_instance([0, 1, 3], [1, 1, 1])
+    pool = time_window._summary_pool(inst)
+    a, b = (pool.intern(AtomicRep(s, 2, 0, 2, before3, 3, 2)) for s, before3 in ((0, 3), (1, 0)))
+    states = [StateNode((b,), 1), StateNode((a,), 1)]
+    for L, kept in ((Fraction(1), [a]), (Fraction(5, 6), [a, b])):
+        assert [node.ids[0] for node in time_window._prune(states, inst, L)] == kept
+        assert [node.ids[0] for node in reference_state_prune(states, inst, L)] == kept
+
+
+def test_level_zero_is_ranked_not_pruned(monkeypatch):
+    """No k-tuple of pruned atoms dominates another: the frozen prune keeps
+    every covering atom tuple, and the solver's level 0 is those tuples
+    stably sorted by exact score (its first one alone when level 0 is the
+    top), without a call to _prune.  The frozen prune's own order agrees
+    up to ties in exact score, which it ranks by float rounding."""
+    prune = time_window._prune
+
+    def middle_levels_only(states, instance, L):
+        assert all(node.level for node in states)
+        return prune(states, instance, L)
+
+    monkeypatch.setattr(time_window, "_prune", middle_levels_only)
+    probes = 0
+    for inst, k, L in rank_probes():
+        covering = next(prune_inputs(inst, k, L))
+        ranked = sorted(covering, key=lambda n: -exact_score(n, inst, L))
+        want = reference_state_prune(covering, inst, L)
+        assert sorted(map(id, want)) == sorted(map(id, covering)), (inst, k, L)
+        assert [exact_score(n, inst, L) for n in want] == [
+            exact_score(n, inst, L) for n in ranked]
+        levels = time_window._levels(inst, k, L)
+        if len(levels) == 1:
+            ranked = ranked[:1]
+        assert [node_reps(n, inst) for n in levels[0]] == [
+            node_reps(n, inst) for n in ranked], (inst, k, L)
+        probes += 1
+    assert probes > 150
+
+
+def test_state_cap_trips_where_the_full_level_loop_did(monkeypatch):
+    """DEFAULT_STATE_CAP counts a level's distinct covering joins.  The
+    top level keeps one of them and the reach filter skips pairs, yet a
+    cap one below a level's count in the full level loop (prune_inputs)
+    trips at the first level whose count exceeds it, with the message of
+    that loop, and a cap at the largest count never trips."""
+    trips = Counter()
+    for inst, k, L in list(rank_probes()):  # candidate lists read the cap too
+        counts = [len(states) for states in prune_inputs(inst, k, L)][1:]
+        for cap in sorted(set(counts) - {0}):
+            monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", cap - 1)
+            h = next(h for h, count in enumerate(counts, start=1) if count >= cap)
+            message = f"^more than {cap - 1} states at level {h}$"
+            with pytest.raises(ResourceLimitError, match=message):
+                time_window._levels(inst, k, L)
+            trips["top" if h == len(counts) else "middle"] += 1
+        if counts:
+            monkeypatch.setattr(time_window, "DEFAULT_STATE_CAP", max(counts))
+            time_window._levels(inst, k, L)
+    assert trips["top"] > 40 and trips["middle"] > 15, trips
 
 
 # --- validate_standard against its original Fraction visit rule --------------
@@ -568,14 +480,11 @@ def reference_visit_intervals(waypoints, duration, c):
 
 
 def reference_every_block_met(spans, block, blocks):
-    i, reach = 0, -1
-    for b in range(blocks):
-        while i < len(spans) and spans[i][0] <= (b + 1) * block:
-            reach = max(reach, spans[i][1])
-            i += 1
-        if reach < b * block:
-            return False
-    return True
+    """The original rule: each block meets some span, by a scan of all spans."""
+    return all(
+        any(a <= (b + 1) * block and bnd >= b * block for a, bnd in spans)
+        for b in range(blocks)
+    )
 
 
 def reference_validate_standard(std, instance):
@@ -644,3 +553,29 @@ def test_validate_standard_stationary_and_one_site():
                 away = StandardSchedule(L, m, (((Fraction(0), Fraction(5)),),) * k)
                 assert not validate_standard(away, inst)
                 assert not reference_validate_standard(away, inst)
+    # one leg that ends at the duration cyclifies to two waypoints: the
+    # robot still moves, and site 0 misses the block [3, 6]
+    sweep = StandardSchedule(Fraction(3), 1, ((
+        (Fraction(0), Fraction(0)), (Fraction(6), Fraction(6))),))
+    inst = line_instance([0, 6], [1, 1])
+    assert not validate_standard(sweep, inst) and not reference_validate_standard(sweep, inst)
+
+
+def test_block_sweep_matches_any_rule():
+    rng = random.Random(17)
+    outcomes = set()
+    for _ in range(3000):
+        den = rng.choice((1, 2, 3))
+        block = Fraction(rng.randint(1, 4), den)
+        blocks = rng.randint(1, 8)
+        end = block * blocks
+        spans = []
+        for _ in range(rng.randint(0, 6)):
+            # endpoints on a grid finer than the blocks, so spans touch block
+            # boundaries; a quarter of them are crossings of zero length
+            a = Fraction(rng.randint(-2, int(4 * end) + 2), 4)
+            spans.append((a, a if rng.random() < 0.25 else a + Fraction(rng.randint(0, 8), 4)))
+        got = time_window._every_block_met(sorted(spans), block, blocks)
+        assert got == reference_every_block_met(spans, block, blocks), (spans, block, blocks)
+        outcomes.add(got)
+    assert outcomes == {True, False}

@@ -16,7 +16,7 @@ from math import lcm
 from patrol.errors import ScheduleFormatError
 from patrol.evaluate import _evaluation
 from patrol.schedule import CoordPos, EdgePos, SitePos
-from test_evaluator_identity import (
+from conftest import (
     euclidean_cases,
     line_cases,
     matrix_cases,
