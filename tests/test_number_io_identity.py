@@ -97,7 +97,7 @@ def random_floats(rng, count):
 
 def test_floats_read_and_write_as_before():
     rng = random.Random(12)
-    floats = random_floats(rng, 20_000) + [math.inf, -math.inf, math.nan]
+    floats = random_floats(rng, 100_000) + [math.inf, -math.inf, math.nan]
     for x in floats:
         got = outcome(to_fraction, x)
         assert got == outcome(frozen_to_fraction, x), x  # that is, Fraction(repr(x))

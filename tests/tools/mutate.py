@@ -10,9 +10,9 @@ function, is stable, so two runs compare as sets; --only runs the ids
 that start with PREFIX.  Each mutant runs pytest -x on the TESTs with a
 fixed hypothesis seed, in a fresh temporary copy of src/, tests/ and
 pyproject.toml (whose pythonpath puts the rootdir's src/ first on
-sys.path), under a timeout of 3x the unmutated run; --jobs runs N
-mutants at a time (more than the idle cores slows each run toward that
-timeout).  One line per mutant, killed, survived or timeout, its id and
+sys.path), under a timeout of 3x the unmutated run and at least 2 s
+past it; --jobs runs N mutants at a time (more than the idle cores
+slows each run toward that timeout).  One line per mutant, killed, survived or timeout, its id and
 its line, is printed in source order, then the totals.  Nothing is
 written into the checkout.
 """
@@ -29,8 +29,6 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from itertools import islice
 from pathlib import Path
 
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -58,44 +56,42 @@ def kinds(node):
         yield "not", lambda n: n.operand
 
 
-def points(tree):
-    """Yield (function, kind, node, mutate, put) in source order for every
-    mutation point inside a function (methods as Class.method, nested
-    functions as outer.inner); put(new) sets new in node's place."""
+class Mutate(ast.NodeTransformer):
+    """One source-order walk over a tree.  It lists (function, kind, line)
+    for every mutation point inside a function (methods as Class.method,
+    nested functions as outer.inner) and rewrites point number target."""
 
-    def walk(parent, prefix, func):
-        for field, value in ast.iter_fields(parent):
-            nodes = value if isinstance(value, list) else [value]
-            for i, node in enumerate(nodes):
-                if not isinstance(node, ast.AST):
-                    continue
-                if isinstance(node, (*DEFS, ast.ClassDef)):
-                    name = prefix + node.name
-                    yield from walk(node, name + ".", name if isinstance(node, DEFS) else None)
-                    continue
-                if func is not None:
-                    put = (partial(nodes.__setitem__, i) if nodes is value
-                           else partial(setattr, parent, field))
-                    for kind, mutate in kinds(node):
-                        yield func, kind, node, mutate, put
-                yield from walk(node, prefix, func)
+    def __init__(self, target=None):
+        self.target, self.points, self.prefix, self.func = target, [], "", None
 
-    yield from walk(tree, "", None)
+    def visit(self, node):
+        if isinstance(node, (*DEFS, ast.ClassDef)):
+            outer = self.prefix, self.func
+            name = self.prefix + node.name
+            self.prefix, self.func = name + ".", name if isinstance(node, DEFS) else None
+            self.generic_visit(node)
+            self.prefix, self.func = outer
+            return node
+        if self.func is not None:
+            line = getattr(node, "lineno", None)
+            for kind, mutate in list(kinds(node)):
+                if len(self.points) == self.target:
+                    node = mutate(node)
+                self.points.append((self.func, kind, line))
+        return self.generic_visit(node)
 
 
 def mutants(source, module, only=""):
     """Yield (id, line, mutated source) for every mutation point of source
     whose id starts with only."""
+    walk = Mutate()
+    walk.visit(ast.parse(source))
     seen = {}
-    for i, (func, kind, *_) in enumerate(list(points(ast.parse(source)))):
+    for i, (func, kind, line) in enumerate(walk.points):
         n = seen[func, kind] = seen.get((func, kind), -1) + 1
         mid = f"{module}:{func}:{kind}:{n}"
-        if not mid.startswith(only):
-            continue
-        tree = ast.parse(source)
-        _, _, node, mutate, put = next(islice(points(tree), i, None))
-        put(mutate(node))
-        yield mid, node.lineno, ast.unparse(ast.fix_missing_locations(tree))
+        if mid.startswith(only):
+            yield mid, line, ast.unparse(Mutate(i).visit(ast.parse(source)))
 
 
 def run(root, tests, timeout):
@@ -140,11 +136,12 @@ def main(argv=None):
         parser.error(f"{args.module} is not inside the checkout {checkout}")
     module = Path(args.module).resolve().relative_to(checkout)
     source = (checkout / module).read_text()
-    with copy(checkout, module, source) as tmp:
+    with copy(checkout, module, ast.unparse(ast.parse(source))) as tmp:  # as mutants are written
         start = time.perf_counter()
         if run(tmp, args.tests, None) != 0:
             sys.exit("the unmutated tests do not pass")
-        timeout = 3 * (time.perf_counter() - start)
+        took = time.perf_counter() - start
+    timeout = max(3 * took, took + 2)  # a sub-second suite still gets room for a busy host
 
     def attempt(mutant):
         with copy(checkout, module, mutant[2]) as tmp:
