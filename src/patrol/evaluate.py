@@ -114,18 +114,20 @@ class LatencyReport:
         return self.per_site[site].latency
 
     def to_json_dict(self) -> dict:
-        weights, rows = {}, []  # each distinct weight is formatted once
+        # each distinct weight is formatted once, each denominator's
+        # decimal scale computed once
+        weights, rows, scales = {}, [], {}
         for site, w, num, den, wnum, wden in self.per_site:
             key = w.numerator, w.denominator
             weight = weights.get(key)
             if weight is None:
-                weight = weights[key] = format_ratio(*key)
-            latency = weighted = format_ratio(num, den)
+                weight = weights[key] = format_ratio(*key, scales)
+            latency = weighted = format_ratio(num, den, scales)
             if wnum != num or wden != den:
-                weighted = format_ratio(wnum, wden)
+                weighted = format_ratio(wnum, wden, scales)
             rows.append({"site": site, "latency": latency, "weight": weight,
                          "weighted": weighted})
-        return {"max_weighted": format_fraction(self.max_weighted),
+        return {"max_weighted": format_fraction(self.max_weighted, scales),
                 "argmax_site": self.argmax_site, "per_site": rows}
 
     def to_csv(self) -> str:

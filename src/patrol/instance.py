@@ -284,16 +284,17 @@ def load_instance(data: bytes | str) -> Instance:
 def dump_instance(instance: Instance) -> str:
     """Serialize an instance to the JSON format accepted by load_instance."""
     m = instance.metric
+    scales: dict = {}  # each denominator's decimal scale, computed once
     if m.variant == "line":
-        data = [format_fraction(c) for c in m.coords]
+        data = [format_fraction(c, scales) for c in m.coords]
     elif m.variant == "matrix":
-        data = [[format_fraction(x) for x in row] for row in m.matrix]
+        data = [[format_fraction(x, scales) for x in row] for row in m.matrix]
     else:
         data = [list(p) for p in m.points]
     doc = {
         "kind": instance.kind,
         "metric": {"type": m.variant, "data": data},
-        "weights": [format_fraction(w) for w in instance.weights],
+        "weights": [format_fraction(w, scales) for w in instance.weights],
     }
     if instance.names is not None:
         doc["names"] = list(instance.names)

@@ -12,11 +12,14 @@ not that double's exact binary value.
 Numbers are read and written on integers.  A plain ASCII decimal
 [-+]digits[.digits][e[-+]digits] (every float repr and every number
 format_fraction writes) is read as its integer digits times a power of
-ten; any other text goes to Fraction(text), so each Python version keeps
-its own rules and error messages for those.  A decimal is written by
-scaling the numerator to the denominator's power of ten (format_ratio
-takes the two ints of a ratio already in lowest terms), and a number
-past int()'s digit limit or the double range raises ResourceLimitError.
+ten, by one int() over all its digits when it is unsigned, has no
+exponent and has at most 640 digits; any other text goes to
+Fraction(text), so each Python version keeps its own rules and error
+messages for those.  A decimal is written by scaling the numerator to
+the denominator's power of ten, its decimal_scale (format_ratio takes the
+two ints of a ratio already in lowest terms); the writers of many
+numbers compute each denominator's scale once per call.  A number past
+int()'s digit limit or the double range raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -41,14 +44,23 @@ def to_fraction(value: Real) -> Fraction:
     repr, so a JSON literal 2.5 parses to exactly 5/2).  A decimal
     exponent may not exceed sys.int_info.default_max_str_digits in
     magnitude, the digit limit int() already puts on strings: "1e10000000"
-    would otherwise take seconds to expand.  That check comes first; a
-    plain ASCII decimal is then read on integers, with its whole and
-    fractional digits converted separately as Fraction(text) does, and
-    every other string (inner spaces, "_", "E", non-ASCII digits, ...)
-    is Fraction(text)'s to accept or reject.
+    would otherwise take seconds to expand.  An unsigned, exponent-free
+    ASCII decimal of at most 640 digits ("007.50", ".5", "1.") is read by
+    one int() over its digits.  For any other string the exponent check
+    comes first; a plain ASCII decimal is then read on integers, with its
+    whole and fractional digits converted separately as Fraction(text)
+    does, and every other string (inner spaces, "_", "E", non-ASCII
+    digits, ...) is Fraction(text)'s to accept or reject.
     """
     # strings first: a Fraction check on anything else goes through ABCMeta
     if isinstance(value, str):
+        whole, _, frac = value.partition(".")
+        digits = whole + frac
+        # unsigned, exponent-free ASCII digits with at most one dot, read by
+        # one int(): 640 is the lowest digit limit int() can be given, so
+        # that int() never raises; a longer text takes the route below
+        if len(digits) <= 640 and digits.isascii() and digits.isdigit():
+            return Fraction(int(digits), 10 ** len(frac))
         text = value.strip()
         if "/" in text:
             num, _, den = text.partition("/")
@@ -106,28 +118,45 @@ def _times_ten(num: int, shift: int) -> Fraction:
     return Fraction(num * 10**shift) if shift >= 0 else Fraction(num, 10**-shift)
 
 
-def format_fraction(value: Real) -> str:
+def format_fraction(value: Real, scales: Optional[dict] = None) -> str:
     """Render a Fraction exactly: a decimal string when the denominator
-    is of the form 2^a*5^b, otherwise "p/q"."""
+    is of the form 2^a*5^b, otherwise "p/q" (scales as in format_ratio)."""
     f = value if type(value) is Fraction else to_fraction(value)
-    return format_ratio(f.numerator, f.denominator)
+    return format_ratio(f.numerator, f.denominator, scales)
 
 
-def format_ratio(num: int, den: int) -> str:
-    """format_fraction of num/den, given in lowest terms with den > 0."""
+def decimal_scale(den: int) -> Optional[tuple[int, int]]:
+    """(shift, factor) with den * factor == 10**shift and shift the
+    least, for a den > 0 of the form 2^a*5^b; None for any other den."""
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
+    fives = int(odd.bit_length() / _LOG2_5)
+    if 5**fives != odd:
+        return None
+    shift = max(twos, fives)
+    return shift, 5 ** (shift - fives) << (shift - twos)
+
+
+def format_ratio(num: int, den: int, scales: Optional[dict] = None) -> str:
+    """format_fraction of num/den, given in lowest terms with den > 0.
+    A writer of many numbers passes one dict for the length of its call,
+    scales, which keeps each denominator's decimal_scale."""
     try:
         if den == 1:
             return str(num)
-        twos = (den & -den).bit_length() - 1
-        odd = den >> twos
-        # 5^b has floor(b*log2(5)) + 1 bits, so b is the floor of bits/log2(5)
-        fives = int(odd.bit_length() / _LOG2_5)
-        if 5**fives != odd:
+        if scales is None:
+            scale = decimal_scale(den)
+        elif den in scales:
+            scale = scales[den]
+        else:
+            scale = scales[den] = decimal_scale(den)
+        if scale is None:
             return f"{num}/{den}"
-        # num / den = num * 5^(shift-fives) * 2^(shift-twos) / 10^shift, and
-        # the last of its shift decimals is not 0: num is prime to den
-        shift = max(twos, fives)
-        digits = str(abs(num) * (5 ** (shift - fives) << (shift - twos))).rjust(shift + 1, "0")
+        # num / den = num * factor / 10^shift, and the last of its shift
+        # decimals is not 0: num is prime to den
+        shift, factor = scale
+        digits = str(abs(num) * factor).rjust(shift + 1, "0")
     except ValueError:  # only str(int) raises it: past the digit limit
         limit = sys.get_int_max_str_digits()
         raise ResourceLimitError(f"a number over {limit} digits cannot be written") from None

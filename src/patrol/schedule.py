@@ -228,10 +228,11 @@ def _pos_from_json(doc: dict) -> Position:
 
 def dump_schedule(schedule: Schedule) -> str:
     """The schedule document as json.dumps(doc, indent=2) writes it,
-    written directly: its only strings are fixed keys and format_fraction
+    written directly: its only strings are fixed keys and exact number
     texts (digits, "-", ".", "/"), none of which JSON escapes, so the
     json module's pure-Python indent encoder is not needed."""
     robots = []
+    scales: dict = {}  # each denominator's decimal scale, computed once
     for track in schedule.robots:
         if isinstance(track, RoundRobinTrack):
             trees = ",\n".join(
@@ -244,23 +245,24 @@ def dump_schedule(schedule: Schedule) -> str:
                           "\n      ]\n    }")
         else:
             waypoints = ",\n".join(
-                f'        {{\n          "t": "{format_fraction(t)}",\n          "pos": {{\n'
-                f"{_pos_text(p)}\n          }}\n        }}" for t, p in track.waypoints)
-            robots.append(f'    {{\n      "period": "{format_fraction(track.period)}",\n'
+                f'        {{\n          "t": "{format_fraction(t, scales)}",\n          "pos": {{\n'
+                f"{_pos_text(p, scales)}\n          }}\n        }}" for t, p in track.waypoints)
+            robots.append(f'    {{\n      "period": "{format_fraction(track.period, scales)}",\n'
                           f'      "waypoints": [\n{waypoints}\n      ]\n    }}')
     if not robots:
         return '{\n  "robots": []\n}'
     return '{\n  "robots": [\n' + ",\n".join(robots) + "\n  ]\n}"
 
 
-def _pos_text(pos: Position) -> str:
+def _pos_text(pos: Position, scales: dict) -> str:
     """The members of a waypoint's "pos" object, at their indent."""
     if isinstance(pos, SitePos):
         return f'            "site": {pos.site}'
     if isinstance(pos, CoordPos):
-        return f'            "coord": "{format_fraction(pos.x)}"'
+        return f'            "coord": "{format_fraction(pos.x, scales)}"'
+    frac = format_fraction(pos.frac, scales)
     return (f'            "edge": [\n              {pos.a},\n              {pos.b}\n            ],\n'
-            f'            "frac": "{format_fraction(pos.frac)}"')
+            f'            "frac": "{frac}"')
 
 
 def load_schedule(data: bytes | str) -> Schedule:

@@ -3,8 +3,11 @@ it to frozen copies of the Fraction(str) reader and the division-loop
 writer it replaced, and to Fraction(text) on the running interpreter:
 the same Fraction or the same exception type and message, input by
 input.  format_ratio, the writer on the two ints of a ratio in lowest
-terms, is pinned to format_fraction of the same Fraction."""
+terms, is pinned to format_fraction of the same Fraction, with and
+without a table of decimal scales shared across writes, as the batch
+writers keep one for each call."""
 
+import json
 import math
 import random
 import struct
@@ -16,8 +19,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from patrol.errors import ResourceLimitError
-from patrol.instance import Metric
-from patrol.rationals import float_to_fraction, format_fraction, format_ratio, to_fraction
+from patrol.instance import Metric, dump_instance, line_instance, matrix_instance
+from patrol.rationals import (
+    decimal_scale,
+    float_to_fraction,
+    format_fraction,
+    format_ratio,
+    to_fraction,
+)
 
 LIMIT = sys.int_info.default_max_str_digits
 
@@ -194,6 +203,7 @@ def test_format_round_trip_over_denominators():
 # denominators 2^a * 5^b (decimals) and any other positive int ("p/q")
 decimal_dens = st.builds(lambda a, b: 2**a * 5**b, st.integers(0, 80), st.integers(0, 80))
 ratio_dens = st.one_of(decimal_dens, st.integers(1, 10**30), decimal_dens.map(lambda d: 3 * d))
+SHARED_SCALES: dict = {}  # one table of decimal scales for every example
 
 
 @given(st.integers(-(10**40), 10**40), ratio_dens)
@@ -208,13 +218,63 @@ def test_format_ratio_is_format_fraction_on_lowest_terms(num, den):
     value = Fraction(num, den)
     num, den = value.numerator, value.denominator
     assert format_ratio(num, den) == format_fraction(value) == frozen_format_fraction(value)
+    # most examples meet a den that an earlier one put in the shared table
+    want = frozen_format_fraction(value)
+    assert format_ratio(num, den, SHARED_SCALES) == format_fraction(value, SHARED_SCALES) == want
+    assert den == 1 or SHARED_SCALES[den] == decimal_scale(den)
+
+
+def test_a_shared_scale_table_writes_the_same_texts():
+    scales = {}
+    ratios = [(1, 8), (3, 8), (-5, 8), (9, 20), (7, 1), (-7, 1), (0, 1), (-9, 20), (1, 3),
+              (-2, 3), (1, 3), (5, 2**200), (-1, 5**90), (3, 5**90 * 7), (10**40 + 1, 2**70)]
+    for num, den in ratios * 2:
+        want = frozen_format_fraction(Fraction(num, den))
+        assert format_ratio(num, den, scales) == want, (num, den)
+        assert format_fraction(Fraction(num, den), scales) == want, (num, den)
+    assert scales == {den: decimal_scale(den) for _, den in ratios if den != 1}
+    for den, scale in scales.items():
+        # 2^a * 5^b divides 10^max(a, b), and max(a, b) < den.bit_length()
+        if 10 ** den.bit_length() % den:
+            assert scale is None, den
+        else:  # den * factor is the least power of ten den divides
+            shift, factor = scale
+            assert den * factor == 10**shift and (shift == 0 or 10 ** (shift - 1) % den), den
 
 
 def test_format_ratio_past_the_digit_limit_raises_like_format_fraction():
     digits = sys.get_int_max_str_digits()
+    scales = {}
     for value in (Fraction(10**digits), Fraction(-(10**digits) - 1, 2),
-                  Fraction(1, 2**(3 * digits)), Fraction(10**digits + 1, 3)):
+                  Fraction(1, 2**(3 * digits)), Fraction(10**digits + 1, 3),
+                  Fraction(-(10**digits) - 3, 2), Fraction(10**digits + 1, 9)):
         for write in (lambda: format_fraction(value),
-                      lambda: format_ratio(value.numerator, value.denominator)):
+                      lambda: format_ratio(value.numerator, value.denominator),
+                      lambda: format_fraction(value, scales),
+                      lambda: format_ratio(value.numerator, value.denominator, scales)):
             with pytest.raises(ResourceLimitError, match=f"over {digits} digits"):
                 write()
+
+
+def test_dump_instance_writes_json_dumps_of_the_number_texts():
+    """dump_instance keeps one table of decimal scales for its call; its
+    bytes are json.dumps of each number's own text."""
+    rng = random.Random(37)
+    tiny = Fraction(1, 10**4000)
+    values = [Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 7, 8, 20, 125, 10**9)))
+              for _ in range(400)] + [tiny, -tiny, 1 + tiny, Fraction(-22, 7), Fraction(0)] * 20
+    for trial in range(30):
+        n = rng.randint(1, 7)
+        weights = [abs(rng.choice(values)) or tiny for _ in range(n)]
+        if trial % 2:
+            coords = [rng.choice(values) for _ in range(n)]
+            instance, data = line_instance(coords, weights), coords
+        else:  # off-diagonal entries in [1, 2] keep the triangle inequality
+            upper = {(i, j): 1 + abs(rng.choice(values)) % 1 for i in range(n) for j in range(i + 1, n)}
+            data = [[0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+            instance = matrix_instance(data, weights)
+        texts = ([frozen_format_fraction(c) for c in data] if trial % 2
+                 else [[frozen_format_fraction(x) for x in row] for row in data])
+        doc = {"kind": instance.kind, "metric": {"type": instance.metric.variant, "data": texts},
+               "weights": [frozen_format_fraction(w) for w in weights]}
+        assert dump_instance(instance) == json.dumps(doc, indent=2, sort_keys=True), trial

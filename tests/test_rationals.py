@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from patrol import rationals
 from patrol.rationals import _plain_decimal, format_fraction, on_common_denominator, to_fraction
 
 
@@ -47,6 +48,51 @@ def test_plain_decimals_are_read_on_integers():
         assert _plain_decimal(text) == want, text
     for text in ("1_0", "\uff11", "1e", "e5", "--1", "+-1", ".", "", "1e+", "1e--2", "1.2.3", "-"):
         assert _plain_decimal(text) is None, text
+
+
+def test_short_unsigned_decimals_are_read_by_one_int(monkeypatch):
+    """An unsigned, exponent-free ASCII decimal of at most 640 digits is
+    read by one int() and never reaches _plain_decimal; every other text
+    goes through it as before, so only this check sees which path a text
+    took."""
+    routed = []
+
+    def spy(text):
+        routed.append(text)
+        return _plain_decimal(text)
+
+    monkeypatch.setattr(rationals, "_plain_decimal", spy)
+    for text, want in (("0", 0), ("007.50", Fraction(15, 2)), ("1.", 1), (".5", Fraction(1, 2)),
+                       ("7" * 640, int("7" * 640)),
+                       ("3" * 320 + "." + "3" * 320, Fraction(int("3" * 640), 10**320))):
+        assert to_fraction(text) == want, text
+        assert routed == [], text
+    for text, want in (("8" * 641, int("8" * 641)), ("\u0661.\u0665", Fraction(3, 2)),
+                       ("\u00b2", None), (" 1.5", Fraction(3, 2)), ("+1.5", Fraction(3, 2)),
+                       ("-1.5", Fraction(-3, 2)), ("1.5e1", 15), ("1.2.3", None), (".", None)):
+        routed.clear()
+        if want is None:
+            with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+                to_fraction(text)
+        else:
+            assert to_fraction(text) == want, text
+        assert routed == [text.strip()], text
+
+
+def test_one_int_reads_under_the_lowest_digit_limit():
+    """640 digits is the lowest limit int() can be given: a 641-digit whole
+    part fails as int() over it does, and 320 + 320 digits still read."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as int_error:
+            int("1" * 641)
+        with pytest.raises(ValueError) as got:
+            to_fraction("1" * 641 + ".5")
+        assert str(got.value) == str(int_error.value)
+        assert to_fraction("9" * 320 + "." + "1" * 320) == Fraction(int("9" * 320 + "1" * 320), 10**320)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_rejects_non_numbers():
